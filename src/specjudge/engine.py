@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence, softmax
+from .lm import DataError, LanguageModel, LmOutput, TokenSequence
 from .judge import JudgeModel, assemble_features, check_judge_compatible, predict_importance
 from .sampling import RandomState, seeded_choice
 
@@ -96,8 +96,10 @@ class DraftWindow:
     """Drafted tokens plus the draft model's rows over context+window."""
 
     tokens: list[int]
-    probs: list[np.ndarray]  # draft distribution at each drafted position
-    output: LmOutput  # full-length rows; only the window tail is populated
+    # Full-length rows; only the rows that drafted the window are populated.
+    # The row after the last drafted token stays zero: the judge never
+    # scores the last position, so nothing reads it.
+    output: LmOutput
 
 
 @dataclass
@@ -142,23 +144,18 @@ def draft_window(draft: LanguageModel, context, width: int,
     draft._check_tokens(context)
     eos = draft.vocab.eos_id
     tokens: list[int] = []
-    probs: list[np.ndarray] = []
     rows = []
-    temp = config.temperature
     for _ in range(width):
         prefix = context + tuple(tokens)
         logits, hid = draft.next_logits_hidden(prefix)
-        t = seeded_choice(logits, prefix, config.state, temp)
-        probs.append(softmax(logits, temp if temp > 0 else 1.0))
+        t = seeded_choice(logits, prefix, config.state, config.temperature)
         rows.append((len(prefix), logits, hid))
         tokens.append(t)
         if t == eos:
             break
-    full = context + tuple(tokens)
-    logits, hid = draft.next_logits_hidden(full)
-    rows.append((len(full), logits, hid))
-    output = _assemble_rows(draft.vocab.size, draft.hidden_dim, len(full), rows)
-    return DraftWindow(tokens=tokens, probs=probs, output=output)
+    output = _assemble_rows(draft.vocab.size, draft.hidden_dim,
+                            len(context) + len(tokens), rows)
+    return DraftWindow(tokens=tokens, output=output)
 
 
 def _top_k_ids(logits, k: int) -> set[int]:

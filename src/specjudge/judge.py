@@ -305,6 +305,8 @@ def load_judge(path: str) -> JudgeModel:
                           threshold=float(obj["threshold"]),
                           dataset_hash=obj.get("dataset_hash", ""),
                           seed=int(obj.get("seed", 0)))
+    except OSError as e:
+        raise DataError(f"cannot read judge file {path}: {e}") from e
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"bad judge file {path}: {e}") from e
 

@@ -260,6 +260,8 @@ def load_dataset(path: str) -> list[MismatchRecord]:
                     prev_draft_hidden=np.array(row["prev_draft_hidden"], dtype=float),
                     prev_target_hidden=np.array(row["prev_target_hidden"], dtype=float),
                 ))
+    except OSError as e:
+        raise DataError(f"cannot read dataset file {path}: {e}") from e
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"bad dataset file {path}: {e}") from e
     if not records:

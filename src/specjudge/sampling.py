@@ -40,13 +40,26 @@ class RandomState:
             raise ValueError("seed must fit in 64 bits")
 
 
+# _FNV_PRIME_POW[k] = P^k mod 2^64: k zero-byte steps folded into one multiply.
+_FNV_PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
+
+
 def _fnv_feed(h: int, value: int) -> int:
-    """Absorb one value as 8 little-endian bytes, FNV-1a style."""
+    """Absorb one value as 8 little-endian bytes, FNV-1a style.
+
+    A byte step is h = (h ^ byte) * P mod 2^64, so a zero byte only
+    multiplies by P.  Once the bytes still to come are all zero, the
+    remaining k steps fold exactly into one multiply by P^k: a value below
+    256 (every token id of a small vocab) costs one xor and one multiply,
+    bit-identical to the 8-step loop for every input.
+    """
     v = value & _MASK64
-    for _ in range(8):
+    k = 8
+    while v > 0xFF:
         h = ((h ^ (v & 0xFF)) * _FNV_PRIME) & _MASK64
         v >>= 8
-    return h
+        k -= 1
+    return ((h ^ v) * _FNV_PRIME_POW[k]) & _MASK64
 
 
 def _prefix_hash(tag: int, seed: int, context) -> int:
@@ -70,15 +83,20 @@ def _unit_uniform(key: int) -> float:
 
 
 def _fnv_feed_vec(h, values) -> np.ndarray:
-    """Vectorized _fnv_feed: absorb values[i] into h (or h[i]) elementwise."""
+    """Vectorized _fnv_feed: absorb values into h elementwise, broadcasting.
+
+    Only the low bytes that the largest value needs are stepped; the zero
+    bytes above them fold into one multiply, as in _fnv_feed.
+    """
     v = np.asarray(values, dtype=np.uint64)
-    out = np.broadcast_to(np.asarray(h, dtype=np.uint64), v.shape).copy()
+    out = np.asarray(h, dtype=np.uint64)
+    nbytes = max(1, (int(v.max(initial=0)).bit_length() + 7) // 8)
     prime = np.uint64(_FNV_PRIME)
     mask, eight = np.uint64(0xFF), np.uint64(8)
-    for _ in range(8):
+    for _ in range(nbytes - 1):
         out = (out ^ (v & mask)) * prime
         v = v >> eight
-    return out
+    return (out ^ v) * np.uint64(_FNV_PRIME_POW[9 - nbytes])
 
 
 def _unit_uniform_vec(keys: np.ndarray) -> np.ndarray:

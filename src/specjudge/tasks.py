@@ -232,7 +232,11 @@ def save_tasks(path: str, tasks, vocab: Vocab) -> None:
 
 def load_tasks(path: str, vocab: Vocab) -> list:
     tasks = []
-    with open(path) as f:
+    try:
+        f = open(path)
+    except OSError as e:
+        raise DataError(f"cannot read tasks file {path}: {e}") from e
+    with f:
         for line in f:
             if not line.strip():
                 continue

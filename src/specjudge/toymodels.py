@@ -136,9 +136,8 @@ class PerturbedModel(LanguageModel):
         if sigma > 0:
             h = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
             hi = _fnv_feed_vec(h, np.arange(self.vocab.size))
-            zero = np.zeros(self.vocab.size, dtype=np.uint64)
-            u1 = _unit_uniform_vec(_fnv_feed_vec(hi, zero))
-            u2 = _unit_uniform_vec(_fnv_feed_vec(hi, zero + np.uint64(1)))
+            # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
+            u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, np.arange(2)[:, None]))
             z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
             delta += sigma * z
         return delta

@@ -230,5 +230,7 @@ def load_trace(path: str) -> Trace:
                                 for k, v in head["prompt_last_hidden"].items()},
             final_top={k: top_from(v) for k, v in head["final_top"].items()},
         )
+    except OSError as e:
+        raise DataError(f"cannot read trace file {path}: {e}") from e
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"bad trace file {path}: {e}") from e

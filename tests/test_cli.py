@@ -161,6 +161,26 @@ def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
     assert manifest["command"] == "train-judge"
 
 
+@pytest.mark.parametrize("loader", ["dataset", "judge", "tasks", "trace"])
+def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader):
+    missing = str(tmp_path / f"missing-{loader}")
+    out = str(tmp_path / "never.out")
+    args = {
+        "dataset": ["train-judge", "--dataset", missing, "--out", out],
+        "judge": ["decode", *model_args(workdir), "--policy", "judge",
+                  "--judge", missing, "--out", out],
+        "tasks": ["decode", *model_args(workdir)[:-1], missing, "--out", out],
+        "trace": ["decode", *model_args(workdir), "--target-model",
+                  f"trace:path={missing}", "--out", out],
+    }[loader]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"data error: cannot read {loader}")
+    assert missing in err[0]
+    assert not os.path.exists(out)
+
+
 def test_missing_required_argument_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["gen-tasks", "--count", "2"])  # no --out

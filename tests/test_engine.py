@@ -174,10 +174,16 @@ def test_structural_validation(chain_vocab, chain_model):
         verify_window(chain_model, (), window, LosslessPolicy(), EngineConfig())
 
 
-def test_draft_window_stops_after_eos(chain_model):
+def test_draft_window_stops_after_eos(chain_model, monkeypatch):
+    seen = []
+    step = chain_model.next_logits_hidden
+    monkeypatch.setattr(chain_model, "next_logits_hidden",
+                        lambda ctx: seen.append(tuple(ctx)) or step(ctx))
     window = draft_window(chain_model, (0,), 8, EngineConfig())
     assert window.tokens == [1, 2, 1, 2, 3]
-    assert len(window.probs) == 5
+    # One draft call per drafted token, none after the last one.
+    assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)]
+    assert window.output.hidden.shape[0] == 6
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model):

@@ -2,15 +2,94 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import Vocab, argmax_token
-from specjudge.sampling import (RandomState, VerifyDecision, gumbel_noise,
+from specjudge.sampling import (RandomState, VerifyDecision, _fnv_feed,
+                                _fnv_feed_vec, _prefix_hash, gumbel_noise,
                                 hash_uniform, positionwise_choices, rollout,
                                 sample_next, seeded_choice, verify_token,
                                 verify_token_seeded)
-from specjudge.toymodels import ScriptedModel
+from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
 
 CTX = (3, 1, 4)
+MASK64 = 2**64 - 1
+
+
+def ref_fnv_feed(h, value):
+    """Plain FNV-1a over the 8 little-endian bytes of value, one byte a step."""
+    v = value & MASK64
+    for _ in range(8):
+        h = ((h ^ (v & 0xFF)) * 0x100000001B3) & MASK64
+        v >>= 8
+    return h
+
+
+def ref_prefix_hash(tag, seed, context):
+    h = 0xCBF29CE484222325
+    for value in (tag, seed, *context):
+        h = ref_fnv_feed(h, value)
+    return h
+
+
+hashes = st.integers(0, MASK64)
+# Zero, token-sized, multi-byte, full 64-bit and negative values.
+values = st.one_of(st.just(0), st.integers(0, 255), st.integers(256, 2**40),
+                   st.integers(0, MASK64), st.just(MASK64),
+                   st.integers(-(2**63), -1))
+unsigned = st.one_of(st.integers(0, 255), st.integers(0, MASK64))
+
+
+@settings(deadline=None)
+@given(hashes, values)
+def test_fnv_feed_matches_bytewise_reference(h, value):
+    assert _fnv_feed(h, value) == ref_fnv_feed(h, value)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(0, MASK64), st.lists(values, max_size=12))
+def test_prefix_hash_matches_bytewise_reference(tag, seed, context):
+    assert _prefix_hash(tag, seed, context) == ref_prefix_hash(tag, seed, context)
+
+
+@settings(deadline=None)
+@given(hashes, st.lists(unsigned, max_size=8))
+def test_fnv_feed_vec_matches_reference_1d(h, vals):
+    out = _fnv_feed_vec(h, np.array(vals, dtype=np.uint64))
+    assert out.dtype == np.uint64 and out.shape == (len(vals),)
+    assert [int(x) for x in out] == [ref_fnv_feed(h, v) for v in vals]
+
+
+@settings(deadline=None)
+@given(st.lists(hashes, min_size=1, max_size=5),
+       st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
+def test_fnv_feed_vec_matches_reference_2d_broadcast(hs, vals):
+    # Negative int64 values wrap to uint64 exactly as the scalar mask does.
+    h, v = np.array(hs, dtype=np.uint64), np.array(vals, dtype=np.int64)
+    expect = [[ref_fnv_feed(hh, vv) for hh in hs] for vv in vals]
+    out = _fnv_feed_vec(h, v[:, None])  # values down the rows
+    assert out.shape == (len(vals), len(hs))
+    assert [[int(x) for x in row] for row in out] == expect
+    out = _fnv_feed_vec(h[:, None], v)  # hashes down the rows
+    assert [[int(x) for x in row] for row in out.T] == expect
+
+
+def test_gumbel_noise_golden_values():
+    # Pins the sampling universe: any change to the hash stream moves these.
+    np.testing.assert_array_equal(gumbel_noise(RandomState(7), CTX, 12), [
+        2.419338335186757, 0.6050423360733387, 0.9893646846453731,
+        0.3201478240068948, 2.672552471110647, 0.6501811535573411,
+        1.0335146048200283, 1.0877881280058985, -0.5965528970217019,
+        -0.26721833791915217, 1.97630286422359, 1.446901596739216])
+
+
+def test_perturbed_delta_golden_row():
+    vocab = Vocab(("a", "b", "c", "d", "e", "</s>"), eos_id=5)
+    model = PerturbedModel(ScriptedModel(vocab, {}),
+                           PerturbSpec(noise_scale=0.3, bias_tokens={2: 1.4}, seed=7))
+    np.testing.assert_array_equal(model._delta(CTX), [
+        0.148847064823535, -0.2924348669748018, 1.6002407872141695,
+        -0.1583731280070454, -0.2980674710448077, 0.15890206023204398])
 
 
 def test_random_state_validates_64_bits():
