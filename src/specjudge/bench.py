@@ -2,8 +2,8 @@
 
 Each row decodes a task set under one policy and reports final-answer
 accuracy against the oracle plus the mean number of tokens emitted per
-target forward pass.  Sweeping judge thresholds or top-K values maps the
-accuracy/speed frontier.
+target forward pass.  Rows over several judge thresholds or top-K values
+map the accuracy/speed frontier.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
-                     accepted_per_cycle, spec_decode)
+from .engine import (DecodeResult, EngineConfig, JudgePolicy, LosslessPolicy,
+                     TopKPolicy, accepted_per_cycle, spec_decode)
 from .lm import DataError
-from .tasks import answers_equivalent, extract_answer
+from .tasks import Answer, Task, answers_equivalent, extract_answer
 
 REPORT_COLUMNS = ("policy", "param", "accuracy", "accepted_per_cycle",
                   "cycles", "tokens", "seed")
@@ -46,23 +45,22 @@ def policy_label(policy) -> tuple[str, str]:
     raise DataError(f"unknown policy {policy!r}")
 
 
-def _decode_one(args):
-    """Decode one task; a per-task failure becomes a flagged result, not a crash."""
-    task, draft, target, policy, config = args
-    cfg = EngineConfig(window=config.window,
-                       max_tokens=min(config.max_tokens, task.max_response_len),
-                       temperature=config.temperature, state=config.state)
-    try:
-        result = spec_decode(task.prompt.tokens, draft, target, policy, cfg)
-        answer = extract_answer(result.response, target.vocab)
-        correct = answers_equivalent(answer, task.oracle_answer)
-    except DataError as e:
-        return False, [], 0, f"task {task.task_id}: {e}"
-    return correct, result.cycles, len(result.response), None
+def decode_task(task: Task, draft, target, policy,
+                config: EngineConfig) -> tuple[DecodeResult, Answer, bool]:
+    """Decode one task and grade its final answer against the oracle.
+
+    The response budget is the smaller of `config.max_tokens` and the
+    task's own limit.  Returns the decode result, the extracted answer and
+    whether it matches the oracle; a bad task raises DataError.
+    """
+    config = replace(config, max_tokens=min(config.max_tokens, task.max_response_len))
+    result = spec_decode(task.prompt.tokens, draft, target, policy, config)
+    answer = extract_answer(result.response, target.vocab)
+    return result, answer, answers_equivalent(answer, task.oracle_answer)
 
 
 def run_policy(tasks, draft, target, policy, config: EngineConfig,
-               seed: int = 0, jobs: int = 1) -> BenchRow:
+               seed: int = 0) -> BenchRow:
     """Decode every task under one policy and aggregate a report row.
 
     A task whose decode fails is reported on stderr, counted as incorrect,
@@ -71,24 +69,20 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
     tasks = list(tasks)
     if not tasks:
         raise DataError("no tasks to benchmark")
-    work = [(t, draft, target, policy, config) for t in tasks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_decode_one, work, chunksize=8))
-    else:
-        results = [_decode_one(w) for w in work]
     cycles = []
     correct = 0
     tokens = 0
     failures = 0
-    for ok, task_cycles, n_tokens, error in results:
-        if error is not None:
+    for task in tasks:
+        try:
+            result, _, ok = decode_task(task, draft, target, policy, config)
+        except DataError as e:
             failures += 1
-            print(f"decode failed, {error}", file=sys.stderr)
+            print(f"decode failed, task {task.task_id}: {e}", file=sys.stderr)
             continue
         correct += int(ok)
-        cycles.extend(task_cycles)
-        tokens += n_tokens
+        cycles.extend(result.cycles)
+        tokens += len(result.response)
     name, param = policy_label(policy)
     apc = accepted_per_cycle(cycles) if cycles else 0.0
     return BenchRow(policy=name, param=param, accuracy=correct / len(tasks),
@@ -101,18 +95,11 @@ def _row_order(row: BenchRow):
 
 
 def run_benchmark(tasks, draft, target, policies, config: EngineConfig,
-                  seed: int = 0, jobs: int = 1) -> list[BenchRow]:
+                  seed: int = 0) -> list[BenchRow]:
     """One report row per policy, sorted by policy name then parameter."""
-    rows = [run_policy(tasks, draft, target, p, config, seed=seed, jobs=jobs)
+    rows = [run_policy(tasks, draft, target, p, config, seed=seed)
             for p in policies]
     return sorted(rows, key=_row_order)
-
-
-def sweep_thresholds(tasks, draft, target, judge, thresholds, config: EngineConfig,
-                     seed: int = 0, jobs: int = 1) -> list[BenchRow]:
-    """Judge-policy frontier over a threshold grid."""
-    policies = [JudgePolicy(judge, threshold=float(t)) for t in thresholds]
-    return run_benchmark(tasks, draft, target, policies, config, seed=seed, jobs=jobs)
 
 
 def emit_report(rows, fmt: str = "csv") -> str:
@@ -129,19 +116,3 @@ def emit_report(rows, fmt: str = "csv") -> str:
         writer.writerow([r.policy, r.param, repr(r.accuracy),
                          repr(r.accepted_per_cycle), r.cycles, r.tokens, r.seed])
     return buf.getvalue()
-
-
-def parse_report(text: str) -> list[BenchRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(REPORT_COLUMNS):
-        raise DataError("unexpected report header")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        policy, param, accuracy, apc, cycles, tokens, seed = rec
-        rows.append(BenchRow(policy=policy, param=param, accuracy=float(accuracy),
-                             accepted_per_cycle=float(apc), cycles=int(cycles),
-                             tokens=int(tokens), seed=int(seed)))
-    return rows

@@ -16,7 +16,7 @@ import sys
 
 from . import bench as bench_mod
 from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
-                     accepted_per_cycle, spec_decode)
+                     accepted_per_cycle)
 from .judge import (FeatureConfig, calibrate_threshold, grid_search_C,
                     build_examples, load_judge, save_judge)
 from .lm import DataError, TokenSequence
@@ -24,8 +24,8 @@ from .mining import (MiningConfig, TaskSkippedError, dataset_fingerprint,
                      export_dataset, load_dataset, mine_important, mine_naive)
 from .remote import RemoteEndpoint, RemoteError, remote_generator
 from .sampling import RandomState, rollout
-from .tasks import (build_vocab, extract_answer, answers_equivalent, gen_corpus,
-                    gen_arithmetic_task, load_tasks, save_tasks)
+from .tasks import (build_vocab, gen_corpus, gen_arithmetic_task, load_tasks,
+                    save_tasks)
 from .toymodels import PerturbSpec, make_draft, train_ngram
 from .trace import load_trace, record_trace, save_trace
 
@@ -60,6 +60,18 @@ def _parse_inline_spec(text: str) -> dict:
     return spec
 
 
+def _spec_value(spec: dict, key: str, cast=str, default=None):
+    """spec[key] converted by `cast`; a missing required key or bad value is a DataError."""
+    if key not in spec:
+        if default is None:
+            raise DataError(f"{spec.get('kind')} model spec needs {key}=...")
+        return default
+    try:
+        return cast(spec[key])
+    except (TypeError, ValueError) as e:
+        raise DataError(f"bad model spec value {key}={spec[key]!r}: {e}") from e
+
+
 def resolve_model(spec_text: str, vocab, side: str = "target"):
     """Build a model from a JSON spec file or an inline kind:k=v,... string."""
     if os.path.exists(spec_text) and spec_text.endswith(".json"):
@@ -68,33 +80,37 @@ def resolve_model(spec_text: str, vocab, side: str = "target"):
                 spec = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read model spec {spec_text}: {e}") from e
+        if not isinstance(spec, dict):
+            raise DataError(f"model spec {spec_text} is not a JSON object")
     else:
         spec = _parse_inline_spec(spec_text)
     kind = spec.get("kind")
     if kind == "ngram":
-        corpus = _load_corpus_lines(spec["corpus"], vocab)
-        return train_ngram(vocab, corpus, order=int(spec.get("order", 16)),
-                           smoothing=float(spec.get("smoothing", 0.2)),
-                           seed=int(spec.get("seed", 0)),
-                           name=spec.get("name", "ngram"))
+        corpus = _load_corpus_lines(_spec_value(spec, "corpus"), vocab)
+        return train_ngram(vocab, corpus, order=_spec_value(spec, "order", int, 16),
+                           smoothing=_spec_value(spec, "smoothing", float, 0.2),
+                           seed=_spec_value(spec, "seed", int, 0),
+                           name=_spec_value(spec, "name", str, "ngram"))
     if kind == "perturb":
-        base = resolve_model(str(spec["base"]), vocab, side)
+        base = resolve_model(_spec_value(spec, "base"), vocab, side)
         bias_raw = spec.get("bias", spec.get("bias_tokens", {}))
         if isinstance(bias_raw, str):
-            pairs = [p for p in bias_raw.split(";") if p]
-            bias_raw = dict(p.split(":", 1) for p in pairs)
+            bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)
+        if not isinstance(bias_raw, dict):
+            raise DataError("perturb model spec bias must map tokens to offsets")
         bias = {}
-        for token_text, off in bias_raw.items():
+        for token_text in bias_raw:
             tid = vocab.token_to_id.get(token_text)
             if tid is None:
                 raise DataError(f"bias token {token_text!r} not in vocab")
-            bias[tid] = float(off)
-        pspec = PerturbSpec(noise_scale=float(spec.get("sigma",
-                                                       spec.get("noise_scale", 0.0))),
-                            bias_tokens=bias, seed=int(spec.get("seed", 0)))
-        return make_draft(base, pspec, name=spec.get("name", "draft"))
+            bias[tid] = _spec_value(bias_raw, token_text, float)
+        sigma = _spec_value(spec, "sigma", float,
+                            _spec_value(spec, "noise_scale", float, 0.0))
+        pspec = PerturbSpec(noise_scale=sigma, bias_tokens=bias,
+                            seed=_spec_value(spec, "seed", int, 0))
+        return make_draft(base, pspec, name=_spec_value(spec, "name", str, "draft"))
     if kind == "trace":
-        trace = load_trace(spec["path"])
+        trace = load_trace(_spec_value(spec, "path"))
         pair = trace.replay_models(vocab)
         return pair[0] if spec.get("side", side) == "draft" else pair[1]
     raise DataError(f"unknown model kind {kind!r}")
@@ -157,6 +173,8 @@ def _policies(args):
 
 
 def cmd_gen_tasks(args) -> int:
+    if args.count < 1:
+        raise DataError("--count must be >= 1")
     vocab = build_vocab(args.max_value)
     steps = _int_list(args.num_steps)
     tasks = [gen_arithmetic_task(args.seed + i, steps[i % len(steps)], vocab,
@@ -244,17 +262,13 @@ def cmd_decode(args) -> int:
     config = _engine_config(args)
     with open(args.out, "w") as f:
         for task in tasks:
-            cfg = EngineConfig(window=config.window,
-                               max_tokens=min(config.max_tokens,
-                                              task.max_response_len),
-                               temperature=config.temperature, state=config.state)
-            result = spec_decode(task.prompt.tokens, draft, target, policies[0], cfg)
-            answer = extract_answer(result.response, vocab)
+            result, answer, correct = bench_mod.decode_task(
+                task, draft, target, policies[0], config)
             f.write(json.dumps({
                 "task_id": task.task_id,
                 "response": vocab.decode(result.response),
                 "answer": answer.value,
-                "correct": answers_equivalent(answer, task.oracle_answer),
+                "correct": correct,
                 "cycles": len(result.cycles),
                 "accepted_per_cycle": accepted_per_cycle(result.cycles),
             }) + "\n")
@@ -270,8 +284,7 @@ def cmd_bench(args) -> int:
     tasks = load_tasks(args.tasks, vocab)
     policies = _policies(args)
     rows = bench_mod.run_benchmark(tasks, draft, target, policies,
-                                   _engine_config(args), seed=args.seed,
-                                   jobs=args.jobs)
+                                   _engine_config(args), seed=args.seed)
     report = bench_mod.emit_report(rows, fmt=args.format)
     with open(args.out, "w") as f:
         f.write(report)
@@ -373,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--judge", default=None)
     p.add_argument("--threshold", default=None,
                    help="comma list of judge thresholds")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)

@@ -14,11 +14,10 @@ below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence
+from .lm import DataError, LanguageModel, TokenSequence
 from .judge import JudgeModel, assemble_features, check_judge_compatible, predict_importance
 from .sampling import RandomState, seeded_choice
 
@@ -93,13 +92,16 @@ class CycleStats:
 
 @dataclass
 class DraftWindow:
-    """Drafted tokens plus the draft model's rows over context+window."""
+    """Drafted tokens plus the draft model's hidden rows over the window.
+
+    `hidden[i]` is the draft's hidden state for `context + tokens[:i]`, the
+    step that drafted `tokens[i]`, so there are `len(tokens)` rows.  No row
+    encodes the whole window: the judge never scores the last position, so
+    the draft step after it is never run.
+    """
 
     tokens: list[int]
-    # Full-length rows; only the rows that drafted the window are populated.
-    # The row after the last drafted token stays zero: the judge never
-    # scores the last position, so nothing reads it.
-    output: LmOutput
+    hidden: list[np.ndarray]
 
 
 @dataclass
@@ -120,21 +122,6 @@ class DecodeResult:
         return self.sequence.response
 
 
-def _assemble_rows(vocab_size: int, hidden_dim: int, length: int, rows) -> LmOutput:
-    """LmOutput whose filled rows come from (prefix_len, logits, hidden) triples.
-
-    Rows outside the given triples are zero: one cycle only ever reads the
-    window tail, so recomputing the full prefix every cycle would turn a
-    linear decode quadratic for no benefit.
-    """
-    logits = np.zeros((length, vocab_size))
-    hidden = np.zeros((length, hidden_dim))
-    for n, lg, hd in rows:
-        logits[n - 1] = lg
-        hidden[n - 1] = hd
-    return LmOutput(logits=logits, hidden=hidden)
-
-
 def draft_window(draft: LanguageModel, context, width: int,
                  config: EngineConfig) -> DraftWindow:
     """Draft up to `width` tokens autoregressively, stopping after EOS."""
@@ -144,18 +131,16 @@ def draft_window(draft: LanguageModel, context, width: int,
     draft._check_tokens(context)
     eos = draft.vocab.eos_id
     tokens: list[int] = []
-    rows = []
+    hidden = []
     for _ in range(width):
         prefix = context + tuple(tokens)
         logits, hid = draft.next_logits_hidden(prefix)
         t = seeded_choice(logits, prefix, config.state, config.temperature)
-        rows.append((len(prefix), logits, hid))
+        hidden.append(hid)
         tokens.append(t)
         if t == eos:
             break
-    output = _assemble_rows(draft.vocab.size, draft.hidden_dim,
-                            len(context) + len(tokens), rows)
-    return DraftWindow(tokens=tokens, output=output)
+    return DraftWindow(tokens=tokens, hidden=hidden)
 
 
 def _top_k_ids(logits, k: int) -> set[int]:
@@ -163,23 +148,15 @@ def _top_k_ids(logits, k: int) -> set[int]:
     return set(order[: min(k, len(logits))])
 
 
-def _judge_features(cfg, window_out: LmOutput, target_out: LmOutput, pos: int):
-    record = SimpleNamespace(
-        draft_hidden=window_out.hidden[pos],
-        target_hidden=target_out.hidden[pos],
-        prev_draft_hidden=window_out.hidden[pos - 1],
-        prev_target_hidden=target_out.hidden[pos - 1],
-    )
-    return assemble_features(record, cfg)
-
-
 def verify_window(target: LanguageModel, context, window: DraftWindow,
                   policy: Policy, config: EngineConfig) -> VerifyOutcome:
     """Verify a drafted window in one target pass, left to right.
 
-    The first upheld rejection truncates the window and emits the
-    target's own choice; a fully accepted window yields a bonus token
-    unless it ends the sequence.
+    The pass has W+1 rows, indexed from the window start: row i holds the
+    target's logits and hidden state for `context + tokens[:i]`.  The
+    first upheld rejection truncates the window and emits the target's
+    own choice; a fully accepted window yields a bonus token unless it
+    ends the sequence.
     """
     context = tuple(context)
     if not context:
@@ -188,9 +165,8 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
     ctx_len = len(context)
-    rows = [(n,) + target.next_logits_hidden(full[:n])
-            for n in range(ctx_len, len(full) + 1)]
-    out = _assemble_rows(target.vocab.size, target.hidden_dim, len(full), rows)
+    logits, hidden = zip(*(target.next_logits_hidden(full[:n])
+                           for n in range(ctx_len, len(full) + 1)))
     eos = target.vocab.eos_id
     temp, state = config.temperature, config.state
 
@@ -198,7 +174,7 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     overrides = 0
     replacement = None
     for j, drafted in enumerate(window.tokens):
-        row = out.logits[ctx_len + j - 1]
+        row = logits[j]
         choice = seeded_choice(row, full[: ctx_len + j], state, temp)
         if drafted == choice:
             accepted += 1
@@ -207,8 +183,10 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
         if isinstance(policy, TopKPolicy):
             keep = drafted in _top_k_ids(row, policy.k)
         elif isinstance(policy, JudgePolicy) and j < len(window.tokens) - 1:
-            feats = _judge_features(policy.judge.feature_config, window.output,
-                                    out, ctx_len + j)
+            # Position j is scored by the rows with and without tokens[j].
+            feats = assemble_features(policy.judge.feature_config,
+                                      window.hidden[j + 1], hidden[j + 1],
+                                      window.hidden[j], hidden[j])
             keep = predict_importance(policy.judge, feats) < policy.tau
         if keep:
             overrides += 1
@@ -219,7 +197,7 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
 
     bonus = None
     if replacement is None and window.tokens[-1] != eos:
-        bonus = seeded_choice(out.logits[-1], full, state, temp)
+        bonus = seeded_choice(logits[-1], full, state, temp)
     stats = CycleStats(drafted=len(window.tokens), accepted_draft=accepted,
                        judge_overrides=overrides,
                        correction_emitted=replacement is not None,

@@ -47,12 +47,19 @@ class FeatureConfig:
             raise DataError(f"model_source must be one of {MODEL_SOURCES}")
 
 
-def assemble_features(record, cfg: FeatureConfig) -> np.ndarray:
-    """Feature vector for one mismatch record (draft part first on both)."""
+def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden,
+                      prev_draft_hidden, prev_target_hidden) -> np.ndarray:
+    """Feature vector for one mismatch (draft part first on both).
+
+    The four hidden states are those of a mismatch record: the draft's and
+    the target's encoding of the sequence with the draft token appended,
+    and of the prefix just before it.  Mining and the decode-time judge
+    both build features here, so `cfg` picks the same vectors for both.
+    """
     if cfg.token_source == "prev":
-        d, t = record.prev_draft_hidden, record.prev_target_hidden
+        d, t = prev_draft_hidden, prev_target_hidden
     else:
-        d, t = record.draft_hidden, record.target_hidden
+        d, t = draft_hidden, target_hidden
     if cfg.model_source == "draft":
         vec = np.asarray(d, dtype=float)
     elif cfg.model_source == "target":
@@ -76,7 +83,8 @@ def build_examples(records, cfg: FeatureConfig) -> list[TrainingExample]:
     examples = []
     dim = None
     for r in records:
-        vec = assemble_features(r, cfg)
+        vec = assemble_features(cfg, r.draft_hidden, r.target_hidden,
+                                r.prev_draft_hidden, r.prev_target_hidden)
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

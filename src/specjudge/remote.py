@@ -17,7 +17,8 @@ from .lm import DataError, Vocab
 
 
 class RemoteError(Exception):
-    """Transport failure or non-2xx status that survived all retries."""
+    """Transport failure or non-2xx status: one that cannot succeed on a
+    retry, or a transient one that survived all retries."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
@@ -48,9 +49,10 @@ def remote_generate(endpoint: RemoteEndpoint, prompt: str, max_tokens: int,
                     temperature: float = 0.0, sleep=time.sleep) -> str:
     """POST one completion request, retrying transient failures.
 
-    Retries cover connection errors and non-2xx statuses, with
-    exponential backoff.  A 2xx response that is not shaped like a
-    completion is a protocol error and is not retried.
+    Retries cover transport errors, 5xx and 429, with exponential
+    backoff.  Any other non-2xx status cannot succeed on a retry and fails
+    at once, as does a 2xx response that is not shaped like a completion
+    (a protocol error).
     """
     url = endpoint.base_url.rstrip("/") + "/v1/completions"
     body = {"model": endpoint.model, "prompt": prompt,
@@ -71,7 +73,10 @@ def remote_generate(endpoint: RemoteEndpoint, prompt: str, max_tokens: int,
             continue
         if not 200 <= resp.status_code < 300:
             last_error, last_status = None, resp.status_code
-            continue
+            if resp.status_code >= 500 or resp.status_code == 429:
+                continue
+            raise RemoteError(f"completion failed with HTTP {last_status}",
+                              last_status)
         try:
             payload = resp.json()
             text = payload["choices"][0]["text"]

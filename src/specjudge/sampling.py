@@ -22,10 +22,9 @@ _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-# Stream tags keep independent uses of the same (seed, context) apart.
+# Stream tags keep independent uses of the same (seed, context) apart.  Each
+# tag is hashed into its stream, so the values are fixed.
 TAG_GUMBEL = 0
-TAG_VERIFY_U = 1
-TAG_RESIDUAL = 2
 TAG_PERTURB = 3
 
 
@@ -70,18 +69,6 @@ def _prefix_hash(tag: int, seed: int, context) -> int:
     return h
 
 
-def _splitmix64(x: int) -> int:
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _unit_uniform(key: int) -> float:
-    # (0, 1) strictly: offset by half an ulp of the 53-bit grid.
-    return ((_splitmix64(key) >> 11) + 0.5) / float(1 << 53)
-
-
 def _fnv_feed_vec(h, values) -> np.ndarray:
     """Vectorized _fnv_feed: absorb values into h elementwise, broadcasting.
 
@@ -100,17 +87,16 @@ def _fnv_feed_vec(h, values) -> np.ndarray:
 
 
 def _unit_uniform_vec(keys: np.ndarray) -> np.ndarray:
+    """SplitMix64 of each key mapped into (0, 1) strictly.
+
+    The top 53 bits are offset by half an ulp of the 53-bit grid, so
+    neither 0 nor 1 can come out.
+    """
     z = keys + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     return ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53)
-
-
-def hash_uniform(tag: int, state: RandomState, context, index: int = 0) -> float:
-    """One deterministic uniform in (0,1) keyed by (tag, seed, context, index)."""
-    h = _prefix_hash(tag, state.seed, context)
-    return _unit_uniform(_fnv_feed(h, index))
 
 
 def gumbel_noise(state: RandomState, context, n: int) -> np.ndarray:
@@ -233,11 +219,3 @@ def verify_token(p_target, p_draft, drafted: int, u: float,
     replacement = int(np.searchsorted(cdf, residual_u * cdf[-1], side="right"))
     replacement = min(replacement, len(residual) - 1)
     return VerifyDecision(accepted=False, replacement=replacement, residual=residual)
-
-
-def verify_token_seeded(p_target, p_draft, drafted: int, state: RandomState,
-                        context) -> VerifyDecision:
-    """verify_token with u and the residual draw keyed from (state, context)."""
-    u = hash_uniform(TAG_VERIFY_U, state, context)
-    ru = hash_uniform(TAG_RESIDUAL, state, context)
-    return verify_token(p_target, p_draft, drafted, u, ru)

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from specjudge.bench import (REPORT_COLUMNS, BenchRow, emit_report,
-                             parse_report, policy_label, run_benchmark,
-                             run_policy, sweep_thresholds)
+                             policy_label, run_benchmark, run_policy)
 from specjudge.engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
 from specjudge.lm import DataError, TokenSequence
 from specjudge.sampling import rollout
@@ -50,8 +49,9 @@ def test_topk_one_row_equals_lossless_row(pipeline, eval_tasks, bench_config):
 
 def test_threshold_sweep_trades_accuracy_for_speed(pipeline, judged, eval_tasks,
                                                    bench_config):
-    rows = sweep_thresholds(eval_tasks, pipeline.draft, pipeline.target,
-                            judged.judge, [1e-9, 0.3, 0.9], bench_config)
+    policies = [JudgePolicy(judged.judge, threshold=t) for t in (0.9, 1e-9, 0.3)]
+    rows = run_benchmark(eval_tasks, pipeline.draft, pipeline.target, policies,
+                         bench_config)
     assert [float(r.param) for r in rows] == [1e-9, 0.3, 0.9]
     for tighter, looser in zip(rows[:-1], rows[1:]):
         assert looser.accuracy <= tighter.accuracy
@@ -70,15 +70,6 @@ def test_failed_task_is_counted_and_reported(pipeline, eval_tasks, bench_config,
     assert row.accuracy == 4 / 5  # the broken task counts as incorrect
     err = capsys.readouterr().err
     assert "decode failed" in err and "broken" in err
-
-
-def test_parallel_jobs_agree_with_serial(pipeline, eval_tasks, bench_config):
-    tasks = eval_tasks[:6]
-    serial = run_policy(tasks, pipeline.draft, pipeline.target, TopKPolicy(k=2),
-                        bench_config, jobs=1)
-    parallel = run_policy(tasks, pipeline.draft, pipeline.target, TopKPolicy(k=2),
-                          bench_config, jobs=2)
-    assert serial == parallel
 
 
 def test_run_benchmark_sorts_rows(pipeline, eval_tasks, bench_config):
@@ -113,12 +104,10 @@ def sample_rows():
 
 
 def test_csv_report_round_trips_bytes_exactly():
-    rows = sample_rows()
-    text = emit_report(rows, fmt="csv")
-    assert text.splitlines()[0] == ",".join(REPORT_COLUMNS)
-    parsed = parse_report(text)
-    assert parsed == rows
-    assert emit_report(parsed, fmt="csv") == text
+    assert emit_report(sample_rows(), fmt="csv") == (
+        "policy,param,accuracy,accepted_per_cycle,cycles,tokens,seed\n"
+        "lossless,,1.0,5.072463768115942,69,350,0\n"
+        "judge,0.3,0.975,5.5,64,352,0\n")
 
 
 def test_jsonl_report_carries_every_column():
@@ -133,5 +122,3 @@ def test_jsonl_report_carries_every_column():
 def test_report_format_validation():
     with pytest.raises(DataError):
         emit_report(sample_rows(), fmt="xml")
-    with pytest.raises(DataError):
-        parse_report("not,a,report\n1,2,3\n")

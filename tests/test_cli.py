@@ -1,5 +1,6 @@
 """End-to-end command-line workflows against temporary files."""
 
+import csv
 import json
 import os
 import shutil
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from specjudge.bench import parse_report
 from specjudge.cli import main, resolve_model
 from specjudge.judge import load_judge
 from specjudge.lm import DataError
@@ -120,8 +120,9 @@ def test_bench_emits_sorted_report(workdir, capsys):
                "--topk", "2,1", "--window", "8", "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().out.startswith("policy,param,")
-    rows = parse_report(out.read_text())
-    assert [(r.policy, r.param) for r in rows] \
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["policy"], r["param"]) for r in rows] \
         == [("lossless", ""), ("topk", "1"), ("topk", "2")]
     jsonl_out = workdir / "report.jsonl"
     rc = main(["bench", *model_args(workdir), "--policy", "lossless",
@@ -185,6 +186,53 @@ def test_missing_required_argument_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["gen-tasks", "--count", "2"])  # no --out
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("ngram:order=3", "ngram model spec needs corpus="),
+    ("ngram:corpus={corpus},order=x", "bad model spec value order='x'"),
+    ("ngram:corpus={corpus},smoothing=lots", "bad model spec value smoothing="),
+    ("perturb:sigma=0.3", "perturb model spec needs base="),
+    ("perturb:base={target},sigma=high", "bad model spec value sigma="),
+    ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),
+    ("trace:side=draft", "trace model spec needs path="),
+])
+def test_bad_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec, message):
+    spec = spec.format(corpus=workdir / "corpus.txt", target=workdir / "target.json")
+    out = tmp_path / "never.jsonl"
+    args = model_args(workdir)
+    args[args.index("--target-model") + 1] = spec
+    assert main(["decode", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error: ") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1, 2], "is not a JSON object"),
+    ({"kind": "perturb", "base": "target.json", "bias": ["Then"]},
+     "bias must map tokens to offsets"),
+])
+def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
+                                             message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec).replace("target.json",
+                                             str(workdir / "target.json")))
+    args = model_args(workdir)
+    args[args.index("--draft-model") + 1] = str(path)
+    assert main(["decode", *args, "--out", str(tmp_path / "never.jsonl")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
+    out = tmp_path / "tasks.jsonl"
+    assert main(["gen-tasks", "--count", count, "--out", str(out)]) == 2
+    assert "data error: --count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "tasks.jsonl.manifest.json").exists()
 
 
 def test_remote_mining_failure_exits_three(workdir, completions_server,

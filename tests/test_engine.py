@@ -1,15 +1,20 @@
 """Speculative decoding engine: policies, cycle accounting, stop conditions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specjudge import engine, mining
 from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
                               JudgePolicy, LosslessPolicy, TopKPolicy,
                               accepted_per_cycle, draft_window, spec_decode,
                               verify_window)
-from specjudge.judge import FeatureConfig, JudgeModel
+from specjudge.judge import (MODEL_SOURCES, TOKEN_SOURCES, FeatureConfig,
+                             JudgeModel, build_examples)
 from specjudge.lm import DataError, Vocab
-from specjudge.sampling import RandomState, rollout
+from specjudge.sampling import RandomState, rollout, seeded_choice
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import ScriptedModel
 
@@ -183,7 +188,7 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
     assert window.tokens == [1, 2, 1, 2, 3]
     # One draft call per drafted token, none after the last one.
     assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)]
-    assert window.output.hidden.shape[0] == 6
+    assert len(window.hidden) == 5  # one row per drafting step
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model):
@@ -216,3 +221,124 @@ def test_decode_result_response_view(chain_model):
     assert isinstance(result, DecodeResult)
     assert result.sequence.tokens == (0,) + result.response
     assert result.sequence.prompt == (0,)
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(window=8, max_tokens=64),
+    EngineConfig(window=8, max_tokens=64, temperature=0.2, state=RandomState(0)),
+], ids=["greedy", "sampled"])
+@pytest.mark.parametrize("token_source", TOKEN_SOURCES)
+@pytest.mark.parametrize("model_source", MODEL_SOURCES)
+def test_decode_time_features_equal_training_features(
+        pipeline, judged, eval_tasks, monkeypatch, config, token_source,
+        model_source):
+    """The judge sees at decode time the features it was trained on.
+
+    Every feature vector handed to predict_importance must equal the one
+    build_examples makes from mining's record for the same prefix, draft
+    token and target token.
+    """
+    draft, target = pipeline.draft, pipeline.target
+    cfg = FeatureConfig(token_source=token_source, model_source=model_source)
+    split = draft.hidden_dim
+    weights = {"draft": judged.judge.weights[:split],
+               "target": judged.judge.weights[split:],
+               "both": judged.judge.weights}[model_source]
+    judge = JudgeModel(weights=weights, bias=judged.judge.bias, feature_config=cfg,
+                       C=judged.judge.C, threshold=judged.judge.threshold)
+
+    calls = []  # (context, window, feature vectors judged in that verify call)
+    verify, predict = engine.verify_window, engine.predict_importance
+
+    def spy_verify(target_model, context, window, policy, cfg_):
+        calls.append((tuple(context), window, []))
+        return verify(target_model, context, window, policy, cfg_)
+
+    def spy_predict(judge_model, features):
+        calls[-1][2].append(np.array(features))
+        return predict(judge_model, features)
+
+    monkeypatch.setattr(engine, "verify_window", spy_verify)
+    monkeypatch.setattr(engine, "predict_importance", spy_predict)
+    for task in eval_tasks[:20]:
+        spec_decode(task.prompt.tokens, draft, target, JudgePolicy(judge),
+                    replace(config, max_tokens=min(64, task.max_response_len)))
+
+    judged_positions = 0
+    for context, window, features in calls:
+        # The judge is asked at each mismatch before the last drafted
+        # position, left to right, until it upholds one.
+        mismatches = []
+        for j, drafted in enumerate(window.tokens[:-1]):
+            prefix = context + tuple(window.tokens[:j])
+            logits, _ = target.next_logits_hidden(prefix)
+            choice = seeded_choice(logits, prefix, config.state, config.temperature)
+            if choice != drafted:
+                mismatches.append((j, choice))
+        assert len(features) <= len(mismatches)
+        for got, (j, choice) in zip(features, mismatches):
+            tokens = context + tuple(window.tokens[:j]) + (choice,)
+            record = mining._record("parity", tokens, len(context) + j,
+                                    window.tokens[j], False, draft, target)
+            (example,) = build_examples([record], cfg)
+            np.testing.assert_array_equal(got, example.features)
+        judged_positions += len(features)
+    assert judged_positions >= 20
+
+
+PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)
+SCRIPT_DEPTH = 8
+
+
+def random_scripted_pair(seed: int, agree: float):
+    """A scripted target and a draft that copies it at a rate of `agree`.
+
+    Scripts cover every eos-free context of up to SCRIPT_DEPTH tokens after
+    the prompt (0,); deeper contexts fall back to a random default token.
+    """
+    rng = np.random.default_rng(seed)
+    target_script, draft_script = {}, {}
+    frontier = [(0,)]
+    for _ in range(SCRIPT_DEPTH):
+        for ctx in frontier:
+            t = int(rng.choice(3, p=[0.45, 0.45, 0.1]))
+            target_script[ctx] = t
+            draft_script[ctx] = t if rng.random() < agree else int(rng.integers(3))
+        frontier = [ctx + (a,) for ctx in frontier for a in (0, 1)]
+    target = ScriptedModel(PROPERTY_VOCAB, target_script,
+                           default_token=int(rng.integers(3)), name="target")
+    draft = ScriptedModel(PROPERTY_VOCAB, draft_script,
+                          default_token=int(rng.integers(3)), name="draft")
+    return draft, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), agree=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       window=st.integers(1, 16), max_tokens=st.integers(1, 24),
+       temperature=st.sampled_from([0.0, 1.0]))
+def test_engine_invariants_on_random_scripted_pairs(seed, agree, window, max_tokens,
+                                                    temperature):
+    draft, target = random_scripted_pair(seed, agree)
+    state = RandomState(seed) if temperature > 0 else None
+    config = EngineConfig(window=window, max_tokens=max_tokens,
+                          temperature=temperature, state=state)
+    prompt = (0,)
+    results = {}
+    for name, policy in (("lossless", LosslessPolicy()), ("topk1", TopKPolicy(1)),
+                         ("judge", JudgePolicy(constant_judge(6), threshold=1e-9))):
+        result = spec_decode(prompt, draft, target, policy, config)
+        emitted = [c.accepted_draft + int(c.correction_emitted) + int(c.bonus_emitted)
+                   for c in result.cycles]
+        assert all(n >= 1 for n in emitted)
+        assert sum(emitted) == len(result.response) <= max_tokens
+        results[name] = result
+    assert list(results["lossless"].response) == rollout(target, prompt, max_tokens,
+                                                         temperature, state)
+    if temperature == 0:
+        # A sampled target choice need not be the top-1 token, so top-1
+        # keeps agree with lossless only under greedy decoding.
+        lossless = results["lossless"]
+        for name in ("topk1", "judge"):
+            assert results[name].response == lossless.response
+            assert [vars(c) for c in results[name].cycles] \
+                == [vars(c) for c in lossless.cycles]

@@ -57,6 +57,30 @@ def test_persistent_failure_exhausts_retries(completions_server):
     assert sleeps == [0.25, 0.5]
 
 
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_client_errors_fail_without_a_retry(completions_server, status):
+    completions_server.script = [(status, {"error": "no"}), ok("never")]
+    endpoint = RemoteEndpoint(completions_server.url, model="toy",
+                              max_retries=3, backoff=0.5)
+    sleeps = []
+    with pytest.raises(RemoteError) as err:
+        remote_generate(endpoint, "p", max_tokens=4, sleep=sleeps.append)
+    assert err.value.status == status
+    assert len(completions_server.requests) == 1
+    assert sleeps == []
+
+
+def test_rate_limit_is_retried(completions_server):
+    completions_server.script = [(429, {"error": "slow down"}), ok("done")]
+    endpoint = RemoteEndpoint(completions_server.url, model="toy",
+                              max_retries=3, backoff=0.5)
+    sleeps = []
+    assert remote_generate(endpoint, "p", max_tokens=4,
+                           sleep=sleeps.append) == "done"
+    assert len(completions_server.requests) == 2
+    assert sleeps == [0.5]
+
+
 def test_malformed_success_is_a_protocol_error_not_retried(completions_server):
     completions_server.script = [(200, {"unexpected": True})]
     endpoint = RemoteEndpoint(completions_server.url, model="toy")

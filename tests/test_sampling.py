@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from specjudge.lm import Vocab, argmax_token
 from specjudge.sampling import (RandomState, VerifyDecision, _fnv_feed,
                                 _fnv_feed_vec, _prefix_hash, gumbel_noise,
-                                hash_uniform, positionwise_choices, rollout,
-                                sample_next, seeded_choice, verify_token,
-                                verify_token_seeded)
+                                positionwise_choices, rollout, sample_next,
+                                seeded_choice, verify_token)
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
 
 CTX = (3, 1, 4)
@@ -107,15 +106,6 @@ def test_gumbel_noise_is_deterministic_and_keyed():
     assert np.any(g != gumbel_noise(RandomState(8), CTX, 12))
     assert np.any(g != gumbel_noise(RandomState(7), CTX + (9,), 12))
     assert np.all(np.isfinite(g))
-
-
-def test_hash_uniform_keyed_by_tag_and_index():
-    s = RandomState(5)
-    u = hash_uniform(0, s, CTX)
-    assert 0.0 < u < 1.0
-    assert u == hash_uniform(0, s, CTX)
-    assert u != hash_uniform(1, s, CTX)
-    assert u != hash_uniform(0, s, CTX, index=1)
 
 
 def test_seeded_choice_greedy_is_argmax():
@@ -243,12 +233,3 @@ def test_verify_token_output_law_hand_cases():
                 dec = verify_token(p, q, i, (a + 1.0) / 2.0)
                 law += qi * (1.0 - a) * dec.residual
         np.testing.assert_allclose(law, p, atol=1e-9)
-
-
-def test_verify_token_seeded_is_deterministic():
-    p, q = [0.3, 0.3, 0.4], [0.6, 0.2, 0.2]
-    state = RandomState(21)
-    first = verify_token_seeded(p, q, 0, state, CTX)
-    again = verify_token_seeded(p, q, 0, state, CTX)
-    assert first.accepted == again.accepted
-    assert first.replacement == again.replacement
