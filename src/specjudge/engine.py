@@ -165,8 +165,8 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
     ctx_len = len(context)
-    logits, hidden = zip(*(target.next_logits_hidden(full[:n])
-                           for n in range(ctx_len, len(full) + 1)))
+    out = target.forward_parallel(full, start=ctx_len - 1)
+    logits, hidden = out.logits, out.hidden
     eos = target.vocab.eos_id
     temp, state = config.temperature, config.state
 

@@ -2,9 +2,10 @@
 
 A model is a pure function of its token context: one abstract primitive
 (`next_logits_hidden`) yields the next-token logits and the hidden state
-encoding the consumed prefix.  Parallel forwards are defined as the
-position-wise collection of that primitive, so batched and sequential
-evaluation agree bit for bit by construction.
+encoding the consumed prefix.  A parallel forward evaluates many rows of
+one sequence in one call; backends may override its row hook with a
+vectorized evaluation, and the tests hold every such override equal, bit
+for bit, to the position-wise collection of the primitive.
 """
 
 from __future__ import annotations
@@ -134,25 +135,36 @@ class LanguageModel:
     def _check_tokens(self, tokens):
         if len(tokens) == 0:
             raise DataError("empty token sequence")
-        for t in tokens:
-            if not 0 <= t < self.vocab.size:
-                raise DataError(f"token id {t} out of range for vocab size {self.vocab.size}")
+        size = self.vocab.size
+        if min(tokens) < 0 or max(tokens) >= size:
+            bad = next(t for t in tokens if not 0 <= t < size)
+            raise DataError(f"token id {bad} out of range for vocab size {size}")
 
-    def forward_parallel(self, seq) -> LmOutput:
-        """Evaluate every position of `seq` in one call.
+    def forward_parallel(self, seq, start: int = 0) -> LmOutput:
+        """Evaluate rows start..len-1 of `seq` in one call.
 
         Row i holds the logits predicting position i+1 and the hidden
-        state encoding tokens[0..i].
+        state encoding tokens[0..i]; it is returned at index i - start.
         """
         tokens = tuple(seq.tokens) if isinstance(seq, TokenSequence) else tuple(seq)
         self._check_tokens(tokens)
-        logits = np.empty((len(tokens), self.vocab.size))
-        hidden = np.empty((len(tokens), self.hidden_dim))
-        for i in range(len(tokens)):
-            l, h = self.next_logits_hidden(tokens[: i + 1])
-            logits[i] = l
-            hidden[i] = h
+        if not 0 <= start < len(tokens):
+            raise DataError(f"start {start} outside 0..{len(tokens) - 1}")
+        logits, hidden = self._rows(tokens, start)
         return LmOutput(logits=logits, hidden=hidden)
+
+    def _rows(self, tokens: tuple[int, ...], start: int):
+        """(logits, hidden) rows start..len-1 of validated `tokens`.
+
+        This reference makes one `next_logits_hidden` call per row;
+        backends override it with a vectorized evaluation.
+        """
+        n = len(tokens) - start
+        logits = np.empty((n, self.vocab.size))
+        hidden = np.empty((n, self.hidden_dim))
+        for j in range(n):
+            logits[j], hidden[j] = self.next_logits_hidden(tokens[: start + j + 1])
+        return logits, hidden
 
     def greedy_next(self, context) -> int:
         """Most likely next token id after `context` (lowest id on ties)."""

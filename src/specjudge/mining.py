@@ -106,8 +106,9 @@ def mismatch_indices(draft, seq: TokenSequence, temperature: float = 0.0,
     """Absolute response positions where the draft disagrees with `seq`."""
     if len(seq) <= seq.prompt_len:
         return []
-    choices = positionwise_choices(draft, seq.tokens, temperature, state)
-    return [p for p in range(seq.prompt_len, len(seq)) if choices[p] != seq.tokens[p]]
+    choices = positionwise_choices(draft, seq.tokens, temperature, state,
+                                   start=seq.prompt_len)
+    return [p for p, c in enumerate(choices, seq.prompt_len) if c != seq.tokens[p]]
 
 
 def _point_hidden(model, prefix) -> np.ndarray:
@@ -160,7 +161,9 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
     prompt_len = len(x)
     cap = cfg.max_rollbacks if cfg.max_rollbacks is not None else 4 * len(y)
 
-    choices = positionwise_choices(draft, tokens, cfg.temperature, cfg.state)
+    # Prompt positions are never mined; their choices are left undefined.
+    choices = [-1] * prompt_len + positionwise_choices(draft, tokens, cfg.temperature,
+                                                       cfg.state, start=prompt_len)
     pending = [p for p in range(prompt_len, len(tokens)) if choices[p] != tokens[p]]
     records: list[MismatchRecord] = []
     rollbacks = 0
@@ -185,13 +188,13 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
         if important:
             pending = [p for p in pending if p > t]
         else:
+            # Choices at positions <= t read only tokens[:t], which the swap
+            # kept, so only the suffix is recomputed.
             tokens = candidate
             if t + 1 < len(tokens):
-                choices = positionwise_choices(draft, tokens, cfg.temperature, cfg.state)
-                pending = [p for p in range(t + 1, len(tokens))
-                           if choices[p] != tokens[p]]
-            else:
-                pending = []
+                choices[t + 1:] = positionwise_choices(draft, tokens, cfg.temperature,
+                                                       cfg.state, start=t + 1)
+            pending = [p for p in range(t + 1, len(tokens)) if choices[p] != tokens[p]]
     return MiningResult(task_id=task.task_id, records=records,
                         reference_tokens=x + y, final_tokens=tokens,
                         reference_answer=alpha, prompt_len=prompt_len,
@@ -205,7 +208,8 @@ def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
     eos = target.vocab.eos_id
     tokens = x + y
     prompt_len = len(x)
-    choices = positionwise_choices(draft, tokens, cfg.temperature, cfg.state)
+    choices = [-1] * prompt_len + positionwise_choices(draft, tokens, cfg.temperature,
+                                                       cfg.state, start=prompt_len)
     records = []
     for t in range(prompt_len, len(tokens)):
         draft_token = choices[t]

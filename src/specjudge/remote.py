@@ -46,14 +46,17 @@ class RemoteEndpoint:
 
 
 def remote_generate(endpoint: RemoteEndpoint, prompt: str, max_tokens: int,
-                    temperature: float = 0.0, sleep=time.sleep) -> str:
+                    temperature: float = 0.0, sleep=None) -> str:
     """POST one completion request, retrying transient failures.
 
     Retries cover transport errors, 5xx and 429, with exponential
     backoff.  Any other non-2xx status cannot succeed on a retry and fails
     at once, as does a 2xx response that is not shaped like a completion
-    (a protocol error).
+    (a protocol error).  `sleep` waits out each backoff; it defaults to
+    `time.sleep` as looked up at call time, so a patched one takes effect.
     """
+    if sleep is None:
+        sleep = time.sleep
     url = endpoint.base_url.rstrip("/") + "/v1/completions"
     body = {"model": endpoint.model, "prompt": prompt,
             "max_tokens": max_tokens, "temperature": temperature}
@@ -93,7 +96,7 @@ def remote_generate(endpoint: RemoteEndpoint, prompt: str, max_tokens: int,
 
 
 def remote_generator(endpoint: RemoteEndpoint, vocab: Vocab, temperature: float = 0.0,
-                     sleep=time.sleep):
+                     sleep=None):
     """Adapter giving mining a (prefix_tokens, budget) -> token list callable."""
     if temperature != 0.0:
         raise DataError("remote generation is greedy only; the endpoint "

@@ -136,13 +136,19 @@ def sample_next(model, context, state: RandomState | None, temperature: float) -
 
 def rollout(model, context, max_new: int, temperature: float = 0.0,
             state: RandomState | None = None) -> list[int]:
-    """Autoregress up to `max_new` tokens, stopping after end-of-sequence."""
-    tokens = list(context)
+    """Autoregress up to `max_new` tokens, stopping after end-of-sequence.
+
+    The context is validated once; every token appended after it is a
+    model choice and so lies in the vocabulary.
+    """
+    tokens = tuple(context)
+    model._check_tokens(tokens)
     out = []
     eos = model.vocab.eos_id
     for _ in range(max_new):
-        t = sample_next(model, tokens, state, temperature)
-        tokens.append(t)
+        logits, _ = model.next_logits_hidden(tokens)
+        t = seeded_choice(logits, tokens, state, temperature)
+        tokens += (t,)
         out.append(t)
         if t == eos:
             break
@@ -150,19 +156,20 @@ def rollout(model, context, max_new: int, temperature: float = 0.0,
 
 
 def positionwise_choices(model, tokens, temperature: float = 0.0,
-                         state: RandomState | None = None) -> list[int]:
-    """The model's choice at every position of `tokens`.
+                         state: RandomState | None = None, start: int = 0) -> list[int]:
+    """The model's choice at positions start..len-1 of `tokens`.
 
-    Entry i is what the model would emit after tokens[0..i-1]; entry 0
-    is undefined (there is no empty context) and set to -1.
+    Entry j is what the model would emit after tokens[0..start+j-1],
+    from one forward over the rows that predict those positions.
+    Position 0 has no context, so its choice is undefined and set to -1.
     """
     tokens = tuple(tokens)
-    model._check_tokens(tokens)
-    out = model.forward_parallel(tokens)
-    choices = [-1] * len(tokens)
-    for i in range(1, len(tokens)):
-        choices[i] = seeded_choice(out.logits[i - 1], tokens[:i], state, temperature)
-    return choices
+    first = max(start, 1)
+    # The last row predicts past the end; it is computed, not read.
+    logits = model.forward_parallel(tokens, start=first - 1).logits[:-1]
+    return [-1] * (first - start) + [
+        seeded_choice(row, tokens[: first + j], state, temperature)
+        for j, row in enumerate(logits)]
 
 
 @dataclass

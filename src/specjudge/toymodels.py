@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence, Vocab, argmax_token
-from .sampling import TAG_PERTURB, _fnv_feed_vec, _prefix_hash, _unit_uniform_vec
+from .sampling import (TAG_PERTURB, _fnv_feed, _fnv_feed_vec, _prefix_hash,
+                       _unit_uniform_vec)
 
 EMBED_DIM = 16
 
@@ -80,6 +81,38 @@ class NGramModel(LanguageModel):
         top1 = float(logits.max())
         return logits, np.concatenate([emb, [entropy, top1]])
 
+    def _rows(self, tokens, start):
+        """All rows at once: one count array, then log, entropy and top-1."""
+        n, size, w = len(tokens) - start, self.vocab.size, self.order - 1
+        k = self.smoothing
+        probs = np.full((n, size), k)
+        totals = np.full(n, k * size)
+        rows, ids, counts = [], [], []
+        for j in range(n):
+            end = start + j + 1
+            counter = self.counts.get(tokens[max(0, end - w):end] if w > 0 else ())
+            if counter:
+                rows += [j] * len(counter)
+                ids += counter.keys()
+                counts += counter.values()
+                totals[j] += sum(counter.values())
+        probs[rows, ids] += counts
+        probs /= totals[:, None]
+        logits = np.log(probs)
+        hidden = np.zeros((n, self.hidden_dim))
+        if w > 0:
+            # Rows whose context is shorter than the window average fewer tokens.
+            full = min(max(start, w - 1), len(tokens))
+            for i in range(start, full):
+                window = list(tokens[: i + 1])
+                hidden[i - start, :EMBED_DIM] = self.embedding[window].mean(axis=0)
+            if full < len(tokens):
+                idx = [tokens[i - w + 1:i + 1] for i in range(full, len(tokens))]
+                hidden[full - start:, :EMBED_DIM] = self.embedding[idx].mean(axis=1)
+        hidden[:, EMBED_DIM] = -(probs * logits).sum(axis=1)
+        hidden[:, EMBED_DIM + 1] = logits.max(axis=1)
+        return logits, hidden
+
 
 def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
                 name: str = "ngram") -> NGramModel:
@@ -127,20 +160,35 @@ class PerturbedModel(LanguageModel):
         self.vocab = base.vocab
         self.name = name
         self.hidden_dim = base.hidden_dim + 1
+        self._bias = np.zeros(self.vocab.size)
+        for tok, off in spec.bias_tokens.items():
+            self._bias[tok] += off
 
-    def _delta(self, context: tuple[int, ...]) -> np.ndarray:
-        delta = np.zeros(self.vocab.size)
-        for tok, off in self.spec.bias_tokens.items():
-            delta[tok] += off
+    def _delta(self, tokens, start: int = -1) -> np.ndarray:
+        """Logit offsets for rows start..len-1 of `tokens`.
+
+        A negative start counts from the end, as in slicing; the default
+        is the last row alone.  Row i's noise is keyed by the FNV hash of
+        tokens[0..i], and one running hash yields every key.  A single
+        row comes back as a (V,) vector, several as (n, V); without noise
+        the bias vector serves every row.
+        """
         sigma = self.spec.noise_scale
-        if sigma > 0:
-            h = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
-            hi = _fnv_feed_vec(h, np.arange(self.vocab.size))
-            # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
-            u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, np.arange(2)[:, None]))
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-            delta += sigma * z
-        return delta
+        if sigma == 0:
+            return self._bias
+        start %= len(tokens)
+        h = _prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1])
+        keys = [h]
+        for t in tokens[start + 1:]:
+            h = _fnv_feed(h, t)
+            keys.append(h)
+        keys = np.array(keys if len(keys) > 1 else h, dtype=np.uint64)
+        hi = _fnv_feed_vec(keys[..., None], np.arange(self.vocab.size))
+        # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
+        stream = np.arange(2).reshape((2,) + (1,) * hi.ndim)
+        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, stream))
+        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        return self._bias + sigma * z
 
     def next_logits_hidden(self, context):
         context = tuple(context)
@@ -149,6 +197,13 @@ class PerturbedModel(LanguageModel):
         logits = base_logits + delta
         summary = float(delta[argmax_token(logits)])
         return logits, np.concatenate([base_hidden, [summary]])
+
+    def _rows(self, tokens, start):
+        base_logits, base_hidden = self.base._rows(tokens, start)
+        delta = np.broadcast_to(self._delta(tokens, start), base_logits.shape)
+        logits = base_logits + delta
+        summary = delta[np.arange(len(logits)), logits.argmax(axis=1)]
+        return logits, np.concatenate([base_hidden, summary[:, None]], axis=1)
 
 
 def make_draft(target: LanguageModel, spec: PerturbSpec, name: str = "draft") -> PerturbedModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence, softmax
+from .lm import DataError, LanguageModel, TokenSequence, softmax
 
 
 class TraceDivergenceError(DataError):
@@ -163,16 +163,13 @@ class ReplayModel(LanguageModel):
             hidden = self._record_hidden(self._by_pos[c - 1])
         return logits, hidden.copy()
 
-    def forward_parallel(self, seq) -> LmOutput:
-        tokens = tuple(seq.tokens) if isinstance(seq, TokenSequence) else tuple(seq)
-        self._check_tokens(tokens)
-        logits = np.zeros((len(tokens), self.vocab.size))
-        hidden = np.zeros((len(tokens), self.hidden_dim))
-        for i in range(self.trace.prompt_len - 1, len(tokens)):
-            l, h = self.next_logits_hidden(tokens[: i + 1])
-            logits[i] = l
-            hidden[i] = h
-        return LmOutput(logits=logits, hidden=hidden)
+    def _rows(self, tokens, start):
+        first = max(start, self.trace.prompt_len - 1)
+        logits = np.zeros((len(tokens) - start, self.vocab.size))
+        hidden = np.zeros((len(tokens) - start, self.hidden_dim))
+        if first < len(tokens):
+            logits[first - start:], hidden[first - start:] = super()._rows(tokens, first)
+        return logits, hidden
 
 
 def save_trace(path: str, trace: Trace) -> None:

@@ -15,8 +15,8 @@ from specjudge.engine import (EngineConfig, JudgePolicy, LosslessPolicy,
                               TopKPolicy, spec_decode)
 from specjudge.judge import _loss_grad, predict_importance, train_logreg
 from specjudge.judge import TrainingExample
-from specjudge.mining import (MiningConfig, TaskSkippedError, mine_important,
-                              mine_naive)
+from specjudge.mining import (MiningConfig, TaskSkippedError, dataset_fingerprint,
+                              mine_important, mine_naive)
 from specjudge.remote import RemoteEndpoint, RemoteError, remote_generator
 from specjudge.sampling import RandomState, rollout, verify_token
 from specjudge.tasks import answers_equivalent, extract_answer, gen_arithmetic_task
@@ -240,6 +240,17 @@ def test_criterion_10_important_fraction_in_range(mined):
     assert 0.02 < fraction < 0.8
     print(f"criterion 10: PASS (important fraction {fraction:.3f} of "
           f"{len(mined.records)} records)")
+
+
+def test_criterion_10_mined_dataset_is_pinned(mined):
+    """The fixture pipeline mines the same records, bit for bit, as ever.
+
+    The benchmark reports this fingerprint as `dataset` for the same models
+    and tasks 2000..2199.
+    """
+    assert len(mined.records) == 491
+    assert sum(r.important for r in mined.records) == 223
+    assert dataset_fingerprint(mined.records) == "55f17dc3e22264c1"
 
 
 def records_equal(a, b):

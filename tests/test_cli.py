@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from specjudge import remote
 from specjudge.cli import main, resolve_model
 from specjudge.judge import load_judge
 from specjudge.lm import DataError
@@ -239,12 +240,16 @@ def test_remote_mining_failure_exits_three(workdir, completions_server,
                                            monkeypatch, capsys):
     completions_server.script = [(500, {"error": "down"})]
     monkeypatch.setenv("SPECJUDGE_API_TOKEN", "cli-token")
+    sleeps = []
+    monkeypatch.setattr(remote.time, "sleep", sleeps.append)
     rc = main(["mine", *model_args(workdir), "--remote-url",
                completions_server.url, "--remote-model", "toy",
                "--out", str(workdir / "never4.jsonl")])
     assert rc == 3
     assert "remote error" in capsys.readouterr().err
     assert completions_server.requests[0]["auth"] == "Bearer cli-token"
+    assert len(completions_server.requests) == 4
+    assert sleeps == [0.5, 1.0, 2.0]
     rc = main(["mine", *model_args(workdir), "--remote-url",
                completions_server.url, "--out", str(workdir / "never5.jsonl")])
     assert rc == 2  # --remote-url needs --remote-model

@@ -3,9 +3,11 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token, softmax
-from specjudge.toymodels import train_ngram
+from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
+from specjudge.trace import record_trace
 
 
 def small_vocab():
@@ -80,14 +82,43 @@ def test_argmax_breaks_ties_toward_lowest_id():
     assert argmax_token([2.0, 2.0]) == 0
 
 
-def test_forward_parallel_matches_sequential():
-    model = tiny_model()
-    tokens = (0, 1, 2, 1, 3)
-    out = model.forward_parallel(tokens)
-    for i in range(len(tokens)):
-        logits, hidden = model.next_logits_hidden(tokens[: i + 1])
-        np.testing.assert_array_equal(out.logits[i], logits)
-        np.testing.assert_array_equal(out.hidden[i], hidden)
+def _assert_rows_match_steps(model, tokens, starts):
+    for start in starts:
+        out = model.forward_parallel(tokens, start)
+        assert out.logits.shape == (len(tokens) - start, model.vocab.size)
+        assert out.hidden.shape == (len(tokens) - start, model.hidden_dim)
+        for i in range(start, len(tokens)):
+            logits, hidden = model.next_logits_hidden(tokens[: i + 1])
+            assert np.array_equal(out.logits[i - start], logits), (model.name, start, i)
+            assert np.array_equal(out.hidden[i - start], hidden), (model.name, start, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24),
+       order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
+def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
+    """Every row from every start equals the per-step primitive, bit for bit.
+
+    The n-gram is also trained on the drawn tokens, so their contexts have
+    counts at every order; at order 16 most rows see a context shorter
+    than the window.
+    """
+    v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
+    tokens = tuple(tokens)
+    base = train_ngram(v, [[0, 1, 2, 7], [3, 1, 4, 1, 5, 7], tokens], order=order,
+                       smoothing=0.3, seed=order)
+    models = [
+        base,
+        PerturbedModel(base, PerturbSpec()),
+        PerturbedModel(base, PerturbSpec(noise_scale=0.6, bias_tokens={2: 1.1}, seed=5)),
+        ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))}),
+    ]
+    for model in models:
+        _assert_rows_match_steps(model, tokens, range(len(tokens)))
+    if prompt_len < len(tokens):
+        trace = record_trace(models[2], base, TokenSequence(tokens, prompt_len), top_m=v.size)
+        for replay in trace.replay_models(v):
+            _assert_rows_match_steps(replay, tokens, range(prompt_len - 1, len(tokens)))
 
 
 def test_forward_rows_ignore_later_tokens():
@@ -108,5 +139,8 @@ def test_token_range_checked():
     model = tiny_model()
     with pytest.raises(DataError):
         model.forward_parallel((0, 9))
+    for start in (-1, 2):
+        with pytest.raises(DataError):
+            model.forward_parallel((0, 1), start)
     with pytest.raises(DataError):
         model.greedy_next(())

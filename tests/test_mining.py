@@ -1,9 +1,12 @@
 """Important-token mining: labels, adoption, budgets, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import script_line
+from specjudge import mining, sampling
 from specjudge.lm import TokenSequence
 from specjudge.mining import (MiningBudgetError, MiningConfig, MismatchRecord,
                               TaskSkippedError, context_fingerprint,
@@ -148,6 +151,41 @@ def test_sampled_mining_is_seed_reproducible(pipeline):
     assert first.reference_tokens == second.reference_tokens
     assert [(r.position, r.draft_token, r.important) for r in first.records] == \
         [(r.position, r.draft_token, r.important) for r in second.records]
+
+
+def _same_record(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(MismatchRecord))
+
+
+@pytest.mark.parametrize("cfg", [MiningConfig(),
+                                 MiningConfig(temperature=0.3, state=RandomState(0))])
+def test_suffix_recompute_equals_full_recompute(pipeline, monkeypatch, cfg):
+    """Recomputing only the choices after an adopted swap changes nothing."""
+    tasks = [gen_arithmetic_task(2000 + i, 2 + i % 2, pipeline.vocab) for i in range(16)]
+
+    def mine_all():
+        out = []
+        for task in tasks:
+            try:
+                out.append(mine_important(task, pipeline.draft, pipeline.target, cfg))
+            except TaskSkippedError:
+                continue
+        return out
+
+    suffix = mine_all()
+
+    def every_position(model, tokens, temperature=0.0, state=None, start=0):
+        return sampling.positionwise_choices(model, tokens, temperature, state)[start:]
+
+    monkeypatch.setattr(mining, "positionwise_choices", every_position)
+    full = mine_all()
+    assert any(not r.important for x in full for r in x.records)  # swaps were adopted
+    assert [r.final_tokens for r in suffix] == [r.final_tokens for r in full]
+    assert [r.rollbacks for r in suffix] == [r.rollbacks for r in full]
+    pairs = [(a, b) for x, y in zip(suffix, full) for a, b in zip(x.records, y.records)]
+    assert len(pairs) == sum(len(r.records) for r in full) > 0
+    assert all(_same_record(a, b) for a, b in pairs)
 
 
 def test_generation_hook_replaces_local_target(pipeline):

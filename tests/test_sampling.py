@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.lm import Vocab, argmax_token
+from specjudge.lm import DataError, Vocab, argmax_token
 from specjudge.sampling import (RandomState, VerifyDecision, _fnv_feed,
                                 _fnv_feed_vec, _prefix_hash, gumbel_noise,
                                 positionwise_choices, rollout, sample_next,
@@ -140,6 +140,8 @@ def test_rollout_emits_new_tokens_until_eos():
     model = ScriptedModel(v, {(0,): 1, (0, 1): 2, (0, 1, 2): 3})
     assert rollout(model, (0,), 10) == [1, 2, 3]
     assert rollout(model, (0,), 2) == [1, 2]  # budget cap before eos
+    with pytest.raises(DataError):
+        rollout(model, (0, 9), 2)  # the context is still validated
 
 
 def test_positionwise_choices_match_per_prefix_sampling():
@@ -153,6 +155,9 @@ def test_positionwise_choices_match_per_prefix_sampling():
         assert choices[0] == -1
         for i in range(1, len(tokens)):
             assert choices[i] == sample_next(model, tokens[:i], st, temp)
+        for start in range(len(tokens) + 1):
+            assert positionwise_choices(model, tokens, temp, st, start=start) \
+                == choices[start:]
 
 
 def test_verify_decision_requires_consistency():
