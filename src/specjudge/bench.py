@@ -21,6 +21,8 @@ from .tasks import Answer, Task, answers_equivalent, extract_answer
 
 REPORT_COLUMNS = ("policy", "param", "accuracy", "accepted_per_cycle",
                   "cycles", "tokens", "seed")
+# JSON lines also carry the failure count; the CSV keeps its seven columns.
+JSONL_COLUMNS = REPORT_COLUMNS + ("failures",)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def run_benchmark(tasks, draft, target, policies, config: EngineConfig,
 def emit_report(rows, fmt: str = "csv") -> str:
     """Render rows as CSV (default) or JSON lines; byte-stable per input."""
     if fmt == "jsonl":
-        return "".join(json.dumps({c: getattr(r, c) for c in REPORT_COLUMNS}) + "\n"
+        return "".join(json.dumps({c: getattr(r, c) for c in JSONL_COLUMNS}) + "\n"
                        for r in rows)
     if fmt != "csv":
         raise DataError(f"unknown report format {fmt!r}")

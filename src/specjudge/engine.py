@@ -19,7 +19,7 @@ import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence
 from .judge import JudgeModel, assemble_features, check_judge_compatible, predict_importance
-from .sampling import RandomState, seeded_choice
+from .sampling import RandomState, autoregress, gumbel_max, seeded_choice
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,13 @@ class DraftWindow:
     `hidden[i]` is the draft's hidden state for `context + tokens[:i]`, the
     step that drafted `tokens[i]`, so there are `len(tokens)` rows.  No row
     encodes the whole window: the judge never scores the last position, so
-    the draft step after it is never run.
+    the draft step after it is never run.  `noise[i]` is the Gumbel row
+    drawn at that prefix when sampled; greedy windows draw none.
     """
 
     tokens: list[int]
     hidden: list[np.ndarray]
+    noise: list[np.ndarray]
 
 
 @dataclass
@@ -127,25 +129,15 @@ def draft_window(draft: LanguageModel, context, width: int,
     """Draft up to `width` tokens autoregressively, stopping after EOS."""
     if width < 1:
         raise DataError("window width must be >= 1")
-    context = tuple(context)
-    draft._check_tokens(context)
-    eos = draft.vocab.eos_id
-    tokens: list[int] = []
-    hidden = []
-    for _ in range(width):
-        prefix = context + tuple(tokens)
-        logits, hid = draft.next_logits_hidden(prefix)
-        t = seeded_choice(logits, prefix, config.state, config.temperature)
-        hidden.append(hid)
-        tokens.append(t)
-        if t == eos:
-            break
-    return DraftWindow(tokens=tokens, hidden=hidden)
+    return DraftWindow(*autoregress(draft, context, width, config.temperature,
+                                    config.state))
 
 
-def _top_k_ids(logits, k: int) -> set[int]:
-    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
-    return set(order[: min(k, len(logits))])
+def _in_top_k(logits, token: int, k: int) -> bool:
+    """Whether `token` is within the first k ids sorted by (-logit, id)."""
+    x = logits[token]
+    rank = np.count_nonzero(logits > x) + np.count_nonzero(logits[:token] == x)
+    return rank < k
 
 
 def verify_window(target: LanguageModel, context, window: DraftWindow,
@@ -153,10 +145,11 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     """Verify a drafted window in one target pass, left to right.
 
     The pass has W+1 rows, indexed from the window start: row i holds the
-    target's logits and hidden state for `context + tokens[:i]`.  The
-    first upheld rejection truncates the window and emits the target's
-    own choice; a fully accepted window yields a bonus token unless it
-    ends the sequence.
+    target's logits and hidden state for `context + tokens[:i]`.  Rows
+    0..W-1 are chosen in one vectorized step, sampled ones with the Gumbel
+    rows the draft drew at the same prefixes.  The first upheld rejection
+    truncates the window and emits the target's own choice; a fully
+    accepted window yields a bonus token unless it ends the sequence.
     """
     context = tuple(context)
     if not context:
@@ -164,25 +157,29 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     if not window.tokens:
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
-    ctx_len = len(context)
-    out = target.forward_parallel(full, start=ctx_len - 1)
+    n = len(window.tokens)
+    out = target.forward_parallel(full, start=len(context) - 1)
     logits, hidden = out.logits, out.hidden
     eos = target.vocab.eos_id
     temp, state = config.temperature, config.state
+    if temp == 0:
+        choices = logits[:n].argmax(axis=1)
+    else:
+        if len(window.noise) != n:
+            raise DataError("a sampled window needs one noise row per drafted token")
+        choices = gumbel_max(logits[:n], window.noise, temp)
 
     accepted = 0
     overrides = 0
     replacement = None
-    for j, drafted in enumerate(window.tokens):
-        row = logits[j]
-        choice = seeded_choice(row, full[: ctx_len + j], state, temp)
+    for j, (drafted, choice) in enumerate(zip(window.tokens, choices.tolist())):
         if drafted == choice:
             accepted += 1
             continue
         keep = False
         if isinstance(policy, TopKPolicy):
-            keep = drafted in _top_k_ids(row, policy.k)
-        elif isinstance(policy, JudgePolicy) and j < len(window.tokens) - 1:
+            keep = _in_top_k(logits[j], drafted, policy.k)
+        elif isinstance(policy, JudgePolicy) and j < n - 1:
             # Position j is scored by the rows with and without tokens[j].
             feats = assemble_features(policy.judge.feature_config,
                                       window.hidden[j + 1], hidden[j + 1],
@@ -198,7 +195,7 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     bonus = None
     if replacement is None and window.tokens[-1] != eos:
         bonus = seeded_choice(logits[-1], full, state, temp)
-    stats = CycleStats(drafted=len(window.tokens), accepted_draft=accepted,
+    stats = CycleStats(drafted=n, accepted_draft=accepted,
                        judge_overrides=overrides,
                        correction_emitted=replacement is not None,
                        bonus_emitted=bonus is not None)

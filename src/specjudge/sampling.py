@@ -7,11 +7,15 @@ draw from the model distribution when the seed varies.  Because the noise
 depends only on the context and not on the model, a draft and a target
 share noise at equal prefixes, which is what makes speculative decoding
 under sampling reproduce direct sampling exactly for a fixed state.
+
+The noise is keyed by a running FNV-1a hash of the prefix, fed one token
+per step.  In a decode cycle each prefix's noise is drawn once, by the
+draft, and verification reuses the draft's rows; only the bonus row is
+drawn fresh.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,14 @@ class RandomState:
 _FNV_PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 
 
+# Kernel constants as 0-d uint64 arrays: as operands they skip the scalar
+# conversion that a Python int or np.uint64 costs on every numpy call.
+_PRIME_POW_U64 = tuple(np.array(p, dtype=np.uint64) for p in _FNV_PRIME_POW)
+(_BYTE, _EIGHT, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31, _SM_GAMMA, _SM_MUL1,
+ _SM_MUL2) = (np.array(c, dtype=np.uint64) for c in (
+    0xFF, 8, 11, 27, 30, 31, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
 def _fnv_feed(h: int, value: int) -> int:
     """Absorb one value as 8 little-endian bytes, FNV-1a style.
 
@@ -69,6 +81,19 @@ def _prefix_hash(tag: int, seed: int, context) -> int:
     return h
 
 
+def _running_keys(h: int, tokens) -> np.ndarray:
+    """uint64 keys h, then h fed tokens[0], then tokens[1], and so on.
+
+    FNV-1a is a left fold: if h keys a prefix, these key that prefix and
+    each extension of it by `tokens`, from one running hash.
+    """
+    keys = [h]
+    for t in tokens:
+        h = _fnv_feed(h, t)
+        keys.append(h)
+    return np.array(keys, dtype=np.uint64)
+
+
 def _fnv_feed_vec(h, values) -> np.ndarray:
     """Vectorized _fnv_feed: absorb values into h elementwise, broadcasting.
 
@@ -78,12 +103,10 @@ def _fnv_feed_vec(h, values) -> np.ndarray:
     v = np.asarray(values, dtype=np.uint64)
     out = np.asarray(h, dtype=np.uint64)
     nbytes = max(1, (int(v.max(initial=0)).bit_length() + 7) // 8)
-    prime = np.uint64(_FNV_PRIME)
-    mask, eight = np.uint64(0xFF), np.uint64(8)
     for _ in range(nbytes - 1):
-        out = (out ^ (v & mask)) * prime
-        v = v >> eight
-    return (out ^ v) * np.uint64(_FNV_PRIME_POW[9 - nbytes])
+        out = (out ^ (v & _BYTE)) * _PRIME_POW_U64[1]
+        v = v >> _EIGHT
+    return (out ^ v) * _PRIME_POW_U64[9 - nbytes]
 
 
 def _unit_uniform_vec(keys: np.ndarray) -> np.ndarray:
@@ -92,22 +115,42 @@ def _unit_uniform_vec(keys: np.ndarray) -> np.ndarray:
     The top 53 bits are offset by half an ulp of the 53-bit grid, so
     neither 0 nor 1 can come out.
     """
-    z = keys + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53)
+    z = keys + _SM_GAMMA
+    for shift, mul in ((_SHIFT30, _SM_MUL1), (_SHIFT27, _SM_MUL2)):
+        z ^= z >> shift
+        z *= mul
+    z ^= z >> _SHIFT31
+    z >>= _SHIFT11
+    return (z.astype(np.float64) + 0.5) / float(1 << 53)
 
 
-def gumbel_noise(state: RandomState, context, n: int) -> np.ndarray:
-    """Standard Gumbel noise vector over `n` vocab indices.
+def gumbel_key(state: RandomState | None, context) -> int:
+    """The Gumbel key of `context`: FNV-1a of (TAG_GUMBEL, seed, context ids).
+
+    The key of `context + (t,)` is `_fnv_feed(key, t)`.
+    """
+    if state is None:
+        raise ValueError("sampled mode requires a RandomState")
+    return _prefix_hash(TAG_GUMBEL, state.seed, context)
+
+
+def gumbel_noise(key, n: int) -> np.ndarray:
+    """Standard Gumbel noise over `n` vocab indices at the prefix keyed `key`.
 
     Entry i is -ln(-ln(u_i)) with u_i drawn from a counter generator
-    seeded by the 64-bit FNV-1a hash of (seed, context ids, i).
+    seeded by feeding i into the key (see gumbel_key).  One key gives an
+    (n,) vector, an array of m keys an (m, n) array.
     """
-    h = _prefix_hash(TAG_GUMBEL, state.seed, context)
-    u = _unit_uniform_vec(_fnv_feed_vec(h, np.arange(n)))
+    keys = np.asarray(key, dtype=np.uint64)[..., None]
+    u = _unit_uniform_vec(_fnv_feed_vec(keys, np.arange(n, dtype=np.uint64)))
     return -np.log(-np.log(u))
+
+
+def gumbel_max(logits, noise, temperature: float):
+    """argmax(log softmax(logits, T) + noise) along the last axis, lowest id on ties."""
+    scores = np.log(softmax(logits, temperature))
+    scores += noise
+    return np.argmax(scores, axis=-1)
 
 
 def seeded_choice(logits, context, state: RandomState | None, temperature: float) -> int:
@@ -119,57 +162,63 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
     """
     if temperature == 0:
         return argmax_token(logits)
-    if state is None:
-        raise ValueError("sampled mode requires a RandomState")
-    probs = softmax(logits, temperature)
-    g = gumbel_noise(state, context, len(probs))
-    return argmax_token(np.log(probs) + g)
+    g = gumbel_noise(gumbel_key(state, context), len(logits))
+    return int(gumbel_max(logits, g, temperature))
 
 
-def sample_next(model, context, state: RandomState | None, temperature: float) -> int:
-    """Sample the next token after `context` under the model."""
-    context = tuple(context)
-    model._check_tokens(context)
-    logits, _ = model.next_logits_hidden(context)
-    return seeded_choice(logits, context, state, temperature)
+def autoregress(model, context, max_new: int, temperature: float = 0.0,
+                state: RandomState | None = None):
+    """(tokens, hidden rows, Gumbel rows) of up to `max_new` seeded choices.
+
+    Stops after end-of-sequence.  Row i of each list is the step at
+    context + tokens[:i]; greedy steps draw no Gumbel rows.  Each choice
+    feeds a running Gumbel key, and the context is validated once.
+    """
+    tokens = tuple(context)
+    model._check_tokens(tokens)
+    key = gumbel_key(state, tokens) if temperature > 0 else None
+    out, hidden, noise = [], [], []
+    eos = model.vocab.eos_id
+    for _ in range(max_new):
+        logits, hid = model.next_logits_hidden(tokens)
+        if key is None:
+            t = argmax_token(logits)
+        else:
+            noise.append(gumbel_noise(key, len(logits)))
+            t = int(gumbel_max(logits, noise[-1], temperature))
+            key = _fnv_feed(key, t)
+        tokens += (t,)
+        out.append(t)
+        hidden.append(hid)
+        if t == eos:
+            break
+    return out, hidden, noise
 
 
 def rollout(model, context, max_new: int, temperature: float = 0.0,
             state: RandomState | None = None) -> list[int]:
-    """Autoregress up to `max_new` tokens, stopping after end-of-sequence.
-
-    The context is validated once; every token appended after it is a
-    model choice and so lies in the vocabulary.
-    """
-    tokens = tuple(context)
-    model._check_tokens(tokens)
-    out = []
-    eos = model.vocab.eos_id
-    for _ in range(max_new):
-        logits, _ = model.next_logits_hidden(tokens)
-        t = seeded_choice(logits, tokens, state, temperature)
-        tokens += (t,)
-        out.append(t)
-        if t == eos:
-            break
-    return out
+    """Autoregress up to `max_new` tokens, stopping after end-of-sequence."""
+    return autoregress(model, context, max_new, temperature, state)[0]
 
 
 def positionwise_choices(model, tokens, temperature: float = 0.0,
                          state: RandomState | None = None, start: int = 0) -> list[int]:
     """The model's choice at positions start..len-1 of `tokens`.
 
-    Entry j is what the model would emit after tokens[0..start+j-1],
-    from one forward over the rows that predict those positions.
-    Position 0 has no context, so its choice is undefined and set to -1.
+    Entry j is what the model would emit after tokens[0..start+j-1], from
+    one forward over those rows and, when sampled, one noise draw keyed by
+    one running hash.  Position 0 has no context, so its choice is -1.
     """
     tokens = tuple(tokens)
     first = max(start, 1)
     # The last row predicts past the end; it is computed, not read.
     logits = model.forward_parallel(tokens, start=first - 1).logits[:-1]
-    return [-1] * (first - start) + [
-        seeded_choice(row, tokens[: first + j], state, temperature)
-        for j, row in enumerate(logits)]
+    if temperature == 0:
+        choices = logits.argmax(axis=1)
+    else:
+        keys = _running_keys(gumbel_key(state, tokens[:first]), tokens[first:-1])
+        choices = gumbel_max(logits, gumbel_noise(keys, model.vocab.size), temperature)
+    return [-1] * (first - start) + choices.tolist()
 
 
 @dataclass

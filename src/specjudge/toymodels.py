@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence, Vocab, argmax_token
-from .sampling import (TAG_PERTURB, _fnv_feed, _fnv_feed_vec, _prefix_hash,
+from .sampling import (TAG_PERTURB, _fnv_feed_vec, _prefix_hash, _running_keys,
                        _unit_uniform_vec)
 
 EMBED_DIM = 16
+_BOX_MULLER_STREAMS = np.arange(2, dtype=np.uint64).reshape(2, 1, 1)
 
 
 class NGramModel(LanguageModel):
@@ -163,6 +164,7 @@ class PerturbedModel(LanguageModel):
         self._bias = np.zeros(self.vocab.size)
         for tok, off in spec.bias_tokens.items():
             self._bias[tok] += off
+        self._ids = np.arange(self.vocab.size, dtype=np.uint64)
 
     def _delta(self, tokens, start: int = -1) -> np.ndarray:
         """Logit offsets for rows start..len-1 of `tokens`.
@@ -177,18 +179,14 @@ class PerturbedModel(LanguageModel):
         if sigma == 0:
             return self._bias
         start %= len(tokens)
-        h = _prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1])
-        keys = [h]
-        for t in tokens[start + 1:]:
-            h = _fnv_feed(h, t)
-            keys.append(h)
-        keys = np.array(keys if len(keys) > 1 else h, dtype=np.uint64)
-        hi = _fnv_feed_vec(keys[..., None], np.arange(self.vocab.size))
+        keys = _running_keys(_prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1]),
+                             tokens[start + 1:])
+        hi = _fnv_feed_vec(keys[:, None], self._ids)
         # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
-        stream = np.arange(2).reshape((2,) + (1,) * hi.ndim)
-        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, stream))
+        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, _BOX_MULLER_STREAMS))
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        return self._bias + sigma * z
+        delta = self._bias + sigma * z
+        return delta if len(delta) > 1 else delta[0]
 
     def next_logits_hidden(self, context):
         context = tuple(context)

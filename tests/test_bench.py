@@ -1,6 +1,7 @@
 """Benchmark harness: aggregation, report formats, failure tolerance."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -115,8 +116,16 @@ def test_jsonl_report_carries_every_column():
     lines = emit_report(rows, fmt="jsonl").splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
-    assert set(first) == set(REPORT_COLUMNS)
+    assert set(first) == set(REPORT_COLUMNS) | {"failures"}
     assert first["accepted_per_cycle"] == rows[0].accepted_per_cycle
+
+
+def test_failures_reach_jsonl_and_leave_the_csv_unchanged():
+    rows = sample_rows()
+    failed = [replace(rows[0], failures=3), rows[1]]
+    assert [json.loads(line)["failures"]
+            for line in emit_report(failed, fmt="jsonl").splitlines()] == [3, 0]
+    assert emit_report(failed, fmt="csv") == emit_report(rows, fmt="csv")
 
 
 def test_report_format_validation():

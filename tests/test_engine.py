@@ -14,9 +14,10 @@ from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
 from specjudge.judge import (MODEL_SOURCES, TOKEN_SOURCES, FeatureConfig,
                              JudgeModel, build_examples)
 from specjudge.lm import DataError, Vocab
-from specjudge.sampling import RandomState, rollout, seeded_choice
+from specjudge.sampling import (RandomState, gumbel_key, gumbel_noise, rollout,
+                                seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
-from specjudge.toymodels import ScriptedModel
+from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
 
 
 @pytest.fixture()
@@ -342,3 +343,114 @@ def test_engine_invariants_on_random_scripted_pairs(seed, agree, window, max_tok
             assert results[name].response == lossless.response
             assert [vars(c) for c in results[name].cycles] \
                 == [vars(c) for c in lossless.cycles]
+
+
+def test_in_top_k_matches_sorted_ranking_on_hand_ties():
+    logits = np.array([1.0, 3.0, 3.0, 2.0, 3.0])
+    assert [engine._in_top_k(logits, t, 2) for t in range(5)] \
+        == [False, True, True, False, False]
+    assert engine._in_top_k(logits, 4, 3) and not engine._in_top_k(logits, 3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=st.lists(st.sampled_from([-40.0, -1.5, 0.0, 0.25, 2.0]), min_size=1,
+                       max_size=12),
+       data=st.data())
+def test_in_top_k_matches_sorted_reference(logits, data):
+    # A small value set makes tied logits common.
+    token = data.draw(st.integers(0, len(logits) - 1))
+    k = data.draw(st.integers(1, len(logits) + 1))
+    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
+    assert engine._in_top_k(np.array(logits), token, k) == (token in order[:k])
+
+
+def random_sampled_pair(seed: int, agree: float, sigma: float, perturb_target: bool):
+    """A random scripted pair, the draft (and maybe the target) perturbed."""
+    draft, target = random_scripted_pair(seed, agree)
+    draft = PerturbedModel(draft, PerturbSpec(noise_scale=sigma, seed=seed % 97))
+    if perturb_target:
+        target = PerturbedModel(target, PerturbSpec(noise_scale=sigma, seed=seed % 89 + 1))
+    return draft, target
+
+
+def reference_verify(target, context, window, policy, config):
+    """verify_window from one next_logits_hidden and seeded_choice per row."""
+    accepted, replacement = 0, None
+    for j, drafted in enumerate(window.tokens):
+        prefix = context + tuple(window.tokens[:j])
+        logits, _ = target.next_logits_hidden(prefix)
+        choice = seeded_choice(logits, prefix, config.state, config.temperature)
+        order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
+        if drafted == choice or (isinstance(policy, TopKPolicy)
+                                 and drafted in order[:policy.k]):
+            accepted += 1
+            continue
+        replacement = choice
+        break
+    bonus = None
+    full = context + tuple(window.tokens)
+    if replacement is None and window.tokens[-1] != target.vocab.eos_id:
+        logits, _ = target.next_logits_hidden(full)
+        bonus = seeded_choice(logits, full, config.state, config.temperature)
+    return accepted, replacement, bonus
+
+
+# At temperature 40 a scripted logit gap of 40 leaves real randomness.
+sampled_pairs = dict(seed=st.integers(0, 2**32 - 1),
+                     agree=st.sampled_from([0.0, 0.5, 0.9]),
+                     sigma=st.sampled_from([0.5, 20.0]),
+                     perturb_target=st.booleans(),
+                     temperature=st.sampled_from([0.7, 40.0]),
+                     context=st.lists(st.integers(0, 2), max_size=6),
+                     window=st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**sampled_pairs)
+def test_sampled_window_reuses_the_noise_of_each_drafted_prefix(
+        seed, agree, sigma, perturb_target, temperature, context, window):
+    draft, target = random_sampled_pair(seed, agree, sigma, perturb_target)
+    config = EngineConfig(window=window, temperature=temperature,
+                          state=RandomState(seed))
+    context = (0,) + tuple(context)
+    drafted = draft_window(draft, context, window, config)
+    size = PROPERTY_VOCAB.size
+    assert len(drafted.noise) == len(drafted.tokens)
+    for i, row in enumerate(drafted.noise):
+        prefix = context + tuple(drafted.tokens[:i])
+        np.testing.assert_array_equal(
+            row, gumbel_noise(gumbel_key(config.state, prefix), size))
+        logits, _ = draft.next_logits_hidden(prefix)
+        assert drafted.tokens[i] == seeded_choice(logits, prefix, config.state,
+                                                  temperature)
+    for policy in (LosslessPolicy(), TopKPolicy(2)):
+        outcome = verify_window(target, context, drafted, policy, config)
+        assert (outcome.accepted, outcome.replacement, outcome.bonus) \
+            == reference_verify(target, context, drafted, policy, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**sampled_pairs)
+def test_sampled_rollout_equals_a_per_step_seeded_choice_loop(
+        seed, agree, sigma, perturb_target, temperature, context, window):
+    draft, target = random_sampled_pair(seed, agree, sigma, perturb_target)
+    state = RandomState(seed)
+    for model in (draft, target):
+        tokens = (0,) + tuple(context)
+        expect = []
+        for _ in range(window):
+            logits, _ = model.next_logits_hidden(tokens)
+            t = seeded_choice(logits, tokens, state, temperature)
+            tokens += (t,)
+            expect.append(t)
+            if t == PROPERTY_VOCAB.eos_id:
+                break
+        assert rollout(model, (0,) + tuple(context), window, temperature, state) == expect
+
+
+def test_sampled_verify_needs_a_noise_row_per_drafted_token(chain_model):
+    config = EngineConfig(window=4, temperature=1.0, state=RandomState(0))
+    window = draft_window(chain_model, (0,), 4, config)
+    window.noise = window.noise[:-1]
+    with pytest.raises(DataError):
+        verify_window(chain_model, (0,), window, LosslessPolicy(), config)

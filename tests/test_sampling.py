@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, Vocab, argmax_token
 from specjudge.sampling import (RandomState, VerifyDecision, _fnv_feed,
-                                _fnv_feed_vec, _prefix_hash, gumbel_noise,
-                                positionwise_choices, rollout, sample_next,
+                                _fnv_feed_vec, _prefix_hash, gumbel_key,
+                                gumbel_noise, positionwise_choices, rollout,
                                 seeded_choice, verify_token)
+from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
 
 CTX = (3, 1, 4)
@@ -75,7 +76,7 @@ def test_fnv_feed_vec_matches_reference_2d_broadcast(hs, vals):
 
 def test_gumbel_noise_golden_values():
     # Pins the sampling universe: any change to the hash stream moves these.
-    np.testing.assert_array_equal(gumbel_noise(RandomState(7), CTX, 12), [
+    np.testing.assert_array_equal(gumbel_noise(gumbel_key(RandomState(7), CTX), 12), [
         2.419338335186757, 0.6050423360733387, 0.9893646846453731,
         0.3201478240068948, 2.672552471110647, 0.6501811535573411,
         1.0335146048200283, 1.0877881280058985, -0.5965528970217019,
@@ -101,10 +102,10 @@ def test_random_state_validates_64_bits():
 
 
 def test_gumbel_noise_is_deterministic_and_keyed():
-    g = gumbel_noise(RandomState(7), CTX, 12)
-    np.testing.assert_array_equal(g, gumbel_noise(RandomState(7), CTX, 12))
-    assert np.any(g != gumbel_noise(RandomState(8), CTX, 12))
-    assert np.any(g != gumbel_noise(RandomState(7), CTX + (9,), 12))
+    g = gumbel_noise(gumbel_key(RandomState(7), CTX), 12)
+    np.testing.assert_array_equal(g, gumbel_noise(gumbel_key(RandomState(7), CTX), 12))
+    assert np.any(g != gumbel_noise(gumbel_key(RandomState(8), CTX), 12))
+    assert np.any(g != gumbel_noise(gumbel_key(RandomState(7), CTX + (9,)), 12))
     assert np.all(np.isfinite(g))
 
 
@@ -144,20 +145,29 @@ def test_rollout_emits_new_tokens_until_eos():
         rollout(model, (0, 9), 2)  # the context is still validated
 
 
-def test_positionwise_choices_match_per_prefix_sampling():
+def per_prefix_choices(model, tokens, temperature, state):
+    """Reference: one next_logits_hidden and one seeded_choice per prefix."""
+    return [-1] + [seeded_choice(model.next_logits_hidden(tokens[:i])[0], tokens[:i],
+                                 state, temperature)
+                   for i in range(1, len(tokens))]
+
+
+def test_positionwise_choices_match_per_prefix_sampling(pipeline):
     v = Vocab(("p", "a", "b", "</s>"), eos_id=3)
-    model = ScriptedModel(v, {(0,): 1, (0, 1): 2, (0, 2): 1})
-    tokens = (0, 2, 1, 3)
+    scripted = ScriptedModel(v, {(0,): 1, (0, 1): 2, (0, 2): 1})
+    cases = [(scripted, (0, 2, 1, 3), 0.0), (scripted, (0, 2, 1, 3), 0.7)]
+    # A draft-sampled response, so the target disagrees at some positions.
+    prompt = gen_arithmetic_task(9000, 2, pipeline.vocab).prompt.tokens
+    seq = prompt + tuple(rollout(pipeline.draft, prompt, 24, 0.2, RandomState(5)))
+    for model in (pipeline.target, pipeline.draft):
+        cases += [(model, seq, 0.0), (model, seq, 0.2)]
     state = RandomState(11)
-    for temp in (0.0, 0.7):
+    for model, tokens, temp in cases:
         st = None if temp == 0 else state
-        choices = positionwise_choices(model, tokens, temp, st)
-        assert choices[0] == -1
-        for i in range(1, len(tokens)):
-            assert choices[i] == sample_next(model, tokens[:i], st, temp)
+        expect = per_prefix_choices(model, tokens, temp, st)
         for start in range(len(tokens) + 1):
             assert positionwise_choices(model, tokens, temp, st, start=start) \
-                == choices[start:]
+                == expect[start:]
 
 
 def test_verify_decision_requires_consistency():
