@@ -11,7 +11,7 @@ from .lm import DataError, LanguageModel, LmOutput, TokenSequence, Vocab, softma
 from .sampling import RandomState, VerifyDecision, gumbel_noise, verify_token
 from .toymodels import NGramModel, PerturbSpec, ScriptedModel, make_draft, train_ngram
 from .tasks import Answer, Task, answers_equivalent, build_vocab, extract_answer, gen_arithmetic_task
-from .mining import MiningConfig, MismatchRecord, mine_important, mine_naive, mismatch_indices
+from .mining import MiningConfig, MismatchRecord, mine_important, mine_naive
 from .judge import FeatureConfig, JudgeModel, calibrate_threshold, grid_search_C, predict_importance, train_logreg
 from .engine import (CycleStats, EngineConfig, JudgePolicy, LosslessPolicy,
                      TopKPolicy, accepted_per_cycle, spec_decode)

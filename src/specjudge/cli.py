@@ -3,8 +3,10 @@
 Subcommands: gen-tasks, gen-corpus, mine, train-judge, decode, bench,
 record-trace.  Every command takes --seed, resolves models from spec
 strings or JSON files, and writes a manifest of its resolved
-configuration next to its output.  Exit codes: 0 success, 1 usage,
-2 data error, 3 remote error.
+configuration next to its output.  The list flags (--num-steps, --topk,
+--threshold) take non-empty comma lists.  Exit codes: 0 success, 1 usage
+(a malformed list included), 2 data error (an unwritable --out
+included), 3 remote error.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def resolve_model(spec_text: str, vocab, side: str = "target"):
                            name=_spec_value(spec, "name", str, "ngram"))
     if kind == "perturb":
         base = resolve_model(_spec_value(spec, "base"), vocab, side)
-        bias_raw = spec.get("bias", spec.get("bias_tokens", {}))
+        bias_raw = spec.get("bias", {})
         if isinstance(bias_raw, str):
             bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)
         if not isinstance(bias_raw, dict):
@@ -104,9 +106,8 @@ def resolve_model(spec_text: str, vocab, side: str = "target"):
             if tid is None:
                 raise DataError(f"bias token {token_text!r} not in vocab")
             bias[tid] = _spec_value(bias_raw, token_text, float)
-        sigma = _spec_value(spec, "sigma", float,
-                            _spec_value(spec, "noise_scale", float, 0.0))
-        pspec = PerturbSpec(noise_scale=sigma, bias_tokens=bias,
+        pspec = PerturbSpec(noise_scale=_spec_value(spec, "sigma", float, 0.0),
+                            bias_tokens=bias,
                             seed=_spec_value(spec, "seed", int, 0))
         return make_draft(base, pspec, name=_spec_value(spec, "name", str, "draft"))
     if kind == "trace":
@@ -129,12 +130,23 @@ def _manifest_options(args, skip=("func", "command")) -> dict:
             if k not in skip and not k.startswith("_")}
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+def _comma_list(cast):
+    """argparse type: a non-empty comma list of `cast` values, no empty items."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {cast.__name__}, got {text!r}") from None
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+def _models_and_tasks(args):
+    """Vocab, target, draft and tasks named by the shared model flags, in that order."""
+    vocab = build_vocab(args.max_value)
+    target = resolve_model(args.target_model, vocab, "target")
+    draft = resolve_model(args.draft_model, vocab, "draft")
+    return vocab, target, draft, load_tasks(args.tasks, vocab)
 
 
 def _engine_config(args) -> EngineConfig:
@@ -156,14 +168,13 @@ def _policies(args):
         if name == "lossless":
             policies.append(LosslessPolicy())
         elif name == "topk":
-            for k in _int_list(args.topk):
+            for k in args.topk:
                 policies.append(TopKPolicy(k))
         elif name == "judge":
             if not args.judge:
                 raise DataError("judge policy needs --judge <file>")
             judge = load_judge(args.judge)
-            taus = _float_list(args.threshold) if args.threshold else [judge.threshold]
-            for tau in taus:
+            for tau in args.threshold or [judge.threshold]:
                 policies.append(JudgePolicy(judge, threshold=tau))
         else:
             raise DataError(f"unknown policy {name!r}")
@@ -176,7 +187,7 @@ def cmd_gen_tasks(args) -> int:
     if args.count < 1:
         raise DataError("--count must be >= 1")
     vocab = build_vocab(args.max_value)
-    steps = _int_list(args.num_steps)
+    steps = args.num_steps
     tasks = [gen_arithmetic_task(args.seed + i, steps[i % len(steps)], vocab,
                                  args.max_value)
              for i in range(args.count)]
@@ -187,8 +198,10 @@ def cmd_gen_tasks(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    if args.variants < 1:
+        raise DataError("--variants must be >= 1")
     vocab = build_vocab(args.max_value)
-    lines = gen_corpus(vocab, num_steps_values=_int_list(args.num_steps),
+    lines = gen_corpus(vocab, num_steps_values=args.num_steps,
                        variants=args.variants, seed=args.seed,
                        max_value=args.max_value)
     with open(args.out, "w") as f:
@@ -200,10 +213,7 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    vocab = build_vocab(args.max_value)
-    target = resolve_model(args.target_model, vocab, "target")
-    draft = resolve_model(args.draft_model, vocab, "draft")
-    tasks = load_tasks(args.tasks, vocab)
+    vocab, target, draft, tasks = _models_and_tasks(args)
     cfg = _mining_config(args)
     generate = None
     if args.remote_url:
@@ -252,10 +262,7 @@ def cmd_train_judge(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    vocab = build_vocab(args.max_value)
-    target = resolve_model(args.target_model, vocab, "target")
-    draft = resolve_model(args.draft_model, vocab, "draft")
-    tasks = load_tasks(args.tasks, vocab)
+    vocab, target, draft, tasks = _models_and_tasks(args)
     policies = _policies(args)
     if len(policies) != 1:
         raise DataError("decode runs exactly one policy")
@@ -278,10 +285,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    vocab = build_vocab(args.max_value)
-    target = resolve_model(args.target_model, vocab, "target")
-    draft = resolve_model(args.draft_model, vocab, "draft")
-    tasks = load_tasks(args.tasks, vocab)
+    _, target, draft, tasks = _models_and_tasks(args)
     policies = _policies(args)
     rows = bench_mod.run_benchmark(tasks, draft, target, policies,
                                    _engine_config(args), seed=args.seed)
@@ -294,10 +298,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_record_trace(args) -> int:
-    vocab = build_vocab(args.max_value)
-    target = resolve_model(args.target_model, vocab, "target")
-    draft = resolve_model(args.draft_model, vocab, "draft")
-    tasks = load_tasks(args.tasks, vocab)
+    vocab, target, draft, tasks = _models_and_tasks(args)
     if not 0 <= args.task_index < len(tasks):
         raise DataError(f"task index {args.task_index} out of range")
     task = tasks[args.task_index]
@@ -323,6 +324,18 @@ def _add_common(p, model_flags=True):
         p.add_argument("--temperature", type=float, default=0.0)
 
 
+def _add_decode_flags(p):
+    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--max-tokens", type=int, default=256)
+    p.add_argument("--policy", default="lossless",
+                   help="comma list: lossless,topk,judge")
+    p.add_argument("--topk", type=_comma_list(int), default="1",
+                   help="comma list of K values for the topk policy")
+    p.add_argument("--judge", default=None)
+    p.add_argument("--threshold", type=_comma_list(float), default=None,
+                   help="comma list of judge thresholds")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specjudge",
                      description="lossy speculative decoding with a learned judge")
@@ -331,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-tasks", help="generate arithmetic tasks")
     _add_common(p, model_flags=False)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--num-steps", default="2,3")
+    p.add_argument("--num-steps", type=_comma_list(int), default="2,3")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_tasks)
 
     p = sub.add_parser("gen-corpus", help="generate the n-gram training corpus")
     _add_common(p, model_flags=False)
-    p.add_argument("--num-steps", default="2,3")
+    p.add_argument("--num-steps", type=_comma_list(int), default="2,3")
     p.add_argument("--variants", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
@@ -366,26 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="speculative decoding over a task set")
     _add_common(p)
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--max-tokens", type=int, default=256)
-    p.add_argument("--policy", default="lossless")
-    p.add_argument("--topk", default="1")
-    p.add_argument("--judge", default=None)
-    p.add_argument("--threshold", default=None)
+    _add_decode_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bench", help="accuracy/acceptance benchmark rows")
     _add_common(p)
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--max-tokens", type=int, default=256)
-    p.add_argument("--policy", default="lossless",
-                   help="comma list: lossless,topk,judge")
-    p.add_argument("--topk", default="1",
-                   help="comma list of K values for the topk policy")
-    p.add_argument("--judge", default=None)
-    p.add_argument("--threshold", default=None,
-                   help="comma list of judge thresholds")
+    _add_decode_flags(p)
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except RemoteError as e:
         print(f"remote error: {e}", file=sys.stderr)
         return 3
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

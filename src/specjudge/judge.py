@@ -228,7 +228,6 @@ class GridSearchResult:
     C: float
     val_auc: float
     aucs: dict[float, float] = field(default_factory=dict)
-    train: list = field(default_factory=list)
     validation: list = field(default_factory=list)
 
 
@@ -256,8 +255,7 @@ def grid_search_C(examples, split_seed: int = 0, cfg: FeatureConfig | None = Non
         if best is None or auc > best[0]:
             best = (auc, C, model)
     auc, C, model = best
-    return GridSearchResult(model=model, C=C, val_auc=auc, aucs=aucs,
-                            train=train, validation=val)
+    return GridSearchResult(model=model, C=C, val_auc=auc, aucs=aucs, validation=val)
 
 
 def calibrate_threshold(judge: JudgeModel, validation, target_recall: float = 0.90) -> float:

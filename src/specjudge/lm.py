@@ -83,9 +83,6 @@ class TokenSequence:
     def response(self) -> tuple[int, ...]:
         return self.tokens[self.prompt_len :]
 
-    def with_response(self, response) -> "TokenSequence":
-        return TokenSequence(self.prompt + tuple(response), self.prompt_len)
-
 
 @dataclass
 class LmOutput:
@@ -140,13 +137,13 @@ class LanguageModel:
             bad = next(t for t in tokens if not 0 <= t < size)
             raise DataError(f"token id {bad} out of range for vocab size {size}")
 
-    def forward_parallel(self, seq, start: int = 0) -> LmOutput:
-        """Evaluate rows start..len-1 of `seq` in one call.
+    def forward_parallel(self, tokens, start: int = 0) -> LmOutput:
+        """Evaluate rows start..len-1 of the token ids `tokens` in one call.
 
         Row i holds the logits predicting position i+1 and the hidden
         state encoding tokens[0..i]; it is returned at index i - start.
         """
-        tokens = tuple(seq.tokens) if isinstance(seq, TokenSequence) else tuple(seq)
+        tokens = tuple(tokens)
         self._check_tokens(tokens)
         if not 0 <= start < len(tokens):
             raise DataError(f"start {start} outside 0..{len(tokens) - 1}")
@@ -165,10 +162,3 @@ class LanguageModel:
         for j in range(n):
             logits[j], hidden[j] = self.next_logits_hidden(tokens[: start + j + 1])
         return logits, hidden
-
-    def greedy_next(self, context) -> int:
-        """Most likely next token id after `context` (lowest id on ties)."""
-        context = tuple(context)
-        self._check_tokens(context)
-        logits, _ = self.next_logits_hidden(context)
-        return argmax_token(logits)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, TokenSequence
+from .lm import DataError
 from .sampling import RandomState, positionwise_choices, rollout
 from .tasks import Answer, Task, answers_equivalent, extract_answer
 
@@ -101,16 +101,6 @@ def context_fingerprint(tokens) -> str:
     return hashlib.sha256(json.dumps(list(tokens)).encode()).hexdigest()[:16]
 
 
-def mismatch_indices(draft, seq: TokenSequence, temperature: float = 0.0,
-                     state: RandomState | None = None) -> list[int]:
-    """Absolute response positions where the draft disagrees with `seq`."""
-    if len(seq) <= seq.prompt_len:
-        return []
-    choices = positionwise_choices(draft, seq.tokens, temperature, state,
-                                   start=seq.prompt_len)
-    return [p for p, c in enumerate(choices, seq.prompt_len) if c != seq.tokens[p]]
-
-
 def _point_hidden(model, prefix) -> np.ndarray:
     _, hidden = model.next_logits_hidden(tuple(prefix))
     return hidden
@@ -137,7 +127,8 @@ def _generate(target, prefix, budget, cfg, target_generate):
     return rollout(target, prefix, budget, cfg.temperature, cfg.state)
 
 
-def _reference(task: Task, target, cfg: MiningConfig, target_generate):
+def _reference(task: Task, draft, target, cfg: MiningConfig, target_generate):
+    """Reference tokens, their answer, and the draft's choice at each position."""
     x = task.prompt.tokens
     y = tuple(_generate(target, x, task.max_response_len, cfg, target_generate))
     if not y:
@@ -145,7 +136,28 @@ def _reference(task: Task, target, cfg: MiningConfig, target_generate):
     alpha = extract_answer(y, target.vocab)
     if not alpha.is_number:
         raise TaskSkippedError(f"{task.task_id}: reference answer not parseable")
-    return x, y, alpha
+    # Prompt positions are never mined; their choices are left undefined.
+    choices = [-1] * len(x) + positionwise_choices(draft, x + y, cfg.temperature,
+                                                   cfg.state, start=len(x))
+    return x + y, alpha, choices
+
+
+def _label(task: Task, tokens, t, draft_token, alpha, draft, target, cfg,
+           target_generate):
+    """Swap `draft_token` in at position t, let the target finish, compare answers.
+
+    Returns the finished candidate sequence and the labeled record.
+    """
+    prompt_len = len(task.prompt.tokens)
+    branch = tokens[:t] + (draft_token,)
+    candidate = branch
+    if draft_token != target.vocab.eos_id:
+        budget = task.max_response_len - (t - prompt_len + 1)
+        candidate += tuple(_generate(target, branch, budget, cfg, target_generate))
+    alpha_hat = extract_answer(candidate[prompt_len:], target.vocab)
+    important = not answers_equivalent(alpha_hat, alpha)
+    return candidate, _record(task.task_id, tokens, t, draft_token, important,
+                              draft, target)
 
 
 def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
@@ -155,15 +167,11 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
     `target_generate`, when given, replaces local target generation (for
     remote backends); the target model is still used for hidden states.
     """
-    x, y, alpha = _reference(task, target, cfg, target_generate)
-    eos = target.vocab.eos_id
-    tokens = x + y
-    prompt_len = len(x)
-    cap = cfg.max_rollbacks if cfg.max_rollbacks is not None else 4 * len(y)
-
-    # Prompt positions are never mined; their choices are left undefined.
-    choices = [-1] * prompt_len + positionwise_choices(draft, tokens, cfg.temperature,
-                                                       cfg.state, start=prompt_len)
+    reference, alpha, choices = _reference(task, draft, target, cfg, target_generate)
+    tokens = reference
+    prompt_len = len(task.prompt.tokens)
+    cap = (cfg.max_rollbacks if cfg.max_rollbacks is not None
+           else 4 * (len(reference) - prompt_len))
     pending = [p for p in range(prompt_len, len(tokens)) if choices[p] != tokens[p]]
     records: list[MismatchRecord] = []
     rollbacks = 0
@@ -173,19 +181,10 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
             raise MiningBudgetError(
                 f"{task.task_id}: rollback cap {cap} exceeded", records)
         t = pending[0]
-        draft_token = choices[t]
-        branch = tokens[:t] + (draft_token,)
-        budget = task.max_response_len - (t - prompt_len + 1)
-        if draft_token == eos:
-            continuation = []
-        else:
-            continuation = _generate(target, branch, budget, cfg, target_generate)
-        candidate = branch + tuple(continuation)
-        alpha_hat = extract_answer(candidate[prompt_len:], target.vocab)
-        important = not answers_equivalent(alpha_hat, alpha)
-        records.append(_record(task.task_id, tokens, t, draft_token, important,
-                               draft, target))
-        if important:
+        candidate, record = _label(task, tokens, t, choices[t], alpha, draft, target,
+                                   cfg, target_generate)
+        records.append(record)
+        if record.important:
             pending = [p for p in pending if p > t]
         else:
             # Choices at positions <= t read only tokens[:t], which the swap
@@ -196,7 +195,7 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
                                                        cfg.state, start=t + 1)
             pending = [p for p in range(t + 1, len(tokens)) if choices[p] != tokens[p]]
     return MiningResult(task_id=task.task_id, records=records,
-                        reference_tokens=x + y, final_tokens=tokens,
+                        reference_tokens=reference, final_tokens=tokens,
                         reference_answer=alpha, prompt_len=prompt_len,
                         rollbacks=rollbacks)
 
@@ -204,28 +203,11 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
 def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
                target_generate=None) -> MiningResult:
     """Baseline labeling: test each mismatch in isolation, never adopting."""
-    x, y, alpha = _reference(task, target, cfg, target_generate)
-    eos = target.vocab.eos_id
-    tokens = x + y
-    prompt_len = len(x)
-    choices = [-1] * prompt_len + positionwise_choices(draft, tokens, cfg.temperature,
-                                                       cfg.state, start=prompt_len)
-    records = []
-    for t in range(prompt_len, len(tokens)):
-        draft_token = choices[t]
-        if draft_token == tokens[t]:
-            continue
-        branch = tokens[:t] + (draft_token,)
-        budget = task.max_response_len - (t - prompt_len + 1)
-        if draft_token == eos:
-            continuation = []
-        else:
-            continuation = _generate(target, branch, budget, cfg, target_generate)
-        alpha_hat = extract_answer((branch + tuple(continuation))[prompt_len:],
-                                   target.vocab)
-        important = not answers_equivalent(alpha_hat, alpha)
-        records.append(_record(task.task_id, tokens, t, draft_token, important,
-                               draft, target))
+    tokens, alpha, choices = _reference(task, draft, target, cfg, target_generate)
+    prompt_len = len(task.prompt.tokens)
+    records = [_label(task, tokens, t, choices[t], alpha, draft, target, cfg,
+                      target_generate)[1]
+               for t in range(prompt_len, len(tokens)) if choices[t] != tokens[t]]
     return MiningResult(task_id=task.task_id, records=records,
                         reference_tokens=tokens, final_tokens=tokens,
                         reference_answer=alpha, prompt_len=prompt_len)

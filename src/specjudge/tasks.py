@@ -168,24 +168,13 @@ def gen_arithmetic_task(seed: int, num_steps: int, vocab: Vocab | None = None,
     return task_from_chain(chain, vocab, f"arith-{seed}-{num_steps}", seed)
 
 
-def extract_answer(tokens_or_text, vocab: Vocab | None = None) -> Answer:
-    """Parse the integer after the last "final answer is" marker.
+def extract_answer(tokens, vocab: Vocab) -> Answer:
+    """Parse the integer after the last "final answer is" marker in token ids.
 
-    Accepts raw text, token texts, or token ids (ids need `vocab`).
     Missing marker, missing operand, or a non-integer operand all yield
     the no-answer value.
     """
-    if isinstance(tokens_or_text, str):
-        words = tokens_or_text.split()
-    else:
-        seq = list(tokens_or_text.tokens if isinstance(tokens_or_text, TokenSequence)
-                   else tokens_or_text)
-        if seq and isinstance(seq[0], int):
-            if vocab is None:
-                raise DataError("token ids need a vocab to extract an answer")
-            words = [vocab.id_to_text[t] for t in seq]
-        else:
-            words = [str(w) for w in seq]
+    words = [vocab.id_to_text[t] for t in tokens]
     marker = ("final", "answer", "is")
     for i in range(len(words) - 3, -1, -1):
         if tuple(words[i : i + 3]) == marker:

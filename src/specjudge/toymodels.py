@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, TokenSequence, Vocab, argmax_token
+from .lm import DataError, LanguageModel, Vocab, argmax_token
 from .sampling import (TAG_PERTURB, _fnv_feed_vec, _prefix_hash, _running_keys,
                        _unit_uniform_vec)
 
@@ -121,7 +121,7 @@ def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 
     model = NGramModel(vocab, order, smoothing, seed=seed, name=name)
     n = 0
     for seq in corpus:
-        tokens = seq.tokens if isinstance(seq, TokenSequence) else tuple(seq)
+        tokens = tuple(seq)
         model._check_tokens(tokens)
         model.observe(tokens)
         n += 1

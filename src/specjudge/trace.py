@@ -96,8 +96,8 @@ def record_trace(draft: LanguageModel, target: LanguageModel, seq: TokenSequence
         raise DataError("top_m must be in 1..|V|")
     if seq.prompt_len < 1 or len(seq) <= seq.prompt_len:
         raise DataError("trace needs a non-empty prompt and response")
-    d_out = draft.forward_parallel(seq)
-    t_out = target.forward_parallel(seq)
+    d_out = draft.forward_parallel(seq.tokens)
+    t_out = target.forward_parallel(seq.tokens)
     records = []
     for pos in range(seq.prompt_len, len(seq)):
         records.append(TraceRecord(

@@ -14,7 +14,8 @@ from specjudge import remote
 from specjudge.cli import main, resolve_model
 from specjudge.judge import load_judge
 from specjudge.lm import DataError
-from specjudge.mining import export_dataset, load_dataset
+from specjudge.mining import (TaskSkippedError, export_dataset, load_dataset,
+                              mine_naive)
 from specjudge.tasks import build_vocab, load_tasks
 from specjudge.trace import load_trace
 
@@ -85,6 +86,26 @@ def test_mine_writes_a_labeled_dataset(workdir, capsys):
     assert all(isinstance(r.important, bool) for r in records)
     assert all(r.draft_token != r.target_token for r in records)
     assert (workdir / "mined.jsonl.manifest.json").exists()
+
+
+def test_mine_naive_labels_each_mismatch_in_isolation(workdir):
+    out = workdir / "mined-naive.jsonl"
+    rc = main(["mine", *model_args(workdir), "--naive", "--out", str(out)])
+    assert rc == 0
+    vocab = build_vocab(9)
+    target = resolve_model(str(workdir / "target.json"), vocab)
+    draft = resolve_model(str(workdir / "draft.json"), vocab)
+    expected = []
+    for task in load_tasks(str(workdir / "tasks.jsonl"), vocab):
+        try:
+            expected += mine_naive(task, draft, target).records
+        except TaskSkippedError:
+            continue
+    assert expected
+    key = lambda r: (r.task_id, r.position, r.draft_token, r.important)
+    assert [key(r) for r in load_dataset(str(out))] == [key(r) for r in expected]
+    manifest = json.loads((workdir / "mined-naive.jsonl.manifest.json").read_text())
+    assert manifest["options"]["naive"] is True
 
 
 def test_decode_reports_per_task_results(workdir):
@@ -229,11 +250,38 @@ def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
 
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
-    out = tmp_path / "tasks.jsonl"
-    assert main(["gen-tasks", "--count", count, "--out", str(out)]) == 2
-    assert "data error: --count must be >= 1" in capsys.readouterr().err
+    for command, flag in (("gen-tasks", "--count"), ("gen-corpus", "--variants")):
+        out = tmp_path / f"{command}.out"
+        assert main([command, flag, count, "--out", str(out)]) == 2
+        assert f"data error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / f"{command}.out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-tasks", "--num-steps", "abc"],
+    ["gen-tasks", "--num-steps", ","],
+    ["gen-corpus", "--num-steps", "2,"],
+    ["bench", "--topk", "1,x"],
+    ["bench", "--threshold", ""],
+])
+def test_malformed_list_flag_is_a_usage_error(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "never.out"
+    extra = model_args(workdir) if argv[0] == "bench" else []
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *extra, "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: specjudge") and f"argument {argv[1]}" in err
     assert not out.exists()
-    assert not (tmp_path / "tasks.jsonl.manifest.json").exists()
+
+
+def test_unwritable_output_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "tasks.jsonl"
+    assert main(["gen-tasks", "--count", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error: ") and str(out) in err[0]
 
 
 def test_remote_mining_failure_exits_three(workdir, completions_server,

@@ -43,8 +43,6 @@ def test_token_sequence_boundary():
     assert len(seq) == 4
     assert seq.prompt == (1, 2)
     assert seq.response == (3, 0)
-    ext = seq.with_response((0, 3))
-    assert ext.tokens == (1, 2, 0, 3) and ext.prompt_len == 2
     with pytest.raises(DataError):
         TokenSequence((1, 2), prompt_len=3)
 
@@ -129,12 +127,6 @@ def test_forward_rows_ignore_later_tokens():
     np.testing.assert_array_equal(a.hidden[:3], b.hidden[:3])
 
 
-def test_greedy_next_is_argmax_of_logits():
-    model = tiny_model()
-    logits, _ = model.next_logits_hidden((0, 1))
-    assert model.greedy_next((0, 1)) == argmax_token(logits)
-
-
 def test_token_range_checked():
     model = tiny_model()
     with pytest.raises(DataError):
@@ -143,4 +135,4 @@ def test_token_range_checked():
         with pytest.raises(DataError):
             model.forward_parallel((0, 1), start)
     with pytest.raises(DataError):
-        model.greedy_next(())
+        model.forward_parallel(())

@@ -11,7 +11,7 @@ from specjudge.lm import TokenSequence
 from specjudge.mining import (MiningBudgetError, MiningConfig, MismatchRecord,
                               TaskSkippedError, context_fingerprint,
                               dataset_fingerprint, export_dataset, load_dataset,
-                              mine_important, mine_naive, mismatch_indices)
+                              mine_important, mine_naive)
 from specjudge.sampling import RandomState, rollout
 from specjudge.tasks import Answer, Task, extract_answer, gen_arithmetic_task
 from specjudge.toymodels import PerturbSpec, ScriptedModel, make_draft
@@ -113,11 +113,17 @@ def test_record_positions_strictly_increase(mined):
 
 
 def test_mismatch_indices_alignment(vocab):
+    """Choice i of positionwise_choices(start=p) predicts position p + i."""
     task, draft, target = filler_digit_pair(vocab)
-    response = rollout(target, task.prompt.tokens, task.max_response_len)
-    seq = TokenSequence(task.prompt.tokens + tuple(response), 1)
-    assert mismatch_indices(draft, seq) == [1]
-    assert mismatch_indices(target, seq) == []
+    prompt = task.prompt.tokens
+    tokens = prompt + tuple(rollout(target, prompt, task.max_response_len))
+
+    def mismatches(model):
+        choices = sampling.positionwise_choices(model, tokens, start=len(prompt))
+        return [p for p, c in enumerate(choices, len(prompt)) if c != tokens[p]]
+
+    assert mismatches(draft) == [1]
+    assert mismatches(target) == []
 
 
 def test_rollback_cap_raises_with_partial_records(vocab):
@@ -186,6 +192,25 @@ def test_suffix_recompute_equals_full_recompute(pipeline, monkeypatch, cfg):
     pairs = [(a, b) for x, y in zip(suffix, full) for a, b in zip(x.records, y.records)]
     assert len(pairs) == sum(len(r.records) for r in full) > 0
     assert all(_same_record(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("cfg", [MiningConfig(),
+                                 MiningConfig(temperature=0.3, state=RandomState(0))])
+def test_both_miners_label_the_first_mismatch_alike(pipeline, cfg):
+    """Before any swap is adopted, both miners run the same labeling step."""
+    compared = 0
+    for i in range(24):
+        task = gen_arithmetic_task(2000 + i, 2 + i % 2, pipeline.vocab)
+        try:
+            naive = mine_naive(task, pipeline.draft, pipeline.target, cfg)
+        except TaskSkippedError:
+            continue
+        important = mine_important(task, pipeline.draft, pipeline.target, cfg)
+        assert bool(naive.records) == bool(important.records)
+        if naive.records:
+            assert _same_record(naive.records[0], important.records[0])
+            compared += 1
+    assert compared > 0
 
 
 def test_generation_hook_replaces_local_target(pipeline):

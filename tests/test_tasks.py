@@ -46,7 +46,8 @@ def test_prompt_and_response_rendering():
         "Then", "10", "times", "2", "is", "20", ".",
         "The", "final", "answer", "is", "20", ".", "</s>",
     ]
-    assert extract_answer(" ".join(words)).value == 20
+    vocab = build_vocab()
+    assert extract_answer(vocab.encode(" ".join(words)), vocab).value == 20
     assert response_budget(chain) >= len(words)
 
 
@@ -85,12 +86,16 @@ def test_gen_arithmetic_task_is_deterministic():
 
 
 def test_extract_answer_uses_last_marker():
-    assert extract_answer("final answer is 3 oops final answer is 5 .").value == 5
-    assert extract_answer("the final answer is").value is None
-    assert extract_answer("final answer is Now").value is None
-    assert extract_answer("no marker here 7").value is None
-    with pytest.raises(DataError):
-        extract_answer([0, 1, 2])  # ids need a vocab
+    vocab = build_vocab()
+
+    def answer(text):
+        return extract_answer(vocab.encode(text), vocab).value
+
+    assert answer("final answer is 3 . Now final answer is 5 .") == 5
+    assert answer("The final answer is") is None
+    assert answer("final answer is Now") is None
+    assert answer("Start with 7 .") is None
+    assert answer("") is None
 
 
 def test_answers_equivalent_rules():

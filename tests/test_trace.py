@@ -37,8 +37,8 @@ def test_full_width_replay_is_bit_exact(pipeline, recorded):
 def test_replay_forward_parallel_zero_fills_the_prompt(pipeline, recorded):
     _, seq, trace = recorded
     _, t_rep = trace.replay_models(pipeline.vocab)
-    live = pipeline.target.forward_parallel(seq)
-    rep = t_rep.forward_parallel(seq)
+    live = pipeline.target.forward_parallel(seq.tokens)
+    rep = t_rep.forward_parallel(seq.tokens)
     start = seq.prompt_len - 1
     assert np.array_equal(rep.logits[:start], np.zeros_like(rep.logits[:start]))
     assert np.array_equal(rep.logits[start:], live.logits[start:])
