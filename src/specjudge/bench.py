@@ -65,8 +65,9 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
                seed: int = 0) -> BenchRow:
     """Decode every task under one policy and aggregate a report row.
 
-    A task whose decode fails is reported on stderr, counted as incorrect,
-    and tallied in the row's failure count; the run itself continues.
+    A task whose decode raises DataError is reported on stderr, counted as
+    incorrect, and tallied in the row's failure count; the run continues.
+    Any other exception is a bug, not a task failure, and ends the run.
     """
     tasks = list(tasks)
     if not tasks:

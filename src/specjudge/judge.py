@@ -4,9 +4,10 @@ Features come straight from mined mismatch records; which hidden vectors
 are used is a two-axis choice (encode the position before the mismatch or
 the draft token itself; take the draft model's state, the target's, or
 both concatenated).  Training is full-batch gradient descent with a
-backtracking line search, the L2 strength is grid-searched on a held-out
-task split, and the operating threshold is calibrated to a target recall
-on important tokens.
+backtracking line search whose trials evaluate the loss alone; the
+gradient is taken once per iteration, at the accepted step.  The L2
+strength is grid-searched on a held-out task split, and the operating
+threshold is calibrated to a target recall on important tokens.
 """
 
 from __future__ import annotations
@@ -130,26 +131,26 @@ def predict_importance(judge: JudgeModel, features) -> float:
     return e / (1.0 + e)
 
 
-def _loss_grad(X, y, w, b, C):
+def _loss(X, y, w, b, C):
+    """(mean log-loss + C/2 * ||w||^2, logits z); stable in both tails."""
     z = X @ w + b
-    # mean log-loss, numerically stable in both tails
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * C * float(w @ w)
-    p = np.empty_like(z)
-    pos = z >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    p[~pos] = e / (1.0 + e)
-    diff = p - y
-    grad_w = X.T @ diff / len(y) + C * w
-    grad_b = float(diff.mean())
-    return loss, grad_w, grad_b
+    loss = float((np.logaddexp(0.0, z) - y * z).sum() / len(y)) + 0.5 * C * float(w @ w)
+    return loss, z
+
+
+def _grad(X, y, w, z, C):
+    """Gradient of `_loss` in (w, b), from the logits z it returned."""
+    e = np.exp(-np.abs(z))
+    diff = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - y
+    return X.T @ diff / len(y) + C * w, float(diff.sum() / len(y))
 
 
 def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
                  cfg: FeatureConfig | None = None) -> JudgeModel:
     """Full-batch gradient descent with Armijo backtracking, from zeros.
 
-    Minimizes mean log-loss + C/2 * ||w||^2 (bias unregularized).  The
+    Minimizes mean log-loss + C/2 * ||w||^2 (bias unregularized); trials
+    evaluate the loss alone, the gradient only the accepted step.  The
     whole procedure is deterministic, so retraining on identical inputs
     reproduces identical parameters bit for bit.
     """
@@ -163,8 +164,9 @@ def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
     w = np.zeros(X.shape[1])
     b = 0.0
     step = 1.0
-    loss, gw, gb = _loss_grad(X, y, w, b, C)
+    loss, z = _loss(X, y, w, b, C)
     for _ in range(max_iters):
+        gw, gb = _grad(X, y, w, z, C)
         gnorm2 = float(gw @ gw) + gb * gb
         if np.sqrt(gnorm2) < tol:
             break
@@ -173,14 +175,14 @@ def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
         while step >= 1e-12:
             w2 = w - step * gw
             b2 = b - step * gb
-            loss2, gw2, gb2 = _loss_grad(X, y, w2, b2, C)
+            loss2, z2 = _loss(X, y, w2, b2, C)
             if loss2 <= loss - 1e-4 * step * gnorm2:
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
+        w, b, loss, z = w2, b2, loss2, z2
     return JudgeModel(weights=w, bias=b, feature_config=cfg, C=C)
 
 

@@ -48,9 +48,9 @@ class Vocab:
 
     def encode(self, text: str) -> list[int]:
         """Whitespace-tokenize `text`; unknown words are a data error."""
-        ids = []
+        ids, mapping = [], self.token_to_id
         for word in text.split():
-            tid = self.token_to_id.get(word)
+            tid = mapping.get(word)
             if tid is None:
                 raise DataError(f"unknown token {word!r}")
             ids.append(tid)

@@ -74,10 +74,10 @@ def _fnv_feed(h: int, value: int) -> int:
 
 
 def _prefix_hash(tag: int, seed: int, context) -> int:
-    h = _fnv_feed(_FNV_OFFSET, tag)
-    h = _fnv_feed(h, seed)
-    for t in context:
-        h = _fnv_feed(h, t)
+    h = _fnv_feed(_fnv_feed(_FNV_OFFSET, tag), seed)
+    p8 = _FNV_PRIME_POW[8]
+    for t in context:  # a byte-sized id folds inline, as in _fnv_feed
+        h = ((h ^ t) * p8) & _MASK64 if 0 <= t <= 0xFF else _fnv_feed(h, t)
     return h
 
 
@@ -94,15 +94,19 @@ def _running_keys(h: int, tokens) -> np.ndarray:
     return np.array(keys, dtype=np.uint64)
 
 
-def _fnv_feed_vec(h, values) -> np.ndarray:
+def _byte_width(n: int) -> int:
+    """Bytes that the ids 0..n-1 need, at least one."""
+    return max(1, ((n - 1).bit_length() + 7) // 8)
+
+
+def _fnv_feed_vec(h, values, nbytes: int) -> np.ndarray:
     """Vectorized _fnv_feed: absorb values into h elementwise, broadcasting.
 
-    Only the low bytes that the largest value needs are stepped; the zero
-    bytes above them fold into one multiply, as in _fnv_feed.
+    Only the low `nbytes` bytes are stepped, so every value must fit in
+    them; the zero bytes above fold into one multiply, as in _fnv_feed.
     """
     v = np.asarray(values, dtype=np.uint64)
     out = np.asarray(h, dtype=np.uint64)
-    nbytes = max(1, (int(v.max(initial=0)).bit_length() + 7) // 8)
     for _ in range(nbytes - 1):
         out = (out ^ (v & _BYTE)) * _PRIME_POW_U64[1]
         v = v >> _EIGHT
@@ -142,7 +146,7 @@ def gumbel_noise(key, n: int) -> np.ndarray:
     (n,) vector, an array of m keys an (m, n) array.
     """
     keys = np.asarray(key, dtype=np.uint64)[..., None]
-    u = _unit_uniform_vec(_fnv_feed_vec(keys, np.arange(n, dtype=np.uint64)))
+    u = _unit_uniform_vec(_fnv_feed_vec(keys, np.arange(n, dtype=np.uint64), _byte_width(n)))
     return -np.log(-np.log(u))
 
 

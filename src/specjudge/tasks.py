@@ -90,6 +90,8 @@ def sample_chain(rng: random.Random, num_steps: int, max_value: int = 99) -> Cha
     ops = []
     for j in range(num_steps - 1):
         choices = _legal_ops(value, max_value, final=j == num_steps - 2)
+        if not choices:
+            raise DataError(f"no chain step from {value} stays within max_value {max_value}")
         op, k = choices[rng.randrange(len(choices))]
         ops.append((op, k))
         value = value + k if op == "Add" else value * k
@@ -204,6 +206,8 @@ def gen_corpus(vocab: Vocab, num_steps_values=(2, 3), variants: int = 3,
                                     k=len(chain.ops))
                 words = prompt_words(chain) + response_words(chain, conns)
                 lines.append(vocab.encode(" ".join(words)))
+    if not lines:
+        raise DataError(f"no feasible chain within max_value {max_value}")
     return lines
 
 

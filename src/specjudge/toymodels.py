@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lm import DataError, LanguageModel, Vocab, argmax_token
-from .sampling import (TAG_PERTURB, _fnv_feed_vec, _prefix_hash, _running_keys,
-                       _unit_uniform_vec)
+from .sampling import (TAG_PERTURB, _byte_width, _fnv_feed_vec, _prefix_hash,
+                       _running_keys, _unit_uniform_vec)
 
 EMBED_DIM = 16
 _BOX_MULLER_STREAMS = np.arange(2, dtype=np.uint64).reshape(2, 1, 1)
@@ -51,10 +51,13 @@ class NGramModel(LanguageModel):
         return context[-w:] if w > 0 else ()
 
     def observe(self, tokens) -> None:
-        tokens = tuple(tokens)
+        tokens, w, counts = tuple(tokens), self.order - 1, self.counts
         for i in range(1, len(tokens)):
-            key = self._context_key(tokens[:i])
-            self.counts.setdefault(key, Counter())[tokens[i]] += 1
+            key = tokens[max(0, i - w):i] if w > 0 else ()
+            counter = counts.get(key)
+            if counter is None:  # a Counter only for a new context
+                counter = counts[key] = Counter()
+            counter[tokens[i]] += 1
 
     def next_probs(self, context: tuple[int, ...]) -> np.ndarray:
         key = self._context_key(tuple(context))
@@ -75,7 +78,7 @@ class NGramModel(LanguageModel):
         w = self.order - 1
         window = context[-w:] if w > 0 else ()
         if window:
-            emb = self.embedding[list(window)].mean(axis=0)
+            emb = self.embedding[list(window)].sum(axis=0) / len(window)
         else:
             emb = np.zeros(EMBED_DIM)
         entropy = float(-(probs * logits).sum())
@@ -106,10 +109,10 @@ class NGramModel(LanguageModel):
             full = min(max(start, w - 1), len(tokens))
             for i in range(start, full):
                 window = list(tokens[: i + 1])
-                hidden[i - start, :EMBED_DIM] = self.embedding[window].mean(axis=0)
+                hidden[i - start, :EMBED_DIM] = self.embedding[window].sum(axis=0) / (i + 1)
             if full < len(tokens):
                 idx = [tokens[i - w + 1:i + 1] for i in range(full, len(tokens))]
-                hidden[full - start:, :EMBED_DIM] = self.embedding[idx].mean(axis=1)
+                hidden[full - start:, :EMBED_DIM] = self.embedding[idx].sum(axis=1) / w
         hidden[:, EMBED_DIM] = -(probs * logits).sum(axis=1)
         hidden[:, EMBED_DIM + 1] = logits.max(axis=1)
         return logits, hidden
@@ -181,9 +184,9 @@ class PerturbedModel(LanguageModel):
         start %= len(tokens)
         keys = _running_keys(_prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1]),
                              tokens[start + 1:])
-        hi = _fnv_feed_vec(keys[:, None], self._ids)
+        hi = _fnv_feed_vec(keys[:, None], self._ids, _byte_width(len(self._ids)))
         # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
-        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, _BOX_MULLER_STREAMS))
+        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, _BOX_MULLER_STREAMS, 1))
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         delta = self._bias + sigma * z
         return delta if len(delta) > 1 else delta[0]

@@ -5,6 +5,7 @@ and 9 share module-scoped mining and frontier fixtures, so the suite stays
 inside its stated runtime budgets.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from specjudge.bench import run_policy
 from specjudge.engine import (EngineConfig, JudgePolicy, LosslessPolicy,
                               TopKPolicy, spec_decode)
-from specjudge.judge import _loss_grad, predict_importance, train_logreg
+from specjudge.judge import _grad, _loss, predict_importance, train_logreg
 from specjudge.judge import TrainingExample
 from specjudge.mining import (MiningConfig, TaskSkippedError, dataset_fingerprint,
                               mine_important, mine_naive)
@@ -177,12 +178,12 @@ def test_criterion_07_classifier_numerics():
         y = rng.integers(0, 2, size=n).astype(float)
         w, b = rng.normal(size=d), float(rng.normal())
         C = float(rng.choice([0.0, 1e-3, 0.5]))
-        _, gw, gb = _loss_grad(X, y, w, b, C)
-        fd = np.array([(_loss_grad(X, y, w + h * np.eye(d)[j], b, C)[0]
-                        - _loss_grad(X, y, w - h * np.eye(d)[j], b, C)[0])
+        gw, gb = _grad(X, y, w, _loss(X, y, w, b, C)[1], C)
+        fd = np.array([(_loss(X, y, w + h * np.eye(d)[j], b, C)[0]
+                        - _loss(X, y, w - h * np.eye(d)[j], b, C)[0])
                        / (2 * h) for j in range(d)])
-        fd_b = (_loss_grad(X, y, w, b + h, C)[0]
-                - _loss_grad(X, y, w, b - h, C)[0]) / (2 * h)
+        fd_b = (_loss(X, y, w, b + h, C)[0]
+                - _loss(X, y, w, b - h, C)[0]) / (2 * h)
         scale = max(1.0, float(np.linalg.norm(fd)), abs(fd_b))
         assert np.max(np.abs(gw - fd)) / scale < 1e-4
         assert abs(gb - fd_b) / scale < 1e-4
@@ -251,6 +252,14 @@ def test_criterion_10_mined_dataset_is_pinned(mined):
     assert len(mined.records) == 491
     assert sum(r.important for r in mined.records) == 223
     assert dataset_fingerprint(mined.records) == "55f17dc3e22264c1"
+
+
+def test_criterion_10_trained_judge_is_pinned(judged):
+    """The fixture's judge, bit for bit: the benchmark's `judge` digest."""
+    judge = judged.judge
+    h = hashlib.sha256(judge.weights.tobytes())
+    h.update(repr((judge.bias, judge.C, judge.threshold)).encode())
+    assert h.hexdigest()[:16] == "296d09fbaf219880"
 
 
 def records_equal(a, b):

@@ -73,6 +73,17 @@ def test_failed_task_is_counted_and_reported(pipeline, eval_tasks, bench_config,
     assert "decode failed" in err and "broken" in err
 
 
+def test_non_data_error_ends_the_run(pipeline, eval_tasks, bench_config):
+    class Broken(type(pipeline.target)):
+        def _rows(self, tokens, start):
+            raise RuntimeError("backend bug")
+
+    broken = Broken(pipeline.vocab, order=2, smoothing=1.0)
+    with pytest.raises(RuntimeError, match="backend bug"):
+        run_policy(eval_tasks[:2], pipeline.draft, broken, LosslessPolicy(),
+                   bench_config)
+
+
 def test_run_benchmark_sorts_rows(pipeline, eval_tasks, bench_config):
     policies = [TopKPolicy(k=4), LosslessPolicy(), TopKPolicy(k=1)]
     rows = run_benchmark(eval_tasks[:4], pipeline.draft, pipeline.target,

@@ -259,6 +259,19 @@ def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen-tasks", "--max-value", "3", "--count", "2"],
+    ["gen-corpus", "--max-value", "0"],
+])
+def test_infeasible_max_value_is_a_data_error(tmp_path, capsys, argv):
+    out = tmp_path / "never.out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["gen-tasks", "--num-steps", "abc"],
     ["gen-tasks", "--num-steps", ","],
     ["gen-corpus", "--num-steps", "2,"],

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge.judge import (C_GRID, CalibrationError, FeatureConfig, JudgeModel,
-                             TrainingError, TrainingExample, _loss_grad,
+                             TrainingError, TrainingExample, _grad, _loss,
                              build_examples, calibrate_threshold,
                              check_judge_compatible, expected_feature_dim,
                              grid_search_C, load_judge, predict_importance,
@@ -37,18 +38,67 @@ def test_gradient_matches_central_finite_differences():
         w = rng.normal(size=d)
         b = float(rng.normal())
         C = float(rng.choice([0.0, 1e-3, 0.5]))
-        _, gw, gb = _loss_grad(X, y, w, b, C)
+        gw, gb = _grad(X, y, w, _loss(X, y, w, b, C)[1], C)
         fd = np.empty(d)
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fd[j] = (_loss_grad(X, y, w + e, b, C)[0]
-                     - _loss_grad(X, y, w - e, b, C)[0]) / (2 * h)
-        fd_b = (_loss_grad(X, y, w, b + h, C)[0]
-                - _loss_grad(X, y, w, b - h, C)[0]) / (2 * h)
+            fd[j] = (_loss(X, y, w + e, b, C)[0]
+                     - _loss(X, y, w - e, b, C)[0]) / (2 * h)
+        fd_b = (_loss(X, y, w, b + h, C)[0]
+                - _loss(X, y, w, b - h, C)[0]) / (2 * h)
         scale = max(1.0, float(np.linalg.norm(fd)), abs(fd_b))
         assert np.max(np.abs(gw - fd)) / scale < 1e-4, f"case {case}"
         assert abs(gb - fd_b) / scale < 1e-4, f"case {case}"
+
+
+def reference_logreg(X, y, C, max_iters, tol=1e-8):
+    """The optimizer as it was first written: a gradient at every trial."""
+    def loss_grad(w, b):
+        z = X @ w + b
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * C * float(w @ w)
+        p = np.empty_like(z)
+        pos = z >= 0
+        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        p[~pos] = e / (1.0 + e)
+        diff = p - y
+        return loss, X.T @ diff / len(y) + C * w, float(diff.mean())
+
+    w, b, step = np.zeros(X.shape[1]), 0.0, 1.0
+    loss, gw, gb = loss_grad(w, b)
+    for _ in range(max_iters):
+        gnorm2 = float(gw @ gw) + gb * gb
+        if np.sqrt(gnorm2) < tol:
+            break
+        step = min(step * 2.0, 1e6)
+        improved = False
+        while step >= 1e-12:
+            w2, b2 = w - step * gw, b - step * gb
+            loss2, gw2, gb2 = loss_grad(w2, b2)
+            if loss2 <= loss - 1e-4 * step * gnorm2:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
+    return w, b
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
+       st.sampled_from([0.0, 1e-3, 1.0, 1e-7]), st.sampled_from([0, 1, 7, 60, 500]),
+       st.floats(0.1, 30.0))
+def test_train_logreg_equals_reference_bit_for_bit(seed, n, d, C, max_iters, scale):
+    rng = np.random.default_rng(seed)
+    X = scale * rng.normal(size=(n, d))  # large scales push z into both tails
+    y = np.arange(n) % 2 == 0  # both classes present
+    rng.shuffle(y)
+    model = train_logreg(make_examples(X, y), C, max_iters=max_iters)
+    w, b = reference_logreg(X, y.astype(float), C, max_iters)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == b and type(model.bias) is type(b)
 
 
 def test_separable_data_reaches_perfect_training_accuracy():

@@ -55,7 +55,9 @@ def test_prefix_hash_matches_bytewise_reference(tag, seed, context):
 @settings(deadline=None)
 @given(hashes, st.lists(unsigned, max_size=8))
 def test_fnv_feed_vec_matches_reference_1d(h, vals):
-    out = _fnv_feed_vec(h, np.array(vals, dtype=np.uint64))
+    # The width the largest value needs, as the callers pass it.
+    nbytes = max(1, (max(vals, default=0).bit_length() + 7) // 8)
+    out = _fnv_feed_vec(h, np.array(vals, dtype=np.uint64), nbytes)
     assert out.dtype == np.uint64 and out.shape == (len(vals),)
     assert [int(x) for x in out] == [ref_fnv_feed(h, v) for v in vals]
 
@@ -67,10 +69,10 @@ def test_fnv_feed_vec_matches_reference_2d_broadcast(hs, vals):
     # Negative int64 values wrap to uint64 exactly as the scalar mask does.
     h, v = np.array(hs, dtype=np.uint64), np.array(vals, dtype=np.int64)
     expect = [[ref_fnv_feed(hh, vv) for hh in hs] for vv in vals]
-    out = _fnv_feed_vec(h, v[:, None])  # values down the rows
+    out = _fnv_feed_vec(h, v[:, None], 8)  # values down the rows
     assert out.shape == (len(vals), len(hs))
     assert [[int(x) for x in row] for row in out] == expect
-    out = _fnv_feed_vec(h[:, None], v)  # hashes down the rows
+    out = _fnv_feed_vec(h[:, None], v, 8)  # hashes down the rows
     assert [[int(x) for x in row] for row in out.T] == expect
 
 

@@ -1,7 +1,10 @@
 """Toy backends: add-k n-gram, perturbed draft, scripted lookup models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, Vocab, softmax
 from specjudge.sampling import positionwise_choices, rollout
@@ -22,6 +25,29 @@ def test_ngram_add_k_probabilities_analytic():
                                atol=1e-12)
     logits, _ = model.next_logits_hidden((3,))  # unseen context: uniform
     np.testing.assert_allclose(softmax(logits), [0.25] * 4, atol=1e-12)
+
+
+def reference_counts(corpus, order):
+    """The per-position `setdefault` count loop, one Counter per position."""
+    counts = {}
+    for seq in corpus:
+        tokens = tuple(seq)
+        for i in range(1, len(tokens)):
+            key = tokens[:i][-(order - 1):] if order > 1 else ()
+            counts.setdefault(key, Counter())[tokens[i]] += 1
+    return counts
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=24), min_size=1,
+                max_size=8),
+       st.sampled_from([1, 3, 16]))
+def test_ngram_counts_match_per_position_reference(corpus, order):
+    model = train_ngram(small_vocab(), corpus, order=order, smoothing=0.5)
+    expect = reference_counts(corpus, order)
+    # keys in insertion order, each Counter's items in insertion order
+    assert [(k, list(c.items())) for k, c in model.counts.items()] == \
+        [(k, list(c.items())) for k, c in expect.items()]
 
 
 def test_ngram_context_window_is_order_minus_one():
