@@ -4,9 +4,9 @@ Subcommands: gen-tasks, gen-corpus, mine, train-judge, decode, bench,
 record-trace.  Every command takes --seed, resolves models from spec
 strings or JSON files, and writes a manifest of its resolved
 configuration next to its output.  The list flags (--num-steps, --topk,
---threshold) take non-empty comma lists.  Exit codes: 0 success, 1 usage
-(a malformed list included), 2 data error (an unwritable --out
-included), 3 remote error.
+--threshold, --policy) take non-empty comma lists.  Exit codes: 0
+success, 1 usage (a malformed list included), 2 data error (an
+unwritable --out included), 3 remote error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .sampling import RandomState, rollout
 from .tasks import (build_vocab, gen_corpus, gen_arithmetic_task, load_tasks,
                     save_tasks)
 from .toymodels import PerturbSpec, make_draft, train_ngram
-from .trace import load_trace, record_trace, save_trace
+from .trace import SIDES, ReplayModel, load_trace, record_trace, save_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,9 +111,12 @@ def resolve_model(spec_text: str, vocab, side: str = "target"):
                             seed=_spec_value(spec, "seed", int, 0))
         return make_draft(base, pspec, name=_spec_value(spec, "name", str, "draft"))
     if kind == "trace":
-        trace = load_trace(_spec_value(spec, "path"))
-        pair = trace.replay_models(vocab)
-        return pair[0] if spec.get("side", side) == "draft" else pair[1]
+        path = _spec_value(spec, "path")
+        side = _spec_value(spec, "side", str, side)
+        if side not in SIDES:
+            raise DataError(f"trace model spec side must be draft or target, "
+                            f"got {side!r}")
+        return ReplayModel(load_trace(path), vocab, side)
     raise DataError(f"unknown model kind {kind!r}")
 
 
@@ -141,6 +144,14 @@ def _comma_list(cast):
     return parse
 
 
+def policy(name: str) -> str:
+    """One --policy item: lossless, topk or judge."""
+    name = name.strip()
+    if name not in ("lossless", "topk", "judge"):
+        raise ValueError(f"unknown policy {name!r}")
+    return name
+
+
 def _models_and_tasks(args):
     """Vocab, target, draft and tasks named by the shared model flags, in that order."""
     vocab = build_vocab(args.max_value)
@@ -163,8 +174,7 @@ def _mining_config(args) -> MiningConfig:
 
 def _policies(args):
     policies = []
-    for name in args.policy.split(","):
-        name = name.strip()
+    for name in args.policy:
         if name == "lossless":
             policies.append(LosslessPolicy())
         elif name == "topk":
@@ -176,10 +186,6 @@ def _policies(args):
             judge = load_judge(args.judge)
             for tau in args.threshold or [judge.threshold]:
                 policies.append(JudgePolicy(judge, threshold=tau))
-        else:
-            raise DataError(f"unknown policy {name!r}")
-    if not policies:
-        raise DataError("no policies selected")
     return policies
 
 
@@ -298,17 +304,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_record_trace(args) -> int:
-    vocab, target, draft, tasks = _models_and_tasks(args)
+    _, target, draft, tasks = _models_and_tasks(args)
     if not 0 <= args.task_index < len(tasks):
         raise DataError(f"task index {args.task_index} out of range")
     task = tasks[args.task_index]
     response = rollout(target, task.prompt.tokens, task.max_response_len)
     seq = TokenSequence(task.prompt.tokens + tuple(response), len(task.prompt.tokens))
-    top_m = args.top_m if args.top_m > 0 else vocab.size
-    trace = record_trace(draft, target, seq, top_m)
-    save_trace(args.out, trace)
+    save_trace(args.out, record_trace(draft, target, seq))
     _write_manifest(args.out, "record-trace", _manifest_options(args))
-    print(f"recorded {len(trace.records)} positions to {args.out}")
+    print(f"recorded {len(seq.response)} positions to {args.out}")
     return 0
 
 
@@ -327,7 +331,7 @@ def _add_common(p, model_flags=True):
 def _add_decode_flags(p):
     p.add_argument("--window", type=int, default=64)
     p.add_argument("--max-tokens", type=int, default=256)
-    p.add_argument("--policy", default="lossless",
+    p.add_argument("--policy", type=_comma_list(policy), default="lossless",
                    help="comma list: lossless,topk,judge")
     p.add_argument("--topk", type=_comma_list(int), default="1",
                    help="comma list of K values for the topk policy")
@@ -393,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record-trace", help="record both models along one task")
     _add_common(p)
     p.add_argument("--task-index", type=int, default=0)
-    p.add_argument("--top-m", type=int, default=0,
-                   help="logits kept per position (0 means the full vocab)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_record_trace)
     return parser

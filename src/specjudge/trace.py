@@ -1,10 +1,17 @@
 """Record and replay model outputs along one sequence.
 
-A trace stores, for every response position, both models' prediction
-logits (top-m entries plus a uniform tail mass) and hidden states.  Replay
-backends serve exactly the recorded prefixes and refuse anything else, so
-offline work (mismatch extraction, feature assembly, verification) can run
-without the live models, and with top_m = |V| it is bit-exact.
+A trace holds, for each side (draft and target), the rows
+`prompt_len - 1 .. len - 1` of one `forward_parallel(tokens,
+start=prompt_len - 1)`: row j has the logits predicting position
+`prompt_len + j` and the hidden state encoding `tokens[:prompt_len + j]`.
+Replay serves the context `tokens[:c]` from row `c - prompt_len`, bit for
+bit, and refuses any context that is not a recorded prefix, so offline
+work (mismatch extraction, feature assembly, verification) can run
+without the live models.
+
+On disk a trace is a head line `{"tokens", "prompt_len"}` followed by one
+JSON line per side, draft then target, holding that side's model name and
+its logits and hidden rows.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, TokenSequence, softmax
+from .lm import DataError, LanguageModel, LmOutput, TokenSequence
+
+SIDES = ("draft", "target")
 
 
 class TraceDivergenceError(DataError):
@@ -22,100 +31,26 @@ class TraceDivergenceError(DataError):
 
 
 @dataclass
-class TopLogits:
-    """Top-m logits by probability plus the probability mass of the rest."""
-
-    entries: list[tuple[int, float]]  # (token id, logit), descending
-    tail_mass: float
-
-    @classmethod
-    def compress(cls, logits: np.ndarray, top_m: int) -> "TopLogits":
-        order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))[:top_m]
-        if top_m >= len(logits):
-            tail = 0.0
-        else:
-            probs = softmax(logits)
-            tail = float(max(0.0, 1.0 - probs[order].sum()))
-        return cls(entries=[(int(i), float(logits[i])) for i in order], tail_mass=tail)
-
-    def expand(self, vocab_size: int) -> np.ndarray:
-        """Reconstruct a full logits row, uniform over unretained tokens."""
-        if len(self.entries) >= vocab_size:
-            out = np.empty(vocab_size)
-            for i, l in self.entries:
-                out[i] = l
-            return out
-        top = np.array([l for _, l in self.entries])
-        log_z = _logsumexp(top) - np.log1p(-self.tail_mass)
-        share = max(self.tail_mass, 1e-300) / (vocab_size - len(self.entries))
-        out = np.full(vocab_size, float(np.log(share) + log_z))
-        for i, l in self.entries:
-            out[i] = l
-        return out
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
-
-
-@dataclass
-class TraceRecord:
-    """Both models' view of one response position."""
-
-    pos: int
-    token: int
-    draft_top: TopLogits  # predicts this position
-    target_top: TopLogits
-    draft_hidden: np.ndarray  # encodes this position
-    target_hidden: np.ndarray
-
-
-@dataclass
 class Trace:
     tokens: tuple[int, ...]
     prompt_len: int
-    vocab_size: int
-    top_m: int
-    draft_name: str
-    target_name: str
-    records: list[TraceRecord]
-    # Row prompt_len-1 hidden halves and the row past the final token,
-    # which no per-position record covers.
-    prompt_last_hidden: dict[str, np.ndarray]
-    final_top: dict[str, TopLogits]
+    names: dict[str, str]  # side -> recorded model's name
+    rows: dict[str, LmOutput]  # side -> forward rows prompt_len-1 .. len-1
 
     def replay_models(self, vocab) -> tuple["ReplayModel", "ReplayModel"]:
         return ReplayModel(self, vocab, "draft"), ReplayModel(self, vocab, "target")
 
 
-def record_trace(draft: LanguageModel, target: LanguageModel, seq: TokenSequence,
-                 top_m: int) -> Trace:
-    """Run both models over `seq` and capture every response position."""
-    if not 1 <= top_m <= target.vocab.size:
-        raise DataError("top_m must be in 1..|V|")
+def record_trace(draft: LanguageModel, target: LanguageModel,
+                 seq: TokenSequence) -> Trace:
+    """Run both models over `seq` and keep the rows from prompt_len - 1 on."""
     if seq.prompt_len < 1 or len(seq) <= seq.prompt_len:
         raise DataError("trace needs a non-empty prompt and response")
-    d_out = draft.forward_parallel(seq.tokens)
-    t_out = target.forward_parallel(seq.tokens)
-    records = []
-    for pos in range(seq.prompt_len, len(seq)):
-        records.append(TraceRecord(
-            pos=pos, token=seq.tokens[pos],
-            draft_top=TopLogits.compress(d_out.logits[pos - 1], top_m),
-            target_top=TopLogits.compress(t_out.logits[pos - 1], top_m),
-            draft_hidden=d_out.hidden[pos].copy(),
-            target_hidden=t_out.hidden[pos].copy(),
-        ))
-    last = len(seq) - 1
-    return Trace(
-        tokens=seq.tokens, prompt_len=seq.prompt_len, vocab_size=target.vocab.size,
-        top_m=top_m, draft_name=draft.name, target_name=target.name, records=records,
-        prompt_last_hidden={"draft": d_out.hidden[seq.prompt_len - 1].copy(),
-                            "target": t_out.hidden[seq.prompt_len - 1].copy()},
-        final_top={"draft": TopLogits.compress(d_out.logits[last], top_m),
-                   "target": TopLogits.compress(t_out.logits[last], top_m)},
-    )
+    models = dict(zip(SIDES, (draft, target)))
+    return Trace(tokens=seq.tokens, prompt_len=seq.prompt_len,
+                 names={s: m.name for s, m in models.items()},
+                 rows={s: m.forward_parallel(seq.tokens, start=seq.prompt_len - 1)
+                       for s, m in models.items()})
 
 
 class ReplayModel(LanguageModel):
@@ -127,107 +62,75 @@ class ReplayModel(LanguageModel):
     """
 
     def __init__(self, trace: Trace, vocab, side: str):
-        if side not in ("draft", "target"):
+        if side not in SIDES:
             raise DataError("side must be draft or target")
-        if vocab.size != trace.vocab_size:
+        self.recorded = trace.rows[side]
+        if vocab.size != self.recorded.logits.shape[1]:
             raise DataError("vocab size does not match trace")
         self.trace = trace
         self.vocab = vocab
-        self.side = side
-        self.name = f"replay-{trace.draft_name if side == 'draft' else trace.target_name}"
-        dim = len(trace.prompt_last_hidden[side])
-        self.hidden_dim = dim
-        self._by_pos = {r.pos: r for r in trace.records}
+        self.name = f"replay-{trace.names[side]}"
+        self.hidden_dim = self.recorded.hidden.shape[1]
 
-    def _record_top(self, rec: TraceRecord) -> TopLogits:
-        return rec.draft_top if self.side == "draft" else rec.target_top
-
-    def _record_hidden(self, rec: TraceRecord) -> np.ndarray:
-        return rec.draft_hidden if self.side == "draft" else rec.target_hidden
-
-    def next_logits_hidden(self, context):
-        context = tuple(context)
+    def _check_prefix(self, context: tuple[int, ...]) -> None:
         t = self.trace
         c = len(context)
         if c < t.prompt_len or c > len(t.tokens):
             raise TraceDivergenceError(f"context length {c} outside recorded range")
         if context != t.tokens[:c]:
             raise TraceDivergenceError("context diverges from the recorded sequence")
-        if c == len(t.tokens):
-            logits = t.final_top[self.side].expand(t.vocab_size)
-        else:
-            logits = self._record_top(self._by_pos[c]).expand(t.vocab_size)
-        if c - 1 == t.prompt_len - 1:
-            hidden = t.prompt_last_hidden[self.side]
-        else:
-            hidden = self._record_hidden(self._by_pos[c - 1])
-        return logits, hidden.copy()
+
+    def next_logits_hidden(self, context):
+        context = tuple(context)
+        self._check_prefix(context)
+        j = len(context) - self.trace.prompt_len
+        return self.recorded.logits[j].copy(), self.recorded.hidden[j].copy()
 
     def _rows(self, tokens, start):
-        first = max(start, self.trace.prompt_len - 1)
+        offset = self.trace.prompt_len - 1  # the first recorded row
+        first = max(start, offset)
         logits = np.zeros((len(tokens) - start, self.vocab.size))
         hidden = np.zeros((len(tokens) - start, self.hidden_dim))
         if first < len(tokens):
-            logits[first - start:], hidden[first - start:] = super()._rows(tokens, first)
+            self._check_prefix(tokens)
+            rows = slice(first - offset, len(tokens) - offset)
+            logits[first - start:] = self.recorded.logits[rows]
+            hidden[first - start:] = self.recorded.hidden[rows]
         return logits, hidden
 
 
 def save_trace(path: str, trace: Trace) -> None:
-    def top_json(t: TopLogits):
-        return {"top": [[i, l] for i, l in t.entries], "tail_mass": t.tail_mass}
-
     with open(path, "w") as f:
-        f.write(json.dumps({
-            "tokens": list(trace.tokens), "prompt_len": trace.prompt_len,
-            "vocab_size": trace.vocab_size, "top_m": trace.top_m,
-            "draft_name": trace.draft_name, "target_name": trace.target_name,
-            "prompt_last_hidden": {k: v.tolist() for k, v in trace.prompt_last_hidden.items()},
-            "final_top": {k: top_json(v) for k, v in trace.final_top.items()},
-        }) + "\n")
-        for r in trace.records:
-            f.write(json.dumps({
-                "pos": r.pos, "token": r.token,
-                "draft_top": [[i, l] for i, l in r.draft_top.entries],
-                "draft_tail_mass": r.draft_top.tail_mass,
-                "target_top": [[i, l] for i, l in r.target_top.entries],
-                "target_tail_mass": r.target_top.tail_mass,
-                "draft_hidden": r.draft_hidden.tolist(),
-                "target_hidden": r.target_hidden.tolist(),
-            }) + "\n")
+        f.write(json.dumps({"tokens": list(trace.tokens),
+                            "prompt_len": trace.prompt_len}) + "\n")
+        for side in SIDES:
+            f.write(json.dumps({"side": side, "name": trace.names[side],
+                                "logits": trace.rows[side].logits.tolist(),
+                                "hidden": trace.rows[side].hidden.tolist()}) + "\n")
 
 
 def load_trace(path: str) -> Trace:
-    def top_from(obj) -> TopLogits:
-        return TopLogits(entries=[(int(i), float(l)) for i, l in obj["top"]],
-                         tail_mass=float(obj["tail_mass"]))
-
     try:
         with open(path) as f:
-            head = json.loads(f.readline())
-            records = []
-            for line in f:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                records.append(TraceRecord(
-                    pos=int(row["pos"]), token=int(row["token"]),
-                    draft_top=TopLogits([(int(i), float(l)) for i, l in row["draft_top"]],
-                                        float(row["draft_tail_mass"])),
-                    target_top=TopLogits([(int(i), float(l)) for i, l in row["target_top"]],
-                                         float(row["target_tail_mass"])),
-                    draft_hidden=np.array(row["draft_hidden"], dtype=float),
-                    target_hidden=np.array(row["target_hidden"], dtype=float),
-                ))
-        return Trace(
-            tokens=tuple(head["tokens"]), prompt_len=int(head["prompt_len"]),
-            vocab_size=int(head["vocab_size"]), top_m=int(head["top_m"]),
-            draft_name=head["draft_name"], target_name=head["target_name"],
-            records=records,
-            prompt_last_hidden={k: np.array(v, dtype=float)
-                                for k, v in head["prompt_last_hidden"].items()},
-            final_top={k: top_from(v) for k, v in head["final_top"].items()},
-        )
+            head, *sides = [json.loads(line) for line in f if line.strip()]
+        tokens = tuple(int(t) for t in head["tokens"])
+        prompt_len = int(head["prompt_len"])
+        if not 1 <= prompt_len < len(tokens):
+            raise ValueError("trace needs a non-empty prompt and response")
+        if [s.get("side") for s in sides] != list(SIDES):
+            raise ValueError("expected one draft line and one target line after the head")
+        n_rows = len(tokens) - prompt_len + 1
+        rows = {}
+        for s in sides:
+            out = LmOutput(logits=np.array(s["logits"], dtype=float),
+                           hidden=np.array(s["hidden"], dtype=float))
+            if any(a.ndim != 2 or len(a) != n_rows for a in (out.logits, out.hidden)):
+                raise ValueError(f"{s['side']} logits and hidden must each be "
+                                 f"{n_rows} rows (len(tokens) - prompt_len + 1)")
+            rows[s["side"]] = out
+        return Trace(tokens=tokens, prompt_len=prompt_len,
+                     names={s["side"]: str(s["name"]) for s in sides}, rows=rows)
     except OSError as e:
         raise DataError(f"cannot read trace file {path}: {e}") from e
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
+    except (AttributeError, KeyError, ValueError, TypeError) as e:
         raise DataError(f"bad trace file {path}: {e}") from e

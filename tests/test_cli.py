@@ -146,6 +146,9 @@ def test_bench_emits_sorted_report(workdir, capsys):
         rows = list(csv.DictReader(f))
     assert [(r["policy"], r["param"]) for r in rows] \
         == [("lossless", ""), ("topk", "1"), ("topk", "2")]
+    manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
+    assert manifest["options"]["policy"] == ["lossless", "topk"]
+    assert manifest["options"]["topk"] == [2, 1]
     jsonl_out = workdir / "report.jsonl"
     rc = main(["bench", *model_args(workdir), "--policy", "lossless",
                "--window", "8", "--format", "jsonl", "--out", str(jsonl_out)])
@@ -156,13 +159,27 @@ def test_bench_emits_sorted_report(workdir, capsys):
 def test_record_trace_round_trips(workdir):
     out = workdir / "task1.trace"
     rc = main(["record-trace", *model_args(workdir), "--task-index", "1",
-               "--top-m", "0", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 0
     trace = load_trace(str(out))
     vocab = build_vocab(9)
-    assert trace.vocab_size == vocab.size
-    assert trace.top_m == vocab.size
-    assert trace.records
+    tasks = load_tasks(str(workdir / "tasks.jsonl"), vocab)
+    assert trace.tokens[:trace.prompt_len] == tasks[1].prompt.tokens
+    for side in ("draft", "target"):
+        rows = trace.rows[side]
+        assert rows.logits.shape == (len(trace.tokens) - trace.prompt_len + 1, vocab.size)
+        assert len(rows.hidden) == len(rows.logits)
+    # replaying the target's rows on both sides decodes the recorded response
+    one_task = workdir / "task1.jsonl"
+    one_task.write_text((workdir / "tasks.jsonl").read_text().splitlines()[1] + "\n")
+    replayed = workdir / "replayed.jsonl"
+    args = model_args(workdir)
+    args[args.index("--target-model") + 1] = f"trace:path={out}"
+    args[args.index("--draft-model") + 1] = f"trace:path={out},side=target"
+    args[args.index("--tasks") + 1] = str(one_task)
+    assert main(["decode", *args, "--window", "4", "--out", str(replayed)]) == 0
+    response = json.loads(replayed.read_text())["response"]
+    assert response == vocab.decode(trace.tokens[trace.prompt_len:])
     rc = main(["record-trace", *model_args(workdir), "--task-index", "99",
                "--out", str(workdir / "never3.trace")])
     assert rc == 2
@@ -204,6 +221,23 @@ def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader
     assert not os.path.exists(out)
 
 
+def test_old_format_trace_is_a_data_error(workdir, tmp_path, capsys):
+    path = tmp_path / "old.trace"
+    path.write_text(json.dumps({
+        "tokens": [1, 2, 3], "prompt_len": 2, "vocab_size": 4, "top_m": 4,
+        "draft_name": "draft", "target_name": "target",
+        "prompt_last_hidden": {"draft": [0.0], "target": [0.0]},
+        "final_top": {"draft": {"top": [[0, 1.0]], "tail_mass": 0.0},
+                      "target": {"top": [[0, 1.0]], "tail_mass": 0.0}}}) + "\n")
+    out = tmp_path / "never.jsonl"
+    args = model_args(workdir)
+    args[args.index("--target-model") + 1] = f"trace:path={path}"
+    assert main(["decode", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: bad trace file")
+    assert not out.exists()
+
+
 def test_missing_required_argument_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["gen-tasks", "--count", "2"])  # no --out
@@ -218,6 +252,7 @@ def test_missing_required_argument_exits_one():
     ("perturb:base={target},sigma=high", "bad model spec value sigma="),
     ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),
     ("trace:side=draft", "trace model spec needs path="),
+    ("trace:path={corpus},side=bogus", "side must be draft or target, got 'bogus'"),
 ])
 def test_bad_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec, message):
     spec = spec.format(corpus=workdir / "corpus.txt", target=workdir / "target.json")
@@ -277,6 +312,8 @@ def test_infeasible_max_value_is_a_data_error(tmp_path, capsys, argv):
     ["gen-corpus", "--num-steps", "2,"],
     ["bench", "--topk", "1,x"],
     ["bench", "--threshold", ""],
+    ["bench", "--policy", "lossless,"],
+    ["bench", "--policy", "bogus"],
 ])
 def test_malformed_list_flag_is_a_usage_error(workdir, tmp_path, capsys, argv):
     out = tmp_path / "never.out"

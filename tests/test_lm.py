@@ -114,7 +114,7 @@ def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
     for model in models:
         _assert_rows_match_steps(model, tokens, range(len(tokens)))
     if prompt_len < len(tokens):
-        trace = record_trace(models[2], base, TokenSequence(tokens, prompt_len), top_m=v.size)
+        trace = record_trace(models[2], base, TokenSequence(tokens, prompt_len))
         for replay in trace.replay_models(v):
             _assert_rows_match_steps(replay, tokens, range(prompt_len - 1, len(tokens)))
 

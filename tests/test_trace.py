@@ -1,15 +1,17 @@
 """Trace capture and replay: exactness, divergence refusal, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
-from specjudge.lm import DataError, TokenSequence, softmax
+from specjudge.lm import DataError, TokenSequence
 from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import rollout
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbSpec, make_draft
-from specjudge.trace import (ReplayModel, TopLogits, TraceDivergenceError,
-                             load_trace, record_trace, save_trace)
+from specjudge.trace import (ReplayModel, TraceDivergenceError, load_trace,
+                             record_trace, save_trace)
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +20,7 @@ def recorded(pipeline):
     prompt = task.prompt.tokens
     response = rollout(pipeline.target, prompt, task.max_response_len)
     seq = TokenSequence(prompt + tuple(response), len(prompt))
-    trace = record_trace(pipeline.draft, pipeline.target, seq,
-                         top_m=pipeline.vocab.size)
+    trace = record_trace(pipeline.draft, pipeline.target, seq)
     return task, seq, trace
 
 
@@ -45,24 +46,9 @@ def test_replay_forward_parallel_zero_fills_the_prompt(pipeline, recorded):
     assert np.array_equal(rep.hidden[start:], live.hidden[start:])
 
 
-def test_compressed_trace_preserves_top_probabilities(pipeline, recorded):
-    _, seq, _ = recorded
-    trace_small = record_trace(pipeline.draft, pipeline.target, seq, top_m=3)
-    for rec in trace_small.records:
-        live_logits, _ = pipeline.target.next_logits_hidden(seq.tokens[:rec.pos])
-        live_probs = softmax(live_logits)
-        expanded = softmax(rec.target_top.expand(pipeline.vocab.size))
-        kept = [i for i, _ in rec.target_top.entries]
-        np.testing.assert_allclose(expanded[kept], live_probs[kept], rtol=1e-9)
-        rest = np.delete(expanded, kept)
-        assert np.ptp(rest) < 1e-15  # uniform tail
-        assert int(np.argmax(expanded)) == int(np.argmax(live_logits))
-
-
 def test_greedy_replay_reproduces_the_recorded_response(pipeline, recorded):
-    _, seq, _ = recorded
-    trace_small = record_trace(pipeline.draft, pipeline.target, seq, top_m=3)
-    _, t_rep = trace_small.replay_models(pipeline.vocab)
+    _, seq, trace = recorded
+    _, t_rep = trace.replay_models(pipeline.vocab)
     replayed = rollout(t_rep, seq.prompt, len(seq.response))
     assert tuple(replayed) == seq.response
 
@@ -78,6 +64,17 @@ def test_replay_refuses_divergent_contexts(pipeline, recorded):
     wrong[-1] = (wrong[-1] + 1) % pipeline.vocab.size
     with pytest.raises(TraceDivergenceError):
         t_rep.next_logits_hidden(tuple(wrong))
+
+
+def test_replay_forward_parallel_refuses_divergent_sequences(pipeline, recorded):
+    _, seq, trace = recorded
+    _, t_rep = trace.replay_models(pipeline.vocab)
+    wrong = list(seq.tokens)
+    wrong[seq.prompt_len + 1] = (wrong[seq.prompt_len + 1] + 1) % pipeline.vocab.size
+    with pytest.raises(TraceDivergenceError):
+        t_rep.forward_parallel(tuple(wrong), start=seq.prompt_len - 1)
+    with pytest.raises(TraceDivergenceError):
+        t_rep.forward_parallel(seq.tokens + (0,))  # past the horizon
 
 
 def test_replay_serves_the_row_after_the_final_token(pipeline, recorded):
@@ -96,7 +93,7 @@ def test_zero_noise_mining_matches_between_live_and_replay(pipeline):
     prompt = task.prompt.tokens
     response = rollout(pipeline.target, prompt, task.max_response_len)
     seq = TokenSequence(prompt + tuple(response), len(prompt))
-    trace = record_trace(clone, pipeline.target, seq, top_m=vocab.size)
+    trace = record_trace(clone, pipeline.target, seq)
     d_rep, t_rep = trace.replay_models(vocab)
 
     live = mine_important(task, clone, pipeline.target, MiningConfig())
@@ -117,41 +114,30 @@ def test_trace_round_trip_and_byte_stability(tmp_path, recorded):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.tokens == trace.tokens
     assert loaded.prompt_len == trace.prompt_len
-    assert loaded.top_m == trace.top_m
-    assert len(loaded.records) == len(trace.records)
-    for a, b in zip(loaded.records, trace.records):
-        assert a.pos == b.pos and a.token == b.token
-        assert a.target_top.entries == b.target_top.entries
-        assert np.array_equal(a.draft_hidden, b.draft_hidden)
-    a_final = loaded.final_top["target"]
-    b_final = trace.final_top["target"]
-    assert a_final.entries == b_final.entries
-    assert a_final.tail_mass == b_final.tail_mass
+    assert loaded.names == trace.names
+    for side in ("draft", "target"):
+        assert np.array_equal(loaded.rows[side].logits, trace.rows[side].logits)
+        assert np.array_equal(loaded.rows[side].hidden, trace.rows[side].hidden)
     (tmp_path / "bad.trace").write_text("{\"tokens\": [1, 2]}\n")
     with pytest.raises(DataError):
         load_trace(str(tmp_path / "bad.trace"))
 
 
+def test_trace_rows_must_cover_the_response(tmp_path, recorded):
+    _, _, trace = recorded
+    path = tmp_path / "short.trace"
+    save_trace(str(path), trace)
+    head, draft, target = [json.loads(line) for line in path.read_text().splitlines()]
+    target["logits"] = target["logits"][:-1]  # one row short
+    path.write_text("".join(json.dumps(o) + "\n" for o in (head, draft, target)))
+    with pytest.raises(DataError, match=r"len\(tokens\) - prompt_len \+ 1"):
+        load_trace(str(path))
+
+
 def test_record_trace_validation(pipeline, recorded):
     _, seq, trace = recorded
-    with pytest.raises(DataError):
-        record_trace(pipeline.draft, pipeline.target, seq, top_m=0)
-    with pytest.raises(DataError):
-        record_trace(pipeline.draft, pipeline.target, seq,
-                     top_m=pipeline.vocab.size + 1)
     prompt_only = TokenSequence(seq.prompt, len(seq.prompt))
     with pytest.raises(DataError):
-        record_trace(pipeline.draft, pipeline.target, prompt_only,
-                     top_m=pipeline.vocab.size)
+        record_trace(pipeline.draft, pipeline.target, prompt_only)
     with pytest.raises(DataError):
         ReplayModel(trace, pipeline.vocab, "bogus")
-
-
-def test_toplogits_compress_orders_by_probability():
-    logits = np.array([0.5, 2.0, 2.0, -1.0])
-    top = TopLogits.compress(logits, 3)
-    assert [i for i, _ in top.entries] == [1, 2, 0]  # ties by lowest id
-    assert top.tail_mass == pytest.approx(float(softmax(logits)[3]))
-    full = TopLogits.compress(logits, 4)
-    assert full.tail_mass == 0.0
-    assert np.array_equal(full.expand(4), logits)
