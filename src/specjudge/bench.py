@@ -21,8 +21,9 @@ from .tasks import Answer, Task, answers_equivalent, extract_answer
 
 REPORT_COLUMNS = ("policy", "param", "accuracy", "accepted_per_cycle",
                   "cycles", "tokens", "seed")
-# JSON lines also carry the failure count; the CSV keeps its seven columns.
-JSONL_COLUMNS = REPORT_COLUMNS + ("failures",)
+# JSON lines also carry the failure and drafted-token counts; the CSV keeps
+# its seven columns.
+JSONL_COLUMNS = REPORT_COLUMNS + ("failures", "drafted")
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class BenchRow:
     tokens: int
     seed: int
     failures: int = 0  # tasks whose decode raised; counted as incorrect
+    drafted: int = 0  # draft tokens proposed over the decoded tasks
 
 
 def policy_label(policy) -> tuple[str, str]:
@@ -90,7 +92,8 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
     apc = accepted_per_cycle(cycles) if cycles else 0.0
     return BenchRow(policy=name, param=param, accuracy=correct / len(tasks),
                     accepted_per_cycle=apc, cycles=len(cycles), tokens=tokens,
-                    seed=seed, failures=failures)
+                    seed=seed, failures=failures,
+                    drafted=sum(c.drafted for c in cycles))
 
 
 def _row_order(row: BenchRow):

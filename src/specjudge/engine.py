@@ -42,20 +42,22 @@ class TopKPolicy:
 class JudgePolicy:
     """Keep a disagreeing draft token if the judge calls it unimportant.
 
-    The last drafted position is always handed back to the target: its
-    draft-side encoding would need one extra draft pass at inference, so
-    judging there is disallowed by construction.
+    The last drafted position is always handed back to the target: a
+    drafting model encodes a prefix only by drafting after it, and nothing
+    is drafted after the window, so judging there is disallowed by
+    construction.
     """
 
     judge: JudgeModel
     threshold: float | None = None  # defaults to the judge's calibrated value
 
+    def __post_init__(self):
+        if not 0.0 < self.tau < 1.0:
+            raise DataError("judge threshold must lie strictly inside (0, 1)")
+
     @property
     def tau(self) -> float:
-        tau = self.judge.threshold if self.threshold is None else self.threshold
-        if not 0.0 < tau < 1.0:
-            raise DataError("judge threshold must lie strictly inside (0, 1)")
-        return tau
+        return self.judge.threshold if self.threshold is None else self.threshold
 
 
 Policy = LosslessPolicy | TopKPolicy | JudgePolicy
@@ -92,17 +94,15 @@ class CycleStats:
 
 @dataclass
 class DraftWindow:
-    """Drafted tokens plus the draft model's hidden rows over the window.
+    """Drafted tokens plus the Gumbel rows that chose them.
 
-    `hidden[i]` is the draft's hidden state for `context + tokens[:i]`, the
-    step that drafted `tokens[i]`, so there are `len(tokens)` rows.  No row
-    encodes the whole window: the judge never scores the last position, so
-    the draft step after it is never run.  `noise[i]` is the Gumbel row
-    drawn at that prefix when sampled; greedy windows draw none.
+    `noise[i]` is the Gumbel row drawn at `context + tokens[:i]`, the step
+    that drafted `tokens[i]`, when sampled; greedy windows draw none.  The
+    draft steps read logits only: the judge asks the draft for its hidden
+    rows at the positions it scores.
     """
 
     tokens: list[int]
-    hidden: list[np.ndarray]
     noise: list[np.ndarray]
 
 
@@ -140,8 +140,9 @@ def _in_top_k(logits, token: int, k: int) -> bool:
     return rank < k
 
 
-def verify_window(target: LanguageModel, context, window: DraftWindow,
-                  policy: Policy, config: EngineConfig) -> VerifyOutcome:
+def verify_window(draft: LanguageModel, target: LanguageModel, context,
+                  window: DraftWindow, policy: Policy,
+                  config: EngineConfig) -> VerifyOutcome:
     """Verify a drafted window in one target pass, left to right.
 
     The pass has W+1 rows, indexed from the window start: row i holds the
@@ -149,7 +150,9 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     0..W-1 are chosen in one vectorized step, sampled ones with the Gumbel
     rows the draft drew at the same prefixes.  The first upheld rejection
     truncates the window and emits the target's own choice; a fully
-    accepted window yields a bonus token unless it ends the sequence.
+    accepted window yields a bonus token unless it ends the sequence.  Only
+    the judge reads the draft here: one two-row draft pass per position it
+    scores.
     """
     context = tuple(context)
     if not context:
@@ -157,8 +160,8 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
     if not window.tokens:
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
-    n = len(window.tokens)
-    out = target.forward_parallel(full, start=len(context) - 1)
+    n, c = len(window.tokens), len(context)
+    out = target.forward_parallel(full, start=c - 1)
     logits, hidden = out.logits, out.hidden
     eos = target.vocab.eos_id
     temp, state = config.temperature, config.state
@@ -181,9 +184,9 @@ def verify_window(target: LanguageModel, context, window: DraftWindow,
             keep = _in_top_k(logits[j], drafted, policy.k)
         elif isinstance(policy, JudgePolicy) and j < n - 1:
             # Position j is scored by the rows with and without tokens[j].
+            prev, cur = draft.forward_parallel(full[:c + j + 1], start=c + j - 1).hidden
             feats = assemble_features(policy.judge.feature_config,
-                                      window.hidden[j + 1], hidden[j + 1],
-                                      window.hidden[j], hidden[j])
+                                      cur, hidden[j + 1], prev, hidden[j])
             keep = predict_importance(policy.judge, feats) < policy.tau
         if keep:
             overrides += 1
@@ -217,7 +220,6 @@ def spec_decode(prompt, draft: LanguageModel, target: LanguageModel,
         raise DataError("draft and target vocabularies do not match")
     if isinstance(policy, JudgePolicy):
         check_judge_compatible(policy.judge, draft, target)
-        policy.tau  # validate eagerly
     eos = target.vocab.eos_id
     tokens = list(prompt)
     cycles: list[CycleStats] = []
@@ -225,7 +227,7 @@ def spec_decode(prompt, draft: LanguageModel, target: LanguageModel,
     while emitted < config.max_tokens and (emitted == 0 or tokens[-1] != eos):
         remaining = config.max_tokens - emitted
         window = draft_window(draft, tokens, min(config.window, remaining), config)
-        outcome = verify_window(target, tokens, window, policy, config)
+        outcome = verify_window(draft, target, tokens, window, policy, config)
         emit = list(window.tokens[: outcome.accepted])
         stats = outcome.stats
         if outcome.replacement is not None:

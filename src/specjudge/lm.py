@@ -1,11 +1,14 @@
 """Core language-model contract shared by every backend.
 
-A model is a pure function of its token context: one abstract primitive
-(`next_logits_hidden`) yields the next-token logits and the hidden state
-encoding the consumed prefix.  A parallel forward evaluates many rows of
-one sequence in one call; backends may override its row hook with a
-vectorized evaluation, and the tests hold every such override equal, bit
-for bit, to the position-wise collection of the primitive.
+A model is a pure function of its token context with two per-step
+methods: the abstract primitive `next_logits_hidden` yields the next-token
+logits and the hidden state encoding the consumed prefix, and
+`next_logits` yields the logits alone, so drafting and rollouts build no
+hidden state that nothing reads.  Hidden rows come from a parallel
+forward, which evaluates many rows of one sequence in one call; backends
+may override its row hook with a vectorized evaluation, and the tests
+hold every such override, and every `next_logits`, equal bit for bit to
+the primitive.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ class LanguageModel:
     Subclasses implement `next_logits_hidden(context)`: given a non-empty
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
+    Backends with a cheaper logits-only step override `next_logits`.
     """
 
     name: str = "model"
@@ -128,6 +132,10 @@ class LanguageModel:
 
     def next_logits_hidden(self, context: tuple[int, ...]):
         raise NotImplementedError
+
+    def next_logits(self, context: tuple[int, ...]) -> np.ndarray:
+        """The logits of `next_logits_hidden(context)`, without the hidden state."""
+        return self.next_logits_hidden(context)[0]
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

@@ -172,19 +172,20 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
 
 def autoregress(model, context, max_new: int, temperature: float = 0.0,
                 state: RandomState | None = None):
-    """(tokens, hidden rows, Gumbel rows) of up to `max_new` seeded choices.
+    """(tokens, Gumbel rows) of up to `max_new` seeded choices.
 
-    Stops after end-of-sequence.  Row i of each list is the step at
-    context + tokens[:i]; greedy steps draw no Gumbel rows.  Each choice
-    feeds a running Gumbel key, and the context is validated once.
+    Stops after end-of-sequence.  Row i of the Gumbel rows is the one
+    drawn at context + tokens[:i]; greedy steps draw none.  Each step reads
+    only the model's logits, each choice feeds a running Gumbel key, and
+    the context is validated once.
     """
     tokens = tuple(context)
     model._check_tokens(tokens)
     key = gumbel_key(state, tokens) if temperature > 0 else None
-    out, hidden, noise = [], [], []
+    out, noise = [], []
     eos = model.vocab.eos_id
     for _ in range(max_new):
-        logits, hid = model.next_logits_hidden(tokens)
+        logits = model.next_logits(tokens)
         if key is None:
             t = argmax_token(logits)
         else:
@@ -193,10 +194,9 @@ def autoregress(model, context, max_new: int, temperature: float = 0.0,
             key = _fnv_feed(key, t)
         tokens += (t,)
         out.append(t)
-        hidden.append(hid)
         if t == eos:
             break
-    return out, hidden, noise
+    return out, noise
 
 
 def rollout(model, context, max_new: int, temperature: float = 0.0,

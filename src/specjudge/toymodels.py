@@ -71,6 +71,9 @@ class NGramModel(LanguageModel):
             total += sum(counter.values())
         return probs / total
 
+    def next_logits(self, context):
+        return np.log(self.next_probs(context))
+
     def next_logits_hidden(self, context):
         context = tuple(context)
         probs = self.next_probs(context)
@@ -190,6 +193,9 @@ class PerturbedModel(LanguageModel):
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         delta = self._bias + sigma * z
         return delta if len(delta) > 1 else delta[0]
+
+    def next_logits(self, context):
+        return self.base.next_logits(context) + self._delta(context)
 
     def next_logits_hidden(self, context):
         context = tuple(context)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from specjudge.bench import (REPORT_COLUMNS, BenchRow, emit_report,
+from specjudge.bench import (REPORT_COLUMNS, BenchRow, decode_task, emit_report,
                              policy_label, run_benchmark, run_policy)
 from specjudge.engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
 from specjudge.lm import DataError, TokenSequence
@@ -109,7 +109,7 @@ def sample_rows():
     return [
         BenchRow(policy="lossless", param="", accuracy=1.0,
                  accepted_per_cycle=5.072463768115942, cycles=69, tokens=350,
-                 seed=0),
+                 seed=0, drafted=412),
         BenchRow(policy="judge", param="0.3", accuracy=0.975,
                  accepted_per_cycle=5.5, cycles=64, tokens=352, seed=0),
     ]
@@ -127,8 +127,20 @@ def test_jsonl_report_carries_every_column():
     lines = emit_report(rows, fmt="jsonl").splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
-    assert set(first) == set(REPORT_COLUMNS) | {"failures"}
+    assert set(first) == set(REPORT_COLUMNS) | {"failures", "drafted"}
     assert first["accepted_per_cycle"] == rows[0].accepted_per_cycle
+    assert first["drafted"] == rows[0].drafted
+
+
+def test_drafted_sums_the_cycle_stats(pipeline, eval_tasks, bench_config):
+    tasks = eval_tasks[:6]
+    for policy in (LosslessPolicy(), TopKPolicy(k=2)):
+        row = run_policy(tasks, pipeline.draft, pipeline.target, policy,
+                         bench_config)
+        cycles = [c for task in tasks
+                  for c in decode_task(task, pipeline.draft, pipeline.target,
+                                       policy, bench_config)[0].cycles]
+        assert row.drafted == sum(c.drafted for c in cycles) > row.cycles
 
 
 def test_failures_reach_jsonl_and_leave_the_csv_unchanged():

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specjudge import remote
 from specjudge.cli import main, resolve_model
-from specjudge.judge import load_judge
+from specjudge.judge import FeatureConfig, JudgeModel, load_judge, save_judge
 from specjudge.lm import DataError
 from specjudge.mining import (TaskSkippedError, export_dataset, load_dataset,
                               mine_naive)
@@ -134,6 +135,22 @@ def test_judge_policy_without_judge_file_is_a_data_error(workdir, capsys):
                "--out", str(workdir / "never2.jsonl")])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_bad_judge_threshold_is_one_data_error(workdir, tmp_path, capsys, command):
+    judge = tmp_path / "judge.json"
+    # 37 weights: the draft's 19 hidden features and the target's 18.
+    save_judge(str(judge), JudgeModel(weights=np.zeros(37), bias=0.0,
+                                      feature_config=FeatureConfig(), C=1.0))
+    out = tmp_path / "never.out"
+    rc = main([command, *model_args(workdir), "--policy", "judge",
+               "--judge", str(judge), "--threshold", "1.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() \
+        == ["data error: judge threshold must lie strictly inside (0, 1)"]
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
 
 
 def test_bench_emits_sorted_report(workdir, capsys):

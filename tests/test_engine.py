@@ -160,11 +160,11 @@ def test_engine_config_validation():
     EngineConfig(temperature=0.5, state=RandomState(0))
 
 
-def test_bad_judge_threshold_fails_before_decoding(chain_model):
-    policy = JudgePolicy(constant_judge(6), threshold=1.5)
-    with pytest.raises(DataError):
-        spec_decode((0,), chain_model, chain_model, policy,
-                    EngineConfig(window=4, max_tokens=8))
+def test_bad_judge_threshold_fails_before_decoding():
+    # The policy refuses a bad threshold when it is built, as TopKPolicy a bad k.
+    for tau in (1.5, 0.0, 1.0, -0.2, float("nan")):
+        with pytest.raises(DataError, match="strictly inside"):
+            JudgePolicy(constant_judge(6), threshold=tau)
 
 
 def test_structural_validation(chain_vocab, chain_model):
@@ -177,19 +177,20 @@ def test_structural_validation(chain_vocab, chain_model):
         draft_window(chain_model, (0,), 0, EngineConfig())
     window = draft_window(chain_model, (0,), 2, EngineConfig())
     with pytest.raises(DataError):
-        verify_window(chain_model, (), window, LosslessPolicy(), EngineConfig())
+        verify_window(chain_model, chain_model, (), window, LosslessPolicy(),
+                      EngineConfig())
 
 
 def test_draft_window_stops_after_eos(chain_model, monkeypatch):
     seen = []
-    step = chain_model.next_logits_hidden
-    monkeypatch.setattr(chain_model, "next_logits_hidden",
+    step = chain_model.next_logits
+    monkeypatch.setattr(chain_model, "next_logits",
                         lambda ctx: seen.append(tuple(ctx)) or step(ctx))
     window = draft_window(chain_model, (0,), 8, EngineConfig())
     assert window.tokens == [1, 2, 1, 2, 3]
     # One draft call per drafted token, none after the last one.
     assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)]
-    assert len(window.hidden) == 5  # one row per drafting step
+    assert len(seen) == len(window.tokens) == 5
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model):
@@ -251,9 +252,9 @@ def test_decode_time_features_equal_training_features(
     calls = []  # (context, window, feature vectors judged in that verify call)
     verify, predict = engine.verify_window, engine.predict_importance
 
-    def spy_verify(target_model, context, window, policy, cfg_):
+    def spy_verify(draft_model, target_model, context, window, policy, cfg_):
         calls.append((tuple(context), window, []))
-        return verify(target_model, context, window, policy, cfg_)
+        return verify(draft_model, target_model, context, window, policy, cfg_)
 
     def spy_predict(judge_model, features):
         calls[-1][2].append(np.array(features))
@@ -285,6 +286,46 @@ def test_decode_time_features_equal_training_features(
             np.testing.assert_array_equal(got, example.features)
         judged_positions += len(features)
     assert judged_positions >= 20
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(window=8, max_tokens=64),
+    EngineConfig(window=64, max_tokens=64, temperature=0.2, state=RandomState(3)),
+], ids=["greedy", "sampled"])
+def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
+                                                   monkeypatch, config):
+    """Drafting and verification read logits; the judge alone asks for rows.
+
+    Lossless and top-K decodes make no `next_logits_hidden` call on either
+    model and no draft forward; the judge makes one draft forward per
+    position it scores.
+    """
+    draft, target = pipeline.draft, pipeline.target
+    calls = {"hidden": 0, "draft_forward": 0, "judged": 0}
+
+    def count(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for model in (draft, target):
+        monkeypatch.setattr(model, "next_logits_hidden",
+                            count("hidden", model.next_logits_hidden))
+    monkeypatch.setattr(draft, "forward_parallel",
+                        count("draft_forward", draft.forward_parallel))
+    monkeypatch.setattr(engine, "predict_importance",
+                        count("judged", engine.predict_importance))
+    tasks = eval_tasks[:10]
+    for policy in (LosslessPolicy(), TopKPolicy(2)):
+        for task in tasks:
+            spec_decode(task.prompt.tokens, draft, target, policy, config)
+    assert calls == {"hidden": 0, "draft_forward": 0, "judged": 0}
+    for task in tasks:
+        spec_decode(task.prompt.tokens, draft, target, JudgePolicy(judged.judge),
+                    config)
+    assert calls["hidden"] == 0
+    assert calls["draft_forward"] == calls["judged"] > 0
 
 
 PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)
@@ -424,7 +465,7 @@ def test_sampled_window_reuses_the_noise_of_each_drafted_prefix(
         assert drafted.tokens[i] == seeded_choice(logits, prefix, config.state,
                                                   temperature)
     for policy in (LosslessPolicy(), TopKPolicy(2)):
-        outcome = verify_window(target, context, drafted, policy, config)
+        outcome = verify_window(draft, target, context, drafted, policy, config)
         assert (outcome.accepted, outcome.replacement, outcome.bonus) \
             == reference_verify(target, context, drafted, policy, config)
 
@@ -453,4 +494,5 @@ def test_sampled_verify_needs_a_noise_row_per_drafted_token(chain_model):
     window = draft_window(chain_model, (0,), 4, config)
     window.noise = window.noise[:-1]
     with pytest.raises(DataError):
-        verify_window(chain_model, (0,), window, LosslessPolicy(), config)
+        verify_window(chain_model, chain_model, (0,), window, LosslessPolicy(),
+                      config)

@@ -87,6 +87,7 @@ def _assert_rows_match_steps(model, tokens, starts):
         assert out.hidden.shape == (len(tokens) - start, model.hidden_dim)
         for i in range(start, len(tokens)):
             logits, hidden = model.next_logits_hidden(tokens[: i + 1])
+            assert np.array_equal(model.next_logits(tokens[: i + 1]), logits), (model.name, i)
             assert np.array_equal(out.logits[i - start], logits), (model.name, start, i)
             assert np.array_equal(out.hidden[i - start], hidden), (model.name, start, i)
 
@@ -95,7 +96,8 @@ def _assert_rows_match_steps(model, tokens, starts):
 @given(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24),
        order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
 def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
-    """Every row from every start equals the per-step primitive, bit for bit.
+    """Every row from every start equals the per-step primitive, bit for bit,
+    and so do the logits-only step's logits at every prefix.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
