@@ -8,7 +8,7 @@ harmless draft tokens during speculative decoding.
 """
 
 from .lm import DataError, LanguageModel, LmOutput, TokenSequence, Vocab, softmax
-from .sampling import RandomState, VerifyDecision, gumbel_noise, verify_token
+from .sampling import RandomState, gumbel_noise
 from .toymodels import NGramModel, PerturbSpec, ScriptedModel, make_draft, train_ngram
 from .tasks import Answer, Task, answers_equivalent, build_vocab, extract_answer, gen_arithmetic_task
 from .mining import MiningConfig, MismatchRecord, mine_important, mine_naive

@@ -75,8 +75,8 @@ class EngineConfig:
             raise DataError("window must be >= 1")
         if self.max_tokens < 1:
             raise DataError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise DataError("temperature must be >= 0")
+        if not (np.isfinite(self.temperature) and self.temperature >= 0):
+            raise DataError("temperature must be finite and >= 0")
         if self.temperature > 0 and self.state is None:
             raise DataError("sampled decoding needs a RandomState")
 
@@ -107,14 +107,6 @@ class DraftWindow:
 
 
 @dataclass
-class VerifyOutcome:
-    accepted: int  # count of accepted draft tokens (window prefix)
-    replacement: int | None
-    bonus: int | None
-    stats: CycleStats
-
-
-@dataclass
 class DecodeResult:
     sequence: TokenSequence
     cycles: list[CycleStats]
@@ -141,16 +133,18 @@ def _in_top_k(logits, token: int, k: int) -> bool:
 
 
 def verify_window(draft: LanguageModel, target: LanguageModel, context,
-                  window: DraftWindow, policy: Policy,
-                  config: EngineConfig) -> VerifyOutcome:
+                  window: DraftWindow, policy: Policy, config: EngineConfig,
+                  budget: int) -> tuple[list[int], CycleStats]:
     """Verify a drafted window in one target pass, left to right.
 
-    The pass has W+1 rows, indexed from the window start: row i holds the
-    target's logits and hidden state for `context + tokens[:i]`.  Rows
-    0..W-1 are chosen in one vectorized step, sampled ones with the Gumbel
-    rows the draft drew at the same prefixes.  The first upheld rejection
-    truncates the window and emits the target's own choice; a fully
-    accepted window yields a bonus token unless it ends the sequence.  Only
+    Returns the tokens the cycle emits and its stats.  The pass has W+1
+    rows, indexed from the window start: row i holds the target's logits
+    and hidden state for `context + tokens[:i]`.  Rows 0..W-1 are chosen in
+    one vectorized step, sampled ones with the Gumbel rows the draft drew at
+    the same prefixes.  The first upheld rejection truncates the window and
+    emits the target's own choice.  A fully accepted window also emits the
+    target's bonus choice from row W, unless it ends the sequence or leaves
+    no room in the `budget` of tokens the response may still take.  Only
     the judge reads the draft here: one two-row draft pass per position it
     scores.
     """
@@ -163,8 +157,7 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     n, c = len(window.tokens), len(context)
     out = target.forward_parallel(full, start=c - 1)
     logits, hidden = out.logits, out.hidden
-    eos = target.vocab.eos_id
-    temp, state = config.temperature, config.state
+    temp = config.temperature
     if temp == 0:
         choices = logits[:n].argmax(axis=1)
     else:
@@ -172,12 +165,9 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
             raise DataError("a sampled window needs one noise row per drafted token")
         choices = gumbel_max(logits[:n], window.noise, temp)
 
-    accepted = 0
     overrides = 0
-    replacement = None
     for j, (drafted, choice) in enumerate(zip(window.tokens, choices.tolist())):
         if drafted == choice:
-            accepted += 1
             continue
         keep = False
         if isinstance(policy, TopKPolicy):
@@ -188,22 +178,18 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
             feats = assemble_features(policy.judge.feature_config,
                                       cur, hidden[j + 1], prev, hidden[j])
             keep = predict_importance(policy.judge, feats) < policy.tau
-        if keep:
-            overrides += 1
-            accepted += 1
-            continue
-        replacement = choice
-        break
+        if not keep:
+            return window.tokens[:j] + [choice], CycleStats(
+                drafted=n, accepted_draft=j, judge_overrides=overrides,
+                correction_emitted=True, bonus_emitted=False)
+        overrides += 1
 
-    bonus = None
-    if replacement is None and window.tokens[-1] != eos:
-        bonus = seeded_choice(logits[-1], full, state, temp)
-    stats = CycleStats(drafted=n, accepted_draft=accepted,
-                       judge_overrides=overrides,
-                       correction_emitted=replacement is not None,
-                       bonus_emitted=bonus is not None)
-    return VerifyOutcome(accepted=accepted, replacement=replacement, bonus=bonus,
-                         stats=stats)
+    emitted = list(window.tokens)
+    bonus = window.tokens[-1] != target.vocab.eos_id and n < budget
+    if bonus:
+        emitted.append(seeded_choice(logits[-1], full, config.state, temp))
+    return emitted, CycleStats(drafted=n, accepted_draft=n, judge_overrides=overrides,
+                               correction_emitted=False, bonus_emitted=bonus)
 
 
 def spec_decode(prompt, draft: LanguageModel, target: LanguageModel,
@@ -227,15 +213,8 @@ def spec_decode(prompt, draft: LanguageModel, target: LanguageModel,
     while emitted < config.max_tokens and (emitted == 0 or tokens[-1] != eos):
         remaining = config.max_tokens - emitted
         window = draft_window(draft, tokens, min(config.window, remaining), config)
-        outcome = verify_window(draft, target, tokens, window, policy, config)
-        emit = list(window.tokens[: outcome.accepted])
-        stats = outcome.stats
-        if outcome.replacement is not None:
-            emit.append(outcome.replacement)
-        elif outcome.bonus is not None and len(emit) < remaining:
-            emit.append(outcome.bonus)
-        else:
-            stats.bonus_emitted = False
+        emit, stats = verify_window(draft, target, tokens, window, policy, config,
+                                    remaining)
         tokens.extend(emit)
         emitted += len(emit)
         cycles.append(stats)

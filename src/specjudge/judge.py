@@ -306,9 +306,12 @@ def load_judge(path: str) -> JudgeModel:
             obj = json.load(f)
         cfg = FeatureConfig(**obj["feature_config"])
         weights = np.array(obj["weights"], dtype=float)
+        bias = float(obj["bias"])
+        if weights.ndim != 1 or not np.all(np.isfinite(weights)) or not np.isfinite(bias):
+            raise DataError("judge weights must be a finite vector and its bias finite")
         if len(weights) != int(obj["feature_dim"]):
             raise DataError("weight vector does not match feature_dim")
-        return JudgeModel(weights=weights, bias=float(obj["bias"]),
+        return JudgeModel(weights=weights, bias=bias,
                           feature_config=cfg, C=float(obj["C"]),
                           threshold=float(obj["threshold"]),
                           dataset_hash=obj.get("dataset_hash", ""),

@@ -54,8 +54,8 @@ class MiningConfig:
     max_rollbacks: int | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise DataError("temperature must be >= 0")
+        if not (np.isfinite(self.temperature) and self.temperature >= 0):
+            raise DataError("temperature must be finite and >= 0")
         if self.temperature > 0 and self.state is None:
             raise DataError("sampled mining needs a RandomState")
 

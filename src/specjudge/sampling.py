@@ -1,4 +1,4 @@
-"""Seed-conditioned sampling and the lossless token verification rule.
+"""Seed-conditioned sampling: greedy or Gumbel-max choices keyed by the context.
 
 Stochastic sampling is reparameterized with the Gumbel-max trick: the
 noise vector is a pure function of (seed, context token ids, vocab index),
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import argmax_token, softmax
+from .lm import DataError, argmax_token, softmax
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -40,7 +40,7 @@ class RandomState:
 
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
+            raise DataError("seed must fit in 64 bits")
 
 
 # _FNV_PRIME_POW[k] = P^k mod 2^64: k zero-byte steps folded into one multiply.
@@ -223,59 +223,3 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
         keys = _running_keys(gumbel_key(state, tokens[:first]), tokens[first:-1])
         choices = gumbel_max(logits, gumbel_noise(keys, model.vocab.size), temperature)
     return [-1] * (first - start) + choices.tolist()
-
-
-@dataclass
-class VerifyDecision:
-    """Outcome of the lossless acceptance test for one drafted token."""
-
-    accepted: bool
-    replacement: int | None = None  # set iff rejected
-    residual: np.ndarray | None = None  # replacement law, sums to 1
-
-    def __post_init__(self):
-        if self.accepted and (self.replacement is not None or self.residual is not None):
-            raise ValueError("accepted decisions carry no replacement")
-        if not self.accepted and self.replacement is None:
-            raise ValueError("rejected decisions need a replacement")
-
-
-def verify_token(p_target, p_draft, drafted: int, u: float,
-                 residual_u: float = 0.0) -> VerifyDecision:
-    """Distribution-preserving accept/reject for one drafted token.
-
-    Accept iff u < min(1, p_target[drafted] / p_draft[drafted]); on
-    rejection the replacement is drawn from the normalized positive part
-    of (p_target - p_draft) by inverse CDF at `residual_u`.  Marginally
-    over u and the residual draw, the emitted token is distributed
-    exactly as p_target.
-    """
-    p = np.asarray(p_target, dtype=float)
-    q = np.asarray(p_draft, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("distributions must be equal-length vectors")
-    if not (0.0 <= u < 1.0) or not (0.0 <= residual_u < 1.0):
-        raise ValueError("u and residual_u must lie in [0, 1)")
-    for vec, label in ((p, "p_target"), (q, "p_draft")):
-        if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-            raise ValueError(f"{label} must be a finite nonnegative vector")
-        if abs(vec.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{label} must sum to 1")
-    if not 0 <= drafted < len(q) or q[drafted] <= 0.0:
-        raise ValueError("drafted token must have positive draft probability")
-
-    ratio = min(1.0, p[drafted] / q[drafted])
-    if u < ratio:
-        return VerifyDecision(accepted=True)
-    residual = np.maximum(p - q, 0.0)
-    mass = residual.sum()
-    if mass <= 0.0:
-        # p == q (up to rounding): rejection is a measure-zero event, but
-        # fall back to the target law so the decision stays well formed.
-        residual = p / p.sum()
-    else:
-        residual = residual / mass
-    cdf = np.cumsum(residual)
-    replacement = int(np.searchsorted(cdf, residual_u * cdf[-1], side="right"))
-    replacement = min(replacement, len(residual) - 1)
-    return VerifyDecision(accepted=False, replacement=replacement, residual=residual)

@@ -22,6 +22,9 @@ CONNECTIVE_WEIGHTS = (0.6, 0.3, 0.1)
 _WORDS = ("Start", "with", "Add", "Multiply", "by", "Finally", "plus", "times",
           "is", "The", "final", "answer", ".") + CONNECTIVES
 EOS_TEXT = "</s>"
+# Admits every corpus of up to 4 steps at the default 3 variants (87,372
+# lines for steps 2,3,4); 5 steps alone renders 282,943 lines per variant.
+MAX_CORPUS_LINES = 200_000
 
 
 def build_vocab(max_value: int = 99) -> Vocab:
@@ -96,6 +99,25 @@ def sample_chain(rng: random.Random, num_steps: int, max_value: int = 99) -> Cha
         ops.append((op, k))
         value = value + k if op == "Add" else value * k
     return Chain(start, tuple(ops))
+
+
+def count_chains(num_steps: int, max_value: int = 99) -> int:
+    """len(enumerate_chains(num_steps, max_value)), counted without building them.
+
+    A chain's legal next steps depend only on its running value, so the
+    count is a dynamic program over (step, value).
+    """
+    if not 2 <= num_steps <= 8:
+        raise DataError("num_steps must be in 2..8")
+    counts = dict.fromkeys(range(1, 10), 1)
+    for j in range(num_steps - 1):
+        grown: dict[int, int] = {}
+        for value, n in counts.items():
+            for op, k in _legal_ops(value, max_value, final=j == num_steps - 2):
+                nxt = value + k if op == "Add" else value * k
+                grown[nxt] = grown.get(nxt, 0) + n
+        counts = grown
+    return sum(counts.values())
 
 
 def enumerate_chains(num_steps: int, max_value: int = 99) -> list[Chain]:
@@ -197,6 +219,10 @@ def gen_corpus(vocab: Vocab, num_steps_values=(2, 3), variants: int = 3,
     fixed weighted distribution, so filler words become genuinely
     ambiguous while all content tokens stay deterministic per chain.
     """
+    size = variants * sum(count_chains(n, max_value) for n in num_steps_values)
+    if size > MAX_CORPUS_LINES:
+        raise DataError(f"the corpus would have {size} lines, more than "
+                        f"{MAX_CORPUS_LINES}; use fewer steps or variants")
     rng = random.Random(f"corpus:{seed}")
     lines = []
     for num_steps in num_steps_values:
@@ -223,6 +249,14 @@ def save_tasks(path: str, tasks, vocab: Vocab) -> None:
             }) + "\n")
 
 
+def _json_int(row: dict, key: str) -> int:
+    """row[key] if it is a JSON integer: a float or bool would be truncated."""
+    value = row[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def load_tasks(path: str, vocab: Vocab) -> list:
     tasks = []
     try:
@@ -236,13 +270,12 @@ def load_tasks(path: str, vocab: Vocab) -> list:
             try:
                 row = json.loads(line)
                 ids = tuple(vocab.encode(row["prompt"]))
-                oracle = (Answer.number(row["oracle"]) if row["oracle"] is not None
-                          else Answer.no_answer())
+                oracle = None if row["oracle"] is None else _json_int(row, "oracle")
                 tasks.append(Task(task_id=row["task_id"],
                                   prompt=TokenSequence(ids, len(ids)),
-                                  oracle_answer=oracle,
-                                  max_response_len=int(row["max_response_len"]),
-                                  seed=int(row["seed"])))
+                                  oracle_answer=Answer(oracle),
+                                  max_response_len=_json_int(row, "max_response_len"),
+                                  seed=_json_int(row, "seed")))
             except (KeyError, ValueError, TypeError) as e:
                 raise DataError(f"bad task record in {path}: {e}") from e
     if not tasks:

@@ -153,6 +153,23 @@ def test_bad_judge_threshold_is_one_data_error(workdir, tmp_path, capsys, comman
     assert not (tmp_path / "never.out.manifest.json").exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["--temperature", "inf"], "temperature must be finite and >= 0"),
+    (["--temperature", "1e309"], "temperature must be finite and >= 0"),
+    (["--temperature", "nan"], "temperature must be finite and >= 0"),
+    (["--seed", "-1", "--temperature", "0.5"], "seed must fit in 64 bits"),
+], ids=["inf", "1e309", "nan", "negative-seed"])
+@pytest.mark.parametrize("command", ["bench", "decode", "mine"])
+def test_bad_sampling_settings_are_one_data_error(workdir, tmp_path, capsys, command,
+                                                  settings, message):
+    out = tmp_path / "never.out"
+    rc = main([command, *model_args(workdir), *settings, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
+
+
 def test_bench_emits_sorted_report(workdir, capsys):
     out = workdir / "report.csv"
     rc = main(["bench", *model_args(workdir), "--policy", "lossless,topk",

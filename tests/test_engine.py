@@ -1,6 +1,7 @@
 """Speculative decoding engine: policies, cycle accounting, stop conditions."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_structural_validation(chain_vocab, chain_model):
     window = draft_window(chain_model, (0,), 2, EngineConfig())
     with pytest.raises(DataError):
         verify_window(chain_model, chain_model, (), window, LosslessPolicy(),
-                      EngineConfig())
+                      EngineConfig(), 8)
 
 
 def test_draft_window_stops_after_eos(chain_model, monkeypatch):
@@ -193,7 +194,11 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
     assert len(seen) == len(window.tokens) == 5
 
 
-def test_max_tokens_suppresses_the_bonus(chain_model):
+def test_max_tokens_suppresses_the_bonus(chain_model, monkeypatch):
+    def no_bonus(*args):
+        raise AssertionError("a bonus row was drawn with no room to emit it")
+
+    monkeypatch.setattr(engine, "seeded_choice", no_bonus)
     config = EngineConfig(window=8, max_tokens=2)
     result = spec_decode((0,), chain_model, chain_model, LosslessPolicy(), config)
     assert result.response == (1, 2)
@@ -252,9 +257,9 @@ def test_decode_time_features_equal_training_features(
     calls = []  # (context, window, feature vectors judged in that verify call)
     verify, predict = engine.verify_window, engine.predict_importance
 
-    def spy_verify(draft_model, target_model, context, window, policy, cfg_):
+    def spy_verify(draft_model, target_model, context, window, policy, cfg_, budget):
         calls.append((tuple(context), window, []))
-        return verify(draft_model, target_model, context, window, policy, cfg_)
+        return verify(draft_model, target_model, context, window, policy, cfg_, budget)
 
     def spy_predict(judge_model, features):
         calls[-1][2].append(np.array(features))
@@ -414,26 +419,25 @@ def random_sampled_pair(seed: int, agree: float, sigma: float, perturb_target: b
     return draft, target
 
 
-def reference_verify(target, context, window, policy, config):
+def reference_verify(target, context, window, policy, config, budget):
     """verify_window from one next_logits_hidden and seeded_choice per row."""
-    accepted, replacement = 0, None
+    n, emitted, overrides = len(window.tokens), [], 0
     for j, drafted in enumerate(window.tokens):
         prefix = context + tuple(window.tokens[:j])
         logits, _ = target.next_logits_hidden(prefix)
         choice = seeded_choice(logits, prefix, config.state, config.temperature)
         order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
-        if drafted == choice or (isinstance(policy, TopKPolicy)
-                                 and drafted in order[:policy.k]):
-            accepted += 1
-            continue
-        replacement = choice
-        break
-    bonus = None
+        if drafted != choice and not (isinstance(policy, TopKPolicy)
+                                      and drafted in order[:policy.k]):
+            return emitted + [choice], CycleStats(n, j, overrides, True, False)
+        overrides += drafted != choice
+        emitted.append(drafted)
     full = context + tuple(window.tokens)
-    if replacement is None and window.tokens[-1] != target.vocab.eos_id:
+    bonus = window.tokens[-1] != target.vocab.eos_id and n < budget
+    if bonus:
         logits, _ = target.next_logits_hidden(full)
-        bonus = seeded_choice(logits, full, config.state, config.temperature)
-    return accepted, replacement, bonus
+        emitted.append(seeded_choice(logits, full, config.state, config.temperature))
+    return emitted, CycleStats(n, n, overrides, False, bonus)
 
 
 # At temperature 40 a scripted logit gap of 40 leaves real randomness.
@@ -464,10 +468,10 @@ def test_sampled_window_reuses_the_noise_of_each_drafted_prefix(
         logits, _ = draft.next_logits_hidden(prefix)
         assert drafted.tokens[i] == seeded_choice(logits, prefix, config.state,
                                                   temperature)
-    for policy in (LosslessPolicy(), TopKPolicy(2)):
-        outcome = verify_window(draft, target, context, drafted, policy, config)
-        assert (outcome.accepted, outcome.replacement, outcome.bonus) \
-            == reference_verify(target, context, drafted, policy, config)
+    n = len(drafted.tokens)
+    for policy, budget in product((LosslessPolicy(), TopKPolicy(2)), (n, n + 1)):
+        assert verify_window(draft, target, context, drafted, policy, config, budget) \
+            == reference_verify(target, context, drafted, policy, config, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,4 +499,4 @@ def test_sampled_verify_needs_a_noise_row_per_drafted_token(chain_model):
     window.noise = window.noise[:-1]
     with pytest.raises(DataError):
         verify_window(chain_model, chain_model, (0,), window, LosslessPolicy(),
-                      config)
+                      config, 8)

@@ -1,5 +1,6 @@
 """Importance classifier: gradients, training, AUC, calibration, persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -251,6 +252,15 @@ def test_save_load_judge_round_trip(tmp_path, judged):
     path.write_text("{\"weights\": [1.0]}\n")
     with pytest.raises(DataError):
         load_judge(str(path))
+    save_judge(str(path), judged.judge)
+    good = json.loads(path.read_text())
+    for bad in ({"weights": [math.nan] * good["feature_dim"]},
+                {"weights": [0.0, math.inf] + good["weights"][2:]},
+                {"weights": [[0.0] * good["feature_dim"]], "feature_dim": 1},
+                {"bias": math.nan}):
+        path.write_text(json.dumps({**good, **bad}))
+        with pytest.raises(DataError, match="finite"):
+            load_judge(str(path))
 
 
 def test_feature_dims_and_compatibility(pipeline, judged):

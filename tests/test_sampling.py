@@ -1,14 +1,13 @@
-"""Seed-conditioned sampling and the distribution-preserving verify step."""
+"""Seed-conditioned sampling: FNV keys, Gumbel noise and seeded choices."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, Vocab, argmax_token
-from specjudge.sampling import (RandomState, VerifyDecision, _fnv_feed,
-                                _fnv_feed_vec, _prefix_hash, gumbel_key,
-                                gumbel_noise, positionwise_choices, rollout,
-                                seeded_choice, verify_token)
+from specjudge.sampling import (RandomState, _fnv_feed, _fnv_feed_vec,
+                                _prefix_hash, gumbel_key, gumbel_noise,
+                                positionwise_choices, rollout, seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
 
@@ -97,9 +96,9 @@ def test_perturbed_delta_golden_row():
 def test_random_state_validates_64_bits():
     RandomState(0)
     RandomState(2**64 - 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         RandomState(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         RandomState(2**64)
 
 
@@ -170,83 +169,3 @@ def test_positionwise_choices_match_per_prefix_sampling(pipeline):
         for start in range(len(tokens) + 1):
             assert positionwise_choices(model, tokens, temp, st, start=start) \
                 == expect[start:]
-
-
-def test_verify_decision_requires_consistency():
-    with pytest.raises(ValueError):
-        VerifyDecision(accepted=True, replacement=1)
-    with pytest.raises(ValueError):
-        VerifyDecision(accepted=False)
-
-
-def test_verify_token_accepts_when_distributions_agree():
-    p = [0.4, 0.6]
-    for u in (0.0, 0.5, 0.999999):
-        assert verify_token(p, p, 1, u).accepted
-
-
-def test_verify_token_certain_rejection_and_residual():
-    # ratio = p[1]/q[1] = 0, so every u rejects; residual puts all mass on 0
-    dec = verify_token([1.0, 0.0], [0.5, 0.5], 1, 0.0, residual_u=0.9)
-    assert not dec.accepted
-    assert dec.replacement == 0
-    np.testing.assert_allclose(dec.residual, [1.0, 0.0], atol=1e-15)
-
-
-def test_verify_token_acceptance_boundary():
-    p, q = [0.6, 0.4], [0.8, 0.2]  # ratio at token 0 is 0.75
-    assert verify_token(p, q, 0, 0.7499).accepted
-    assert not verify_token(p, q, 0, 0.75).accepted
-
-
-def test_verify_token_replacement_follows_residual_cdf():
-    p, q = [0.1, 0.5, 0.4], [0.7, 0.1, 0.2]
-    # residual = [0, .4, .2]/.6, cdf = [0, 2/3, 1]
-    assert verify_token(p, q, 0, 0.9, residual_u=0.5).replacement == 1
-    assert verify_token(p, q, 0, 0.9, residual_u=0.7).replacement == 2
-
-
-def test_verify_token_equal_distributions_fallback():
-    # p <= q everywhere within rounding: residual falls back to p itself
-    p = np.array([0.5 - 5e-10, 0.5])
-    q = np.array([0.5, 0.5])
-    dec = verify_token(p, q, 0, 1.0 - 1e-10, residual_u=0.2)
-    assert not dec.accepted
-    np.testing.assert_allclose(dec.residual, p / p.sum(), atol=1e-12)
-    assert dec.replacement == 0
-    assert verify_token(p, q, 0, 1.0 - 1e-10, residual_u=0.7).replacement == 1
-
-
-def test_verify_token_validates_inputs():
-    p, q = [0.5, 0.5], [0.5, 0.5]
-    with pytest.raises(ValueError):
-        verify_token(p, q, 0, 1.0)
-    with pytest.raises(ValueError):
-        verify_token(p, q, 0, 0.5, residual_u=-0.1)
-    with pytest.raises(ValueError):
-        verify_token([0.5, 0.4], q, 0, 0.5)  # does not sum to 1
-    with pytest.raises(ValueError):
-        verify_token([-0.1, 1.1], q, 0, 0.5)
-    with pytest.raises(ValueError):
-        verify_token(p, [1.0, 0.0], 1, 0.5)  # drafted token has q = 0
-    with pytest.raises(ValueError):
-        verify_token([1.0], q, 0, 0.5)  # shape mismatch
-
-
-def test_verify_token_output_law_hand_cases():
-    # law(j) = sum_i q_i [a_i 1{i=j} + (1-a_i) residual_i(j)] must equal p
-    cases = [([0.5, 0.3, 0.2], [0.6, 0.2, 0.2]),
-             ([0.1, 0.8, 0.1], [0.4, 0.3, 0.3]),
-             ([0.2, 0.5, 0.3], [0.2, 0.5, 0.3])]
-    for p, q in cases:
-        p, q = np.array(p), np.array(q)
-        law = np.zeros_like(p)
-        for i, qi in enumerate(q):
-            if qi <= 0:
-                continue
-            a = min(1.0, p[i] / qi)
-            law[i] += qi * a
-            if a < 1.0:
-                dec = verify_token(p, q, i, (a + 1.0) / 2.0)
-                law += qi * (1.0 - a) * dec.residual
-        np.testing.assert_allclose(law, p, atol=1e-9)

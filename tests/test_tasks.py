@@ -1,16 +1,20 @@
 """Arithmetic task generation, answer extraction, and the training corpus."""
 
 import collections
+import json
 import random
 
 import pytest
 
+from specjudge import tasks as tasks_mod
+from specjudge.cli import main
 from specjudge.lm import DataError
 from specjudge.tasks import (Answer, Chain, CONNECTIVES, answers_equivalent,
-                             build_vocab, enumerate_chains, extract_answer,
-                             gen_arithmetic_task, gen_corpus, load_tasks,
-                             prompt_words, response_budget, response_words,
-                             sample_chain, save_tasks, task_from_chain)
+                             build_vocab, count_chains, enumerate_chains,
+                             extract_answer, gen_arithmetic_task, gen_corpus,
+                             load_tasks, prompt_words, response_budget,
+                             response_words, sample_chain, save_tasks,
+                             task_from_chain)
 
 
 def eval_chain(chain):
@@ -130,6 +134,33 @@ def test_save_load_tasks_round_trip(tmp_path, vocab):
     save_tasks(str(path), tasks, vocab)
     loaded = load_tasks(str(path), vocab)
     assert loaded == tasks
+    row = json.loads(path.read_text().splitlines()[0])
+    path.write_text(json.dumps({**row, "oracle": None}) + "\n")
+    assert load_tasks(str(path), vocab)[0].oracle_answer == Answer.no_answer()
+    # A float or a bool would be truncated to an integer, so it is refused.
+    for key, value in (("oracle", 10.9), ("oracle", True), ("oracle", "10"),
+                       ("max_response_len", 20.7), ("max_response_len", False),
+                       ("seed", 1.5)):
+        path.write_text(json.dumps({**row, key: value}) + "\n")
+        with pytest.raises(DataError, match="bad task record"):
+            load_tasks(str(path), vocab)
+
+
+@pytest.mark.parametrize("num_steps", [2, 3, 4])
+def test_count_chains_equals_the_enumeration(num_steps):
+    assert count_chains(num_steps) == len(enumerate_chains(num_steps))
+    assert count_chains(num_steps, 30) == len(enumerate_chains(num_steps, 30))
+
+
+def test_oversized_corpus_fails_before_enumerating(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("enumerate_chains was called")
+
+    monkeypatch.setattr(tasks_mod, "enumerate_chains", refuse)
+    out = tmp_path / "corpus.txt"
+    assert main(["gen-corpus", "--num-steps", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("data error: the corpus would have")
+    assert not out.exists()
 
 
 def test_task_from_chain_budget_covers_response(vocab):
