@@ -7,7 +7,7 @@ classifier on the hidden states at those positions, and use it to keep
 harmless draft tokens during speculative decoding.
 """
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence, Vocab, softmax
+from .lm import DataError, LanguageModel, LmOutput, TokenSequence, Vocab
 from .sampling import RandomState, gumbel_noise
 from .toymodels import NGramModel, PerturbSpec, ScriptedModel, make_draft, train_ngram
 from .tasks import Answer, Task, answers_equivalent, build_vocab, extract_answer, gen_arithmetic_task

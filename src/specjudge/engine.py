@@ -138,15 +138,15 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     """Verify a drafted window in one target pass, left to right.
 
     Returns the tokens the cycle emits and its stats.  The pass has W+1
-    rows, indexed from the window start: row i holds the target's logits
-    and hidden state for `context + tokens[:i]`.  Rows 0..W-1 are chosen in
+    logits rows, indexed from the window start: row i holds the target's
+    logits for `context + tokens[:i]`.  Rows 0..W-1 are chosen in
     one vectorized step, sampled ones with the Gumbel rows the draft drew at
     the same prefixes.  The first upheld rejection truncates the window and
     emits the target's own choice.  A fully accepted window also emits the
     target's bonus choice from row W, unless it ends the sequence or leaves
     no room in the `budget` of tokens the response may still take.  Only
-    the judge reads the draft here: one two-row draft pass per position it
-    scores.
+    the judge reads hidden rows: one two-row pass of each model per
+    position it scores.
     """
     context = tuple(context)
     if not context:
@@ -155,8 +155,7 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
     n, c = len(window.tokens), len(context)
-    out = target.forward_parallel(full, start=c - 1)
-    logits, hidden = out.logits, out.hidden
+    logits = target.forward_logits(full, start=c - 1)
     temp = config.temperature
     if temp == 0:
         choices = logits[:n].argmax(axis=1)
@@ -174,9 +173,11 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
             keep = _in_top_k(logits[j], drafted, policy.k)
         elif isinstance(policy, JudgePolicy) and j < n - 1:
             # Position j is scored by the rows with and without tokens[j].
-            prev, cur = draft.forward_parallel(full[:c + j + 1], start=c + j - 1).hidden
+            prefix = full[:c + j + 1]
+            prev, cur = draft.forward_parallel(prefix, start=c + j - 1).hidden
+            prev_t, cur_t = target.forward_parallel(prefix, start=c + j - 1).hidden
             feats = assemble_features(policy.judge.feature_config,
-                                      cur, hidden[j + 1], prev, hidden[j])
+                                      cur, cur_t, prev, prev_t)
             keep = predict_importance(policy.judge, feats) < policy.tau
         if not keep:
             return window.tokens[:j] + [choice], CycleStats(

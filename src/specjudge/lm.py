@@ -4,11 +4,12 @@ A model is a pure function of its token context with two per-step
 methods: the abstract primitive `next_logits_hidden` yields the next-token
 logits and the hidden state encoding the consumed prefix, and
 `next_logits` yields the logits alone, so drafting and rollouts build no
-hidden state that nothing reads.  Hidden rows come from a parallel
-forward, which evaluates many rows of one sequence in one call; backends
-may override its row hook with a vectorized evaluation, and the tests
-hold every such override, and every `next_logits`, equal bit for bit to
-the primitive.
+hidden state that nothing reads.  Many rows of one sequence come from a
+parallel forward in one call: `forward_parallel` yields logits and hidden
+rows, and `forward_logits`, its counterpart of `next_logits`, the logits
+rows alone, for verification and mining.  Backends may override either
+row hook with a vectorized evaluation, and the tests hold every such
+override, and every `next_logits`, equal bit for bit to the primitive.
 """
 
 from __future__ import annotations
@@ -95,23 +96,6 @@ class LmOutput:
     hidden: np.ndarray  # (len, hidden_dim)
 
 
-def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax, stabilized by max subtraction.
-
-    Temperature must be positive and finite; temperature 0 is a greedy
-    sentinel handled by callers, never a valid softmax input.
-    """
-    logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax requires finite logits")
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError("softmax requires temperature > 0")
-    z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def argmax_token(logits) -> int:
     """Argmax with ties broken toward the lowest token id."""
     return int(np.argmax(logits))
@@ -145,18 +129,26 @@ class LanguageModel:
             bad = next(t for t in tokens if not 0 <= t < size)
             raise DataError(f"token id {bad} out of range for vocab size {size}")
 
+    def _checked_rows(self, tokens, start: int) -> tuple[int, ...]:
+        tokens = tuple(tokens)
+        self._check_tokens(tokens)
+        if not 0 <= start < len(tokens):
+            raise DataError(f"start {start} outside 0..{len(tokens) - 1}")
+        return tokens
+
     def forward_parallel(self, tokens, start: int = 0) -> LmOutput:
         """Evaluate rows start..len-1 of the token ids `tokens` in one call.
 
         Row i holds the logits predicting position i+1 and the hidden
         state encoding tokens[0..i]; it is returned at index i - start.
         """
-        tokens = tuple(tokens)
-        self._check_tokens(tokens)
-        if not 0 <= start < len(tokens):
-            raise DataError(f"start {start} outside 0..{len(tokens) - 1}")
+        tokens = self._checked_rows(tokens, start)
         logits, hidden = self._rows(tokens, start)
         return LmOutput(logits=logits, hidden=hidden)
+
+    def forward_logits(self, tokens, start: int = 0) -> np.ndarray:
+        """The logits of `forward_parallel(tokens, start)`, without the hidden rows."""
+        return self._logit_rows(self._checked_rows(tokens, start), start)
 
     def _rows(self, tokens: tuple[int, ...], start: int):
         """(logits, hidden) rows start..len-1 of validated `tokens`.
@@ -170,3 +162,7 @@ class LanguageModel:
         for j in range(n):
             logits[j], hidden[j] = self.next_logits_hidden(tokens[: start + j + 1])
         return logits, hidden
+
+    def _logit_rows(self, tokens: tuple[int, ...], start: int) -> np.ndarray:
+        """Logits rows start..len-1 of validated `tokens`, by default from `_rows`."""
+        return self._rows(tokens, start)[0]

@@ -8,6 +8,9 @@ depends only on the context and not on the model, a draft and a target
 share noise at equal prefixes, which is what makes speculative decoding
 under sampling reproduce direct sampling exactly for a fixed state.
 
+A choice is argmax(logits / T + noise): log softmax(logits, T) differs
+from logits / T by one constant per row, so no softmax is computed.
+
 The noise is keyed by a running FNV-1a hash of the prefix, fed one token
 per step.  In a decode cycle each prefix's noise is drawn once, by the
 draft, and verification reuses the draft's rows; only the bonus row is
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, argmax_token, softmax
+from .lm import DataError, argmax_token
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -151,9 +154,18 @@ def gumbel_noise(key, n: int) -> np.ndarray:
 
 
 def gumbel_max(logits, noise, temperature: float):
-    """argmax(log softmax(logits, T) + noise) along the last axis, lowest id on ties."""
-    scores = np.log(softmax(logits, temperature))
+    """argmax(logits / T + noise) along the last axis, lowest id on ties.
+
+    Equal to argmax(log softmax(logits, T) + noise): log softmax only
+    subtracts a per-row constant.  A temperature that is not finite and
+    positive, or a non-finite score, is a ValueError.
+    """
+    if not 0 < temperature < np.inf:
+        raise ValueError("sampling requires a finite temperature > 0")
+    scores = np.asarray(logits, dtype=float) / temperature
     scores += noise
+    if not np.isfinite(scores).all():
+        raise ValueError("sampling requires finite scores")
     return np.argmax(scores, axis=-1)
 
 
@@ -161,8 +173,9 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
     """The model's deterministic choice at this context.
 
     Temperature 0 means greedy argmax.  Otherwise the choice is the
-    Gumbel-max sample argmax(log softmax(logits, T) + g(state, context)),
-    whose marginal over seeds is softmax(logits, T).
+    Gumbel-max sample argmax(logits / T + g(state, context)), whose
+    marginal over seeds is softmax(logits, T): the softmax's
+    log-normalizer is one constant per row and drops out of the argmax.
     """
     if temperature == 0:
         return argmax_token(logits)
@@ -216,7 +229,7 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     tokens = tuple(tokens)
     first = max(start, 1)
     # The last row predicts past the end; it is computed, not read.
-    logits = model.forward_parallel(tokens, start=first - 1).logits[:-1]
+    logits = model.forward_logits(tokens, start=first - 1)[:-1]
     if temperature == 0:
         choices = logits.argmax(axis=1)
     else:

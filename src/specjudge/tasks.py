@@ -25,6 +25,9 @@ EOS_TEXT = "</s>"
 # Admits every corpus of up to 4 steps at the default 3 variants (87,372
 # lines for steps 2,3,4); 5 steps alone renders 282,943 lines per variant.
 MAX_CORPUS_LINES = 200_000
+# 8 steps within max_value 8, the least likely feasible setting, completes
+# one draw in 11,300: a million draws all fail with probability e^-88.
+MAX_CHAIN_DRAWS = 1_000_000
 
 
 def build_vocab(max_value: int = 99) -> Vocab:
@@ -85,20 +88,29 @@ def _legal_ops(value: int, max_value: int, final: bool) -> list[tuple[str, int]]
 
 
 def sample_chain(rng: random.Random, num_steps: int, max_value: int = 99) -> Chain:
-    """Random feasible chain; num_steps counts the starting step."""
+    """Random feasible chain; num_steps counts the starting step.
+
+    A draw stranded at a value with no legal step is drawn again from
+    `rng`, so a first draw that succeeds is kept as it is.
+    """
     if not 2 <= num_steps <= 8:
         raise DataError("num_steps must be in 2..8")
-    start = rng.randint(1, 9)
-    value = start
-    ops = []
-    for j in range(num_steps - 1):
-        choices = _legal_ops(value, max_value, final=j == num_steps - 2)
-        if not choices:
-            raise DataError(f"no chain step from {value} stays within max_value {max_value}")
-        op, k = choices[rng.randrange(len(choices))]
-        ops.append((op, k))
-        value = value + k if op == "Add" else value * k
-    return Chain(start, tuple(ops))
+    for draw in range(MAX_CHAIN_DRAWS):
+        start = value = rng.randint(1, 9)
+        ops = []
+        for j in range(num_steps - 1):
+            choices = _legal_ops(value, max_value, final=j == num_steps - 2)
+            if not choices:
+                break
+            op, k = choices[rng.randrange(len(choices))]
+            ops.append((op, k))
+            value = value + k if op == "Add" else value * k
+        else:
+            return Chain(start, tuple(ops))
+        if draw == 0 and count_chains(num_steps, max_value) == 0:
+            raise DataError(f"no {num_steps}-step chain stays within max_value {max_value}")
+    raise DataError(f"no {num_steps}-step chain within max_value {max_value} "
+                    f"found in {MAX_CHAIN_DRAWS} draws")
 
 
 def count_chains(num_steps: int, max_value: int = 99) -> int:

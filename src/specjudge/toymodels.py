@@ -88,8 +88,8 @@ class NGramModel(LanguageModel):
         top1 = float(logits.max())
         return logits, np.concatenate([emb, [entropy, top1]])
 
-    def _rows(self, tokens, start):
-        """All rows at once: one count array, then log, entropy and top-1."""
+    def _prob_rows(self, tokens, start):
+        """Next-token probabilities of rows start..len-1 from one count array."""
         n, size, w = len(tokens) - start, self.vocab.size, self.order - 1
         k = self.smoothing
         probs = np.full((n, size), k)
@@ -105,8 +105,17 @@ class NGramModel(LanguageModel):
                 totals[j] += sum(counter.values())
         probs[rows, ids] += counts
         probs /= totals[:, None]
+        return probs
+
+    def _logit_rows(self, tokens, start):
+        return np.log(self._prob_rows(tokens, start))
+
+    def _rows(self, tokens, start):
+        """All rows at once: the probabilities, then log, entropy and top-1."""
+        probs = self._prob_rows(tokens, start)
         logits = np.log(probs)
-        hidden = np.zeros((n, self.hidden_dim))
+        hidden = np.zeros((len(probs), self.hidden_dim))
+        w = self.order - 1
         if w > 0:
             # Rows whose context is shorter than the window average fewer tokens.
             full = min(max(start, w - 1), len(tokens))
@@ -204,6 +213,9 @@ class PerturbedModel(LanguageModel):
         logits = base_logits + delta
         summary = float(delta[argmax_token(logits)])
         return logits, np.concatenate([base_hidden, [summary]])
+
+    def _logit_rows(self, tokens, start):
+        return self.base._logit_rows(tokens, start) + self._delta(tokens, start)
 
     def _rows(self, tokens, start):
         base_logits, base_hidden = self.base._rows(tokens, start)

@@ -75,7 +75,7 @@ def test_failed_task_is_counted_and_reported(pipeline, eval_tasks, bench_config,
 
 def test_non_data_error_ends_the_run(pipeline, eval_tasks, bench_config):
     class Broken(type(pipeline.target)):
-        def _rows(self, tokens, start):
+        def _logit_rows(self, tokens, start):
             raise RuntimeError("backend bug")
 
     broken = Broken(pipeline.vocab, order=2, smoothing=1.0)

@@ -328,7 +328,7 @@ def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen-tasks", "--max-value", "3", "--count", "2"],
+    ["gen-tasks", "--max-value", "3", "--num-steps", "4", "--count", "2"],
     ["gen-corpus", "--max-value", "0"],
 ])
 def test_infeasible_max_value_is_a_data_error(tmp_path, capsys, argv):
@@ -338,6 +338,24 @@ def test_infeasible_max_value_is_a_data_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert not out.exists()
     assert not (tmp_path / "never.out.manifest.json").exists()
+
+
+def test_gen_tasks_redraws_a_chain_that_strands(tmp_path):
+    """A start of 9 leaves no step within max-value 9; the chain is drawn again."""
+    out = tmp_path / "tasks.jsonl"
+    assert main(["gen-tasks", "--max-value", "9", "--count", "30", "--num-steps", "2",
+                 "--seed", "50", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 30
+    for row in rows:
+        words = row["prompt"].split()
+        values = [int(words[2])]
+        for word, operand in zip(words, words[1:]):
+            if word == "Add":
+                values.append(values[-1] + int(operand))
+            elif word == "by":
+                values.append(values[-1] * int(operand))
+        assert len(values) == 2 and max(values) <= 9 and values[-1] == row["oracle"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -301,12 +301,12 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
                                                    monkeypatch, config):
     """Drafting and verification read logits; the judge alone asks for rows.
 
-    Lossless and top-K decodes make no `next_logits_hidden` call on either
-    model and no draft forward; the judge makes one draft forward per
-    position it scores.
+    Lossless and top-K decodes make no `next_logits_hidden` call and no
+    `forward_parallel` on either model; the judge makes one draft and one
+    target forward per position it scores.
     """
     draft, target = pipeline.draft, pipeline.target
-    calls = {"hidden": 0, "draft_forward": 0, "judged": 0}
+    calls = {"hidden": 0, "draft_forward": 0, "target_forward": 0, "judged": 0}
 
     def count(name, fn):
         def spy(*args, **kwargs):
@@ -314,23 +314,23 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
             return fn(*args, **kwargs)
         return spy
 
-    for model in (draft, target):
+    for side, model in (("draft", draft), ("target", target)):
         monkeypatch.setattr(model, "next_logits_hidden",
                             count("hidden", model.next_logits_hidden))
-    monkeypatch.setattr(draft, "forward_parallel",
-                        count("draft_forward", draft.forward_parallel))
+        monkeypatch.setattr(model, "forward_parallel",
+                            count(f"{side}_forward", model.forward_parallel))
     monkeypatch.setattr(engine, "predict_importance",
                         count("judged", engine.predict_importance))
     tasks = eval_tasks[:10]
     for policy in (LosslessPolicy(), TopKPolicy(2)):
         for task in tasks:
             spec_decode(task.prompt.tokens, draft, target, policy, config)
-    assert calls == {"hidden": 0, "draft_forward": 0, "judged": 0}
+    assert calls == {"hidden": 0, "draft_forward": 0, "target_forward": 0, "judged": 0}
     for task in tasks:
         spec_decode(task.prompt.tokens, draft, target, JudgePolicy(judged.judge),
                     config)
     assert calls["hidden"] == 0
-    assert calls["draft_forward"] == calls["judged"] > 0
+    assert calls["draft_forward"] == calls["target_forward"] == calls["judged"] > 0
 
 
 PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)

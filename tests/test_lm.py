@@ -1,11 +1,10 @@
-"""Vocabulary, token sequences, softmax, and the forward-pass contract."""
+"""Vocabulary, token sequences, and the forward-pass contract."""
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token, softmax
+from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
 from specjudge.trace import record_trace
 
@@ -47,34 +46,6 @@ def test_token_sequence_boundary():
         TokenSequence((1, 2), prompt_len=3)
 
 
-def test_softmax_matches_high_precision_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        logits = rng.normal(size=5) * rng.uniform(0.5, 4.0)
-        temp = rng.uniform(0.3, 3.0)
-        got = softmax(logits, temp)
-        exact = [mpmath.exp(mpmath.mpf(z) / mpmath.mpf(temp)) for z in logits]
-        total = mpmath.fsum(exact)
-        want = np.array([float(e / total) for e in exact])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        assert abs(got.sum() - 1.0) < 1e-12
-
-
-def test_softmax_shift_invariance():
-    logits = np.random.default_rng(1).normal(size=8)
-    np.testing.assert_allclose(softmax(logits + 123.0), softmax(logits),
-                               rtol=0, atol=1e-12)
-
-
-def test_softmax_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        softmax([0.0, np.inf])
-    with pytest.raises(ValueError):
-        softmax([0.0, 1.0], temperature=0.0)
-    with pytest.raises(ValueError):
-        softmax([0.0, 1.0], temperature=-1.0)
-
-
 def test_argmax_breaks_ties_toward_lowest_id():
     assert argmax_token([1.0, 3.0, 3.0, 0.0]) == 1
     assert argmax_token([2.0, 2.0]) == 0
@@ -83,6 +54,7 @@ def test_argmax_breaks_ties_toward_lowest_id():
 def _assert_rows_match_steps(model, tokens, starts):
     for start in starts:
         out = model.forward_parallel(tokens, start)
+        assert np.array_equal(model.forward_logits(tokens, start), out.logits), (model.name, start)
         assert out.logits.shape == (len(tokens) - start, model.vocab.size)
         assert out.hidden.shape == (len(tokens) - start, model.hidden_dim)
         for i in range(start, len(tokens)):
@@ -97,7 +69,8 @@ def _assert_rows_match_steps(model, tokens, starts):
        order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
 def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
     """Every row from every start equals the per-step primitive, bit for bit,
-    and so do the logits-only step's logits at every prefix.
+    and so do the logits-only forward's rows and the logits-only step's
+    logits at every prefix.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
@@ -131,10 +104,11 @@ def test_forward_rows_ignore_later_tokens():
 
 def test_token_range_checked():
     model = tiny_model()
-    with pytest.raises(DataError):
-        model.forward_parallel((0, 9))
-    for start in (-1, 2):
+    for forward in (model.forward_parallel, model.forward_logits):
         with pytest.raises(DataError):
-            model.forward_parallel((0, 1), start)
-    with pytest.raises(DataError):
-        model.forward_parallel(())
+            forward((0, 9))
+        for start in (-1, 2):
+            with pytest.raises(DataError):
+                forward((0, 1), start)
+        with pytest.raises(DataError):
+            forward(())

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specjudge.lm import DataError, Vocab, argmax_token
 from specjudge.sampling import (RandomState, _fnv_feed, _fnv_feed_vec,
-                                _prefix_hash, gumbel_key, gumbel_noise,
+                                _prefix_hash, gumbel_key, gumbel_max, gumbel_noise,
                                 positionwise_choices, rollout, seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
@@ -108,6 +109,41 @@ def test_gumbel_noise_is_deterministic_and_keyed():
     assert np.any(g != gumbel_noise(gumbel_key(RandomState(8), CTX), 12))
     assert np.any(g != gumbel_noise(gumbel_key(RandomState(7), CTX + (9,)), 12))
     assert np.all(np.isfinite(g))
+
+
+def ref_gumbel_max(logits, noise, temperature):
+    """The log-softmax rule: argmax(log softmax(logits, T) + noise)."""
+    z = np.asarray(logits, dtype=float) / temperature
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    with np.errstate(divide="ignore"):  # an underflowed probability logs to -inf
+        scores = np.log(e / e.sum(axis=-1, keepdims=True))
+    return np.argmax(scores + noise, axis=-1)
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(2, 40), st.one_of(st.none(), st.integers(1, 6)),
+       st.floats(0.05, 40.0))
+def test_gumbel_max_matches_log_softmax_rule(data, vocab, rows, temperature):
+    shape = (vocab,) if rows is None else (rows, vocab)
+    logits = data.draw(hnp.arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+    keys = data.draw(st.lists(hashes, min_size=rows or 1, max_size=rows or 1))
+    noise = gumbel_noise(keys[0] if rows is None else np.array(keys, dtype=np.uint64), vocab)
+    assert noise.shape == shape
+    # The two rules round differently, so scores within a few ulps could
+    # break either way; under random 64-bit keys such a near-tie is negligible.
+    np.testing.assert_array_equal(gumbel_max(logits, noise, temperature),
+                                  ref_gumbel_max(logits, noise, temperature))
+
+
+def test_gumbel_max_ties_and_bad_inputs():
+    assert gumbel_max([1.0, 3.0, 3.0, 0.0], np.zeros(4), 0.5) == 1
+    assert gumbel_max([[2.0, 2.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0).tolist() == [0, 1]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            gumbel_max([0.0, bad, 1.0], np.zeros(3), 1.0)
+    for temperature in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            gumbel_max([0.0, 1.0], np.zeros(2), temperature)
 
 
 def test_seeded_choice_greedy_is_argmax():
