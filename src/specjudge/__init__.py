@@ -10,7 +10,7 @@ harmless draft tokens during speculative decoding.
 from .lm import DataError, LanguageModel, LmOutput, TokenSequence, Vocab
 from .sampling import RandomState, gumbel_noise
 from .toymodels import NGramModel, PerturbSpec, ScriptedModel, make_draft, train_ngram
-from .tasks import Answer, Task, answers_equivalent, build_vocab, extract_answer, gen_arithmetic_task
+from .tasks import Task, answers_equivalent, build_vocab, extract_answer, gen_arithmetic_task
 from .mining import MiningConfig, MismatchRecord, mine_important, mine_naive
 from .judge import FeatureConfig, JudgeModel, calibrate_threshold, grid_search_C, predict_importance, train_logreg
 from .engine import (CycleStats, EngineConfig, JudgePolicy, LosslessPolicy,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .engine import (DecodeResult, EngineConfig, JudgePolicy, LosslessPolicy,
                      TopKPolicy, accepted_per_cycle, spec_decode)
 from .lm import DataError
-from .tasks import Answer, Task, answers_equivalent, extract_answer
+from .tasks import Task, answers_equivalent, extract_answer
 
 REPORT_COLUMNS = ("policy", "param", "accuracy", "accepted_per_cycle",
                   "cycles", "tokens", "seed")
@@ -50,7 +50,7 @@ def policy_label(policy) -> tuple[str, str]:
 
 
 def decode_task(task: Task, draft, target, policy,
-                config: EngineConfig) -> tuple[DecodeResult, Answer, bool]:
+                config: EngineConfig) -> tuple[DecodeResult, int | None, bool]:
     """Decode one task and grade its final answer against the oracle.
 
     The response budget is the smaller of `config.max_tokens` and the

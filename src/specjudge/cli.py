@@ -19,11 +19,12 @@ import sys
 from . import bench as bench_mod
 from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
                      accepted_per_cycle)
-from .judge import (FeatureConfig, calibrate_threshold, grid_search_C,
-                    build_examples, load_judge, save_judge)
+from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
+                    grid_search_C, build_examples, load_judge, save_judge)
 from .lm import DataError, TokenSequence
-from .mining import (MiningConfig, TaskSkippedError, dataset_fingerprint,
-                     export_dataset, load_dataset, mine_important, mine_naive)
+from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
+                     dataset_fingerprint, export_dataset, load_dataset,
+                     mine_important, mine_naive)
 from .remote import RemoteEndpoint, RemoteError, remote_generator
 from .sampling import RandomState, rollout
 from .tasks import (build_vocab, gen_corpus, gen_arithmetic_task, load_tasks,
@@ -172,7 +173,9 @@ def _mining_config(args) -> MiningConfig:
                         max_rollbacks=args.max_rollbacks)
 
 
-def _policies(args):
+def _policies(args, draft, target):
+    """The --policy list; a judge that cannot read these models' features
+    is a data error before anything is decoded."""
     policies = []
     for name in args.policy:
         if name == "lossless":
@@ -184,6 +187,7 @@ def _policies(args):
             if not args.judge:
                 raise DataError("judge policy needs --judge <file>")
             judge = load_judge(args.judge)
+            check_judge_compatible(judge, draft, target)
             for tau in args.threshold or [judge.threshold]:
                 policies.append(JudgePolicy(judge, threshold=tau))
     return policies
@@ -230,7 +234,7 @@ def cmd_mine(args) -> int:
         generate = remote_generator(endpoint, vocab, temperature=args.temperature)
     miner = mine_naive if args.naive else mine_important
     records = []
-    skipped = 0
+    skipped = over_cap = 0
     for task in tasks:
         try:
             records.extend(miner(task, draft, target, cfg,
@@ -238,13 +242,18 @@ def cmd_mine(args) -> int:
         except TaskSkippedError as e:
             skipped += 1
             print(f"skipped: {e}", file=sys.stderr)
+        except MiningBudgetError as e:  # keep the labels finished before the cap
+            over_cap += 1
+            records.extend(e.records)
+            print(f"over the rollback cap: {e}", file=sys.stderr)
     if not records:
         raise DataError("mining produced no records")
     export_dataset(args.out, records)
     _write_manifest(args.out, "mine", _manifest_options(args))
     frac = sum(r.important for r in records) / len(records)
     print(f"wrote {len(records)} records to {args.out} "
-          f"(important fraction {frac:.3f}, {skipped} tasks skipped)")
+          f"(important fraction {frac:.3f}, {skipped} tasks skipped, "
+          f"{over_cap} over the rollback cap)")
     return 0
 
 
@@ -252,8 +261,7 @@ def cmd_train_judge(args) -> int:
     records = load_dataset(args.dataset)
     cfg = FeatureConfig(token_source=args.token_source,
                         model_source=args.model_source)
-    examples = build_examples(records, cfg)
-    result = grid_search_C(examples, split_seed=args.seed, cfg=cfg,
+    result = grid_search_C(build_examples(records, cfg), split_seed=args.seed,
                            max_iters=args.max_iters)
     judge = result.model
     judge.threshold = calibrate_threshold(judge, result.validation,
@@ -269,7 +277,7 @@ def cmd_train_judge(args) -> int:
 
 def cmd_decode(args) -> int:
     vocab, target, draft, tasks = _models_and_tasks(args)
-    policies = _policies(args)
+    policies = _policies(args, draft, target)
     if len(policies) != 1:
         raise DataError("decode runs exactly one policy")
     config = _engine_config(args)
@@ -280,7 +288,7 @@ def cmd_decode(args) -> int:
             f.write(json.dumps({
                 "task_id": task.task_id,
                 "response": vocab.decode(result.response),
-                "answer": answer.value,
+                "answer": answer,
                 "correct": correct,
                 "cycles": len(result.cycles),
                 "accepted_per_cycle": accepted_per_cycle(result.cycles),
@@ -292,7 +300,7 @@ def cmd_decode(args) -> int:
 
 def cmd_bench(args) -> int:
     _, target, draft, tasks = _models_and_tasks(args)
-    policies = _policies(args)
+    policies = _policies(args, draft, target)
     rows = bench_mod.run_benchmark(tasks, draft, target, policies,
                                    _engine_config(args), seed=args.seed)
     report = bench_mod.emit_report(rows, fmt=args.format)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,30 +72,38 @@ def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden,
     return vec
 
 
-@dataclass
-class TrainingExample:
-    features: np.ndarray
-    label: bool
-    task_id: str
+@dataclass(frozen=True)
+class Examples:
+    """Training rows: features X (n, d), 0/1 labels y (floats), each row's
+    task id, and the FeatureConfig that built X."""
+
+    X: np.ndarray
+    y: np.ndarray
+    task_ids: np.ndarray
+    feature_config: FeatureConfig
+
+    def rows(self, mask) -> "Examples":
+        return Examples(self.X[mask], self.y[mask], self.task_ids[mask],
+                        self.feature_config)
 
 
-def build_examples(records, cfg: FeatureConfig) -> list[TrainingExample]:
+def build_examples(records, cfg: FeatureConfig) -> Examples:
     """Assemble examples, insisting on one consistent feature dimension."""
-    examples = []
-    dim = None
-    for r in records:
-        vec = assemble_features(cfg, r.draft_hidden, r.target_hidden,
-                                r.prev_draft_hidden, r.prev_target_hidden)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise DataError(
-                f"feature dimension mismatch: {len(vec)} != {dim}; "
-                "records come from models with different hidden sizes")
-        examples.append(TrainingExample(vec, bool(r.important), r.task_id))
-    if not examples:
+    records = list(records)
+    if not records:
         raise DataError("no records to build examples from")
-    return examples
+    vecs = [assemble_features(cfg, r.draft_hidden, r.target_hidden,
+                              r.prev_draft_hidden, r.prev_target_hidden)
+            for r in records]
+    dims = sorted({len(v) for v in vecs})
+    if len(dims) > 1:
+        raise DataError(
+            f"feature dimension mismatch: {dims}; "
+            "records come from models with different hidden sizes")
+    return Examples(X=np.stack(vecs),
+                    y=np.array([1.0 if r.important else 0.0 for r in records]),
+                    task_ids=np.array([r.task_id for r in records]),
+                    feature_config=cfg)
 
 
 @dataclass
@@ -145,22 +153,22 @@ def _grad(X, y, w, z, C):
     return X.T @ diff / len(y) + C * w, float(diff.sum() / len(y))
 
 
-def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
-                 cfg: FeatureConfig | None = None) -> JudgeModel:
+def train_logreg(examples: Examples, C: float, max_iters: int = 500) -> JudgeModel:
     """Full-batch gradient descent with Armijo backtracking, from zeros.
 
     Minimizes mean log-loss + C/2 * ||w||^2 (bias unregularized); trials
     evaluate the loss alone, the gradient only the accepted step.  The
     whole procedure is deterministic, so retraining on identical inputs
-    reproduces identical parameters bit for bit.
+    reproduces identical parameters bit for bit.  The judge carries the
+    examples' feature config.
     """
     if C < 0:
         raise TrainingError("C must be >= 0")
-    X = np.stack([e.features for e in examples]).astype(float)
-    y = np.array([1.0 if e.label else 0.0 for e in examples])
-    if len(set(int(v) for v in y)) < 2:
+    if max_iters < 0:
+        raise TrainingError("max_iters must be >= 0")
+    X, y = examples.X, examples.y
+    if np.unique(y).size < 2:
         raise TrainingError("training data has a single class")
-    cfg = cfg or FeatureConfig()
     w = np.zeros(X.shape[1])
     b = 0.0
     step = 1.0
@@ -168,7 +176,7 @@ def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
     for _ in range(max_iters):
         gw, gb = _grad(X, y, w, z, C)
         gnorm2 = float(gw @ gw) + gb * gb
-        if np.sqrt(gnorm2) < tol:
+        if np.sqrt(gnorm2) < 1e-8:  # converged
             break
         step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
         improved = False
@@ -183,7 +191,7 @@ def train_logreg(examples, C: float, max_iters: int = 500, tol: float = 1e-8,
         if not improved:
             break
         w, b, loss, z = w2, b2, loss2, z2
-    return JudgeModel(weights=w, bias=b, feature_config=cfg, C=C)
+    return JudgeModel(weights=w, bias=b, feature_config=examples.feature_config, C=C)
 
 
 def roc_auc(labels, scores) -> float:
@@ -195,45 +203,34 @@ def roc_auc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC-AUC needs both classes")
     order = np.argsort(scores, kind="mergesort")
+    # a run of equal sorted scores at i..j shares the rank (i + j) / 2 + 1
+    _, i, counts = np.unique(scores[order], return_index=True, return_counts=True,
+                             equal_nan=False)
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * i + counts - 1) + 1.0, counts)
     pos_rank_sum = float(ranks[labels].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def split_by_task(examples, split_seed: int, val_fraction: float = 0.1):
+def split_by_task(examples: Examples, split_seed: int) -> tuple[Examples, Examples]:
     """Deterministic 90/10 split on task ids, not individual rows."""
-    ids = sorted({e.task_id for e in examples})
+    ids = sorted(set(examples.task_ids.tolist()))
     if len(ids) < 2:
         raise TrainingError("need at least 2 tasks for a task-level split")
-    rng = random.Random(f"split:{split_seed}")
-    rng.shuffle(ids)
-    n_val = max(1, int(round(len(ids) * val_fraction)))
-    val_ids = set(ids[:n_val])
-    train = [e for e in examples if e.task_id not in val_ids]
-    val = [e for e in examples if e.task_id in val_ids]
-    if not train or not val:
-        raise TrainingError("degenerate task split")
-    return train, val
+    random.Random(f"split:{split_seed}").shuffle(ids)
+    is_val = np.isin(examples.task_ids, ids[:max(1, round(len(ids) * 0.1))])
+    return examples.rows(~is_val), examples.rows(is_val)
 
 
 @dataclass
 class GridSearchResult:
     model: JudgeModel
-    C: float
     val_auc: float
-    aucs: dict[float, float] = field(default_factory=dict)
-    validation: list = field(default_factory=list)
+    aucs: dict[float, float]
+    validation: Examples
 
 
-def grid_search_C(examples, split_seed: int = 0, cfg: FeatureConfig | None = None,
+def grid_search_C(examples: Examples, split_seed: int = 0,
                   max_iters: int = 500) -> GridSearchResult:
     """Pick the L2 strength by validation ROC-AUC over the fixed grid.
 
@@ -241,26 +238,24 @@ def grid_search_C(examples, split_seed: int = 0, cfg: FeatureConfig | None = Non
     model is the one fit on the training split at the winning C; the
     validation split is kept for threshold calibration.
     """
-    cfg = cfg or FeatureConfig()
     train, val = split_by_task(examples, split_seed)
-    val_labels = [e.label for e in val]
-    if len(set(val_labels)) < 2:
+    if np.unique(val.y).size < 2:
         raise TrainingError("validation split has a single class")
     best = None
     aucs = {}
     for C in C_GRID:
-        model = train_logreg(train, C, max_iters=max_iters, cfg=cfg)
-        scores = [predict_importance(model, e.features) for e in val]
-        auc = roc_auc(val_labels, scores)
+        model = train_logreg(train, C, max_iters=max_iters)
+        auc = roc_auc(val.y, [predict_importance(model, x) for x in val.X])
         aucs[C] = auc
         # strict > keeps the earlier (larger) C on ties
         if best is None or auc > best[0]:
-            best = (auc, C, model)
-    auc, C, model = best
-    return GridSearchResult(model=model, C=C, val_auc=auc, aucs=aucs, validation=val)
+            best = (auc, model)
+    auc, model = best
+    return GridSearchResult(model=model, val_auc=auc, aucs=aucs, validation=val)
 
 
-def calibrate_threshold(judge: JudgeModel, validation, target_recall: float = 0.90) -> float:
+def calibrate_threshold(judge: JudgeModel, validation: Examples,
+                        target_recall: float = 0.90) -> float:
     """Largest threshold keeping recall on important tokens >= target.
 
     A draft token is accepted iff its importance score falls below the
@@ -269,8 +264,8 @@ def calibrate_threshold(judge: JudgeModel, validation, target_recall: float = 0.
     """
     if not 0.0 < target_recall <= 1.0:
         raise CalibrationError("target_recall must be in (0, 1]")
-    scores = sorted((predict_importance(judge, e.features) for e in validation
-                     if e.label), reverse=True)
+    scores = sorted((predict_importance(judge, x)
+                     for x in validation.X[validation.y == 1.0]), reverse=True)
     if len(scores) < 10:
         raise CalibrationError(
             f"need >= 10 important validation examples, have {len(scores)}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lm import DataError
 from .sampling import RandomState, positionwise_choices, rollout
-from .tasks import Answer, Task, answers_equivalent, extract_answer
+from .tasks import Task, answers_equivalent, extract_answer
 
 
 class MiningError(DataError):
@@ -58,6 +58,8 @@ class MiningConfig:
             raise DataError("temperature must be finite and >= 0")
         if self.temperature > 0 and self.state is None:
             raise DataError("sampled mining needs a RandomState")
+        if self.max_rollbacks is not None and self.max_rollbacks < 0:
+            raise DataError("max_rollbacks must be >= 0")
 
 
 @dataclass
@@ -92,7 +94,7 @@ class MiningResult:
     records: list[MismatchRecord]
     reference_tokens: tuple[int, ...]
     final_tokens: tuple[int, ...]
-    reference_answer: Answer
+    reference_answer: int
     prompt_len: int
     rollbacks: int = 0
 
@@ -134,7 +136,7 @@ def _reference(task: Task, draft, target, cfg: MiningConfig, target_generate):
     if not y:
         raise TaskSkippedError(f"{task.task_id}: empty reference generation")
     alpha = extract_answer(y, target.vocab)
-    if not alpha.is_number:
+    if alpha is None:
         raise TaskSkippedError(f"{task.task_id}: reference answer not parseable")
     # Prompt positions are never mined; their choices are left undefined.
     choices = [-1] * len(x) + positionwise_choices(draft, x + y, cfg.temperature,

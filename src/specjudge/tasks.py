@@ -36,28 +36,9 @@ def build_vocab(max_value: int = 99) -> Vocab:
     return Vocab(id_to_text=texts, eos_id=len(texts) - 1)
 
 
-@dataclass(frozen=True)
-class Answer:
-    """A parsed final answer: a number, or no answer at all."""
-
-    value: int | None
-
-    @classmethod
-    def number(cls, value: int) -> "Answer":
-        return cls(int(value))
-
-    @classmethod
-    def no_answer(cls) -> "Answer":
-        return cls(None)
-
-    @property
-    def is_number(self) -> bool:
-        return self.value is not None
-
-
-def answers_equivalent(a: Answer, b: Answer) -> bool:
-    """Numbers match iff equal; a missing answer matches nothing."""
-    return a.value is not None and b.value is not None and a.value == b.value
+def answers_equivalent(a: int | None, b: int | None) -> bool:
+    """Numbers match iff equal; a missing answer (None) matches nothing."""
+    return a is not None and a == b
 
 
 @dataclass(frozen=True)
@@ -74,8 +55,8 @@ class Chain:
         return vals
 
     @property
-    def answer(self) -> Answer:
-        return Answer.number(self.values()[-1])
+    def answer(self) -> int:
+        return self.values()[-1]
 
 
 def _legal_ops(value: int, max_value: int, final: bool) -> list[tuple[str, int]]:
@@ -179,7 +160,7 @@ class Task:
 
     task_id: str
     prompt: TokenSequence
-    oracle_answer: Answer
+    oracle_answer: int | None
     max_response_len: int
     seed: int
 
@@ -204,23 +185,21 @@ def gen_arithmetic_task(seed: int, num_steps: int, vocab: Vocab | None = None,
     return task_from_chain(chain, vocab, f"arith-{seed}-{num_steps}", seed)
 
 
-def extract_answer(tokens, vocab: Vocab) -> Answer:
+def extract_answer(tokens, vocab: Vocab) -> int | None:
     """Parse the integer after the last "final answer is" marker in token ids.
 
     Missing marker, missing operand, or a non-integer operand all yield
-    the no-answer value.
+    None, the missing answer.
     """
     words = [vocab.id_to_text[t] for t in tokens]
     marker = ("final", "answer", "is")
     for i in range(len(words) - 3, -1, -1):
         if tuple(words[i : i + 3]) == marker:
-            if i + 3 < len(words):
-                try:
-                    return Answer.number(int(words[i + 3]))
-                except ValueError:
-                    return Answer.no_answer()
-            return Answer.no_answer()
-    return Answer.no_answer()
+            try:
+                return int(words[i + 3])
+            except (IndexError, ValueError):
+                return None
+    return None
 
 
 def gen_corpus(vocab: Vocab, num_steps_values=(2, 3), variants: int = 3,
@@ -255,7 +234,7 @@ def save_tasks(path: str, tasks, vocab: Vocab) -> None:
             f.write(json.dumps({
                 "task_id": t.task_id,
                 "prompt": vocab.decode(t.prompt.tokens),
-                "oracle": t.oracle_answer.value,
+                "oracle": t.oracle_answer,
                 "seed": t.seed,
                 "max_response_len": t.max_response_len,
             }) + "\n")
@@ -285,7 +264,7 @@ def load_tasks(path: str, vocab: Vocab) -> list:
                 oracle = None if row["oracle"] is None else _json_int(row, "oracle")
                 tasks.append(Task(task_id=row["task_id"],
                                   prompt=TokenSequence(ids, len(ids)),
-                                  oracle_answer=Answer(oracle),
+                                  oracle_answer=oracle,
                                   max_response_len=_json_int(row, "max_response_len"),
                                   seed=_json_int(row, "seed")))
             except (KeyError, ValueError, TypeError) as e:

@@ -17,8 +17,7 @@ from specjudge.judge import (FeatureConfig, build_examples, calibrate_threshold,
                              grid_search_C)
 from specjudge.lm import TokenSequence
 from specjudge.mining import TaskSkippedError, mine_important
-from specjudge.tasks import (Answer, Task, build_vocab, gen_arithmetic_task,
-                             gen_corpus)
+from specjudge.tasks import Task, build_vocab, gen_arithmetic_task, gen_corpus
 from specjudge.toymodels import PerturbSpec, ScriptedModel, make_draft, train_ngram
 
 
@@ -169,5 +168,5 @@ def self_correcting_pair(vocab):
     overrides = {(start,): eight, (start, seven): eight, (start, eight): eight}
     draft = ScriptedModel(vocab, {**script, **overrides}, name="pushy-draft")
     task = Task(task_id="witness", prompt=TokenSequence((start,), 1),
-                oracle_answer=Answer.number(7), max_response_len=9, seed=0)
+                oracle_answer=7, max_response_len=9, seed=0)
     return SimpleNamespace(task=task, draft=draft, target=target)

@@ -14,8 +14,8 @@ import pytest
 from specjudge.bench import run_policy
 from specjudge.engine import (EngineConfig, JudgePolicy, LosslessPolicy,
                               TopKPolicy, spec_decode)
-from specjudge.judge import _grad, _loss, predict_importance, train_logreg
-from specjudge.judge import TrainingExample
+from specjudge.judge import (Examples, FeatureConfig, _grad, _loss, predict_importance,
+                             train_logreg)
 from specjudge.mining import (MiningConfig, TaskSkippedError, dataset_fingerprint,
                               mine_important, mine_naive)
 from specjudge.remote import RemoteEndpoint, RemoteError, remote_generator
@@ -164,11 +164,11 @@ def test_criterion_07_classifier_numerics():
 
     X = rng.normal(size=(40, 3))
     labels = X[:, 0] + 2 * X[:, 1] > 0
-    examples = [TrainingExample(X[i], bool(labels[i]), f"t{i}")
-                for i in range(40)]
+    examples = Examples(X, labels.astype(float), np.array([f"t{i}" for i in range(40)]),
+                        FeatureConfig())
     model = train_logreg(examples, C=1e-7)
-    preds = [predict_importance(model, e.features) >= 0.5 for e in examples]
-    assert preds == [e.label for e in examples]
+    preds = [predict_importance(model, x) >= 0.5 for x in X]
+    assert preds == labels.tolist()
 
     again = train_logreg(examples, C=1e-7)
     assert np.array_equal(model.weights, again.weights)

@@ -10,7 +10,7 @@ from specjudge.bench import (REPORT_COLUMNS, BenchRow, decode_task, emit_report,
 from specjudge.engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
 from specjudge.lm import DataError, TokenSequence
 from specjudge.sampling import rollout
-from specjudge.tasks import Answer, Task, answers_equivalent, extract_answer
+from specjudge.tasks import Task, answers_equivalent, extract_answer
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_threshold_sweep_trades_accuracy_for_speed(pipeline, judged, eval_tasks,
 def test_failed_task_is_counted_and_reported(pipeline, eval_tasks, bench_config,
                                              capsys):
     bad = Task(task_id="broken", prompt=TokenSequence((), 0),
-               oracle_answer=Answer.no_answer(), max_response_len=8, seed=0)
+               oracle_answer=None, max_response_len=8, seed=0)
     tasks = list(eval_tasks[:4]) + [bad]
     row = run_policy(tasks, pipeline.draft, pipeline.target, LosslessPolicy(),
                      bench_config)

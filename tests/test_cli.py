@@ -15,7 +15,8 @@ from specjudge import remote
 from specjudge.cli import main, resolve_model
 from specjudge.judge import FeatureConfig, JudgeModel, load_judge, save_judge
 from specjudge.lm import DataError
-from specjudge.mining import (TaskSkippedError, export_dataset, load_dataset,
+from specjudge.mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
+                              export_dataset, load_dataset, mine_important,
                               mine_naive)
 from specjudge.tasks import build_vocab, load_tasks
 from specjudge.trace import load_trace
@@ -89,6 +90,41 @@ def test_mine_writes_a_labeled_dataset(workdir, capsys):
     assert (workdir / "mined.jsonl.manifest.json").exists()
 
 
+def test_mine_counts_tasks_over_the_rollback_cap(workdir, capsys):
+    out = workdir / "mined-capped.jsonl"
+    rc = main(["mine", *model_args(workdir), "--max-rollbacks", "1", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    vocab = build_vocab(9)
+    target = resolve_model(str(workdir / "target.json"), vocab)
+    draft = resolve_model(str(workdir / "draft.json"), vocab)
+    expected, over_cap = [], []
+    for task in load_tasks(str(workdir / "tasks.jsonl"), vocab):
+        try:
+            expected += mine_important(task, draft, target,
+                                       MiningConfig(max_rollbacks=1)).records
+        except MiningBudgetError as e:
+            expected += e.records
+            over_cap.append(task.task_id)
+        except TaskSkippedError:
+            continue
+    assert over_cap  # the cap binds on some tasks but not on all
+    assert len(over_cap) < 12
+    key = lambda r: (r.task_id, r.position, r.draft_token, r.important)
+    assert [key(r) for r in load_dataset(str(out))] == [key(r) for r in expected]
+    assert [line.split(":")[1].strip() for line in captured.err.splitlines()
+            if line.startswith("over the rollback cap")] == over_cap
+    assert f"{len(over_cap)} over the rollback cap" in captured.out
+
+
+def test_negative_rollback_cap_is_one_data_error(workdir, tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    rc = main(["mine", *model_args(workdir), "--max-rollbacks", "-3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: max_rollbacks must be >= 0"]
+    assert not out.exists()
+
+
 def test_mine_naive_labels_each_mismatch_in_isolation(workdir):
     out = workdir / "mined-naive.jsonl"
     rc = main(["mine", *model_args(workdir), "--naive", "--out", str(out)])
@@ -149,6 +185,21 @@ def test_bad_judge_threshold_is_one_data_error(workdir, tmp_path, capsys, comman
     assert rc == 2
     assert capsys.readouterr().err.splitlines() \
         == ["data error: judge threshold must lie strictly inside (0, 1)"]
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_incompatible_judge_is_one_data_error(workdir, tmp_path, capsys, command):
+    judge = tmp_path / "judge.json"
+    save_judge(str(judge), JudgeModel(weights=np.zeros(5), bias=0.0,
+                                      feature_config=FeatureConfig(), C=1.0))
+    out = tmp_path / "never.out"
+    rc = main([command, *model_args(workdir), "--policy", "lossless,judge",
+               "--judge", str(judge), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() \
+        == ["data error: judge expects 5 features but models produce 37"]
     assert not out.exists()
     assert not (tmp_path / "never.out.manifest.json").exists()
 
@@ -233,6 +284,17 @@ def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
     assert judge.dataset_hash
     manifest = json.loads((tmp_path / "judge.json.manifest.json").read_text())
     assert manifest["command"] == "train-judge"
+
+
+def test_train_judge_rejects_negative_iterations(tmp_path, mined, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    export_dataset(str(dataset), mined.records)
+    out = tmp_path / "judge.json"
+    rc = main(["train-judge", "--dataset", str(dataset), "--max-iters", "-5",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: max_iters must be >= 0"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("loader", ["dataset", "judge", "tasks", "trace"])

@@ -287,8 +287,8 @@ def test_decode_time_features_equal_training_features(
             tokens = context + tuple(window.tokens[:j]) + (choice,)
             record = mining._record("parity", tokens, len(context) + j,
                                     window.tokens[j], False, draft, target)
-            (example,) = build_examples([record], cfg)
-            np.testing.assert_array_equal(got, example.features)
+            (row,) = build_examples([record], cfg).X
+            np.testing.assert_array_equal(got, row)
         judged_positions += len(features)
     assert judged_positions >= 20
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.judge import (C_GRID, CalibrationError, FeatureConfig, JudgeModel,
-                             TrainingError, TrainingExample, _grad, _loss,
+from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
+                             JudgeModel, TrainingError, _grad, _loss,
                              build_examples, calibrate_threshold,
                              check_judge_compatible, expected_feature_dim,
                              grid_search_C, load_judge, predict_importance,
@@ -17,9 +17,9 @@ from specjudge.lm import DataError
 
 
 def make_examples(X, y, tasks_of=None):
-    return [TrainingExample(np.asarray(x, dtype=float), bool(label),
-                            tasks_of[i] if tasks_of else f"task-{i}")
-            for i, (x, label) in enumerate(zip(X, y))]
+    y = np.asarray(y, dtype=float)
+    ids = tasks_of or [f"task-{i}" for i in range(len(y))]
+    return Examples(np.asarray(X, dtype=float), y, np.array(ids), FeatureConfig())
 
 
 def separable_examples(n=40, seed=0):
@@ -105,8 +105,8 @@ def test_train_logreg_equals_reference_bit_for_bit(seed, n, d, C, max_iters, sca
 def test_separable_data_reaches_perfect_training_accuracy():
     examples = separable_examples()
     model = train_logreg(examples, C=1e-7)
-    preds = [predict_importance(model, e.features) >= 0.5 for e in examples]
-    assert preds == [e.label for e in examples]
+    preds = [float(predict_importance(model, x) >= 0.5) for x in examples.X]
+    assert preds == examples.y.tolist()
 
 
 def test_training_is_bit_reproducible():
@@ -124,6 +124,11 @@ def test_zero_iterations_returns_the_zero_model():
     assert predict_importance(model, [5.0, -2.0, 1.0]) == 0.5
 
 
+def test_negative_iterations_rejected():
+    with pytest.raises(TrainingError, match="max_iters"):
+        train_logreg(separable_examples(), C=1.0, max_iters=-5)
+
+
 def test_single_class_training_rejected():
     examples = make_examples([[0.0], [1.0]], [True, True])
     with pytest.raises(TrainingError):
@@ -137,6 +142,43 @@ def test_roc_auc_hand_cases():
     assert roc_auc([True, True, False, False], [0.9, 0.4, 0.6, 0.1]) == 0.75
     with pytest.raises(DataError):
         roc_auc([True, True], [0.5, 0.6])
+
+
+def reference_roc_auc(labels, scores):
+    """roc_auc as it was first written: tie runs found by a while-loop."""
+    labels = np.asarray(labels, dtype=bool)
+    scores = np.asarray(scores, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[labels].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# Few distinct values give long tie runs, one value gives all-equal scores,
+# and free floats are almost always untied.
+_SCORES = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan]), min_size=2, max_size=60),
+    st.integers(2, 60).map(lambda n: [0.5] * n),
+    st.lists(st.floats(allow_nan=False), min_size=2, max_size=60))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_SCORES, st.data())
+def test_roc_auc_equals_tie_loop_reference_bit_for_bit(scores, data):
+    labels = data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                max_size=len(scores)).filter(lambda ls: 0 < sum(ls) < len(ls)))
+    got, want = roc_auc(labels, scores), reference_roc_auc(labels, scores)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_regularization_shrinks_weights_monotonically():
@@ -159,7 +201,7 @@ def test_grid_search_separable_ties_pick_strongest_C():
     examples = make_examples(X, y, tasks_of=[f"t{i % 16}" for i in range(80)])
     result = grid_search_C(examples, split_seed=0)
     assert all(auc == 1.0 for auc in result.aucs.values())
-    assert result.C == C_GRID[0] == 1.0
+    assert result.model.C == C_GRID[0] == 1.0
 
 
 def test_grid_search_noise_labels_stay_near_chance():
@@ -176,13 +218,20 @@ def test_split_by_task_keeps_tasks_whole():
     examples = make_examples(np.eye(30), [i % 2 == 0 for i in range(30)],
                              tasks_of=[f"t{i % 10}" for i in range(30)])
     train, val = split_by_task(examples, split_seed=0)
-    train_ids = {e.task_id for e in train}
-    val_ids = {e.task_id for e in val}
+    train_ids, val_ids = set(train.task_ids), set(val.task_ids)
     assert not train_ids & val_ids
     assert len(val_ids) == 1  # 10 tasks at 10 percent
-    assert len(train) + len(val) == 30
+    def rows(part):  # row i of np.eye(30) is example i
+        return part.X.argmax(axis=1)
+
+    assert sorted(np.concatenate([rows(train), rows(val)])) == list(range(30))
+    for part in (train, val):  # rows keep their order, labels and ids alongside
+        assert list(rows(part)) == sorted(rows(part))
+        np.testing.assert_array_equal(part.y, examples.y[rows(part)])
+        np.testing.assert_array_equal(part.task_ids, examples.task_ids[rows(part)])
+        assert part.feature_config == examples.feature_config
     again = split_by_task(examples, split_seed=0)
-    assert [e.task_id for e in again[1]] == [e.task_id for e in val]
+    np.testing.assert_array_equal(again[1].task_ids, val.task_ids)
 
 
 def sigmoid_inv(p):
@@ -194,18 +243,16 @@ def identity_judge():
                       feature_config=FeatureConfig(), C=1.0)
 
 
-def scored_examples(scores, label=True):
-    return [TrainingExample(np.array([sigmoid_inv(s)]), label, f"t{i}")
-            for i, s in enumerate(scores)]
+def scored_examples(scores, labels):
+    return make_examples([[sigmoid_inv(s)] for s in scores], labels)
 
 
 def test_calibrate_threshold_hand_enumeration():
     # the canonical 4-score case {.9,.8,.7,.2}, replicated x3 to meet the
     # minimum of 10 important validation examples
     judge = identity_judge()
-    importants = scored_examples([0.9, 0.8, 0.7, 0.2] * 3)
-    fillers = scored_examples([0.1, 0.1], label=False)
-    pool = importants + fillers  # unimportants never enter the quantile
+    # the two unimportant fillers never enter the quantile
+    pool = scored_examples([0.9, 0.8, 0.7, 0.2] * 3 + [0.1, 0.1], [1] * 12 + [0, 0])
     assert calibrate_threshold(judge, pool, target_recall=0.75) == pytest.approx(0.7)
     assert calibrate_threshold(judge, pool, target_recall=1.0) == pytest.approx(0.2)
 
@@ -213,13 +260,13 @@ def test_calibrate_threshold_hand_enumeration():
 def test_calibrate_threshold_requires_ten_importants():
     judge = identity_judge()
     with pytest.raises(CalibrationError):
-        calibrate_threshold(judge, scored_examples([0.9, 0.8, 0.7, 0.2]))
+        calibrate_threshold(judge, scored_examples([0.9, 0.8, 0.7, 0.2], [1] * 4))
 
 
 def test_calibrate_threshold_perfect_classifier_clamps():
     judge = JudgeModel(weights=np.array([200.0]), bias=0.0,
                        feature_config=FeatureConfig(), C=1.0)
-    examples = [TrainingExample(np.array([1.0]), True, f"t{i}") for i in range(12)]
+    examples = make_examples(np.ones((12, 1)), [1] * 12)
     tau = calibrate_threshold(judge, examples, target_recall=0.9)
     assert tau == 1.0 - 1e-12
 
@@ -228,7 +275,7 @@ def test_calibrate_threshold_unreachable_recall():
     # scores saturate to exactly 0, below any representable threshold
     judge = JudgeModel(weights=np.array([-2000.0]), bias=0.0,
                        feature_config=FeatureConfig(), C=1.0)
-    examples = [TrainingExample(np.array([1.0]), True, f"t{i}") for i in range(12)]
+    examples = make_examples(np.ones((12, 1)), [1] * 12)
     with pytest.raises(CalibrationError):
         calibrate_threshold(judge, examples, target_recall=0.9)
 
@@ -282,12 +329,31 @@ def test_build_examples_concatenates_draft_then_target(mined):
     rec = mined.records[0]
     examples = build_examples([rec], FeatureConfig())
     np.testing.assert_array_equal(
-        examples[0].features,
-        np.concatenate([rec.draft_hidden, rec.target_hidden]))
+        examples.X[0], np.concatenate([rec.draft_hidden, rec.target_hidden]))
     prev = build_examples([rec], FeatureConfig(token_source="prev"))
     np.testing.assert_array_equal(
-        prev[0].features,
-        np.concatenate([rec.prev_draft_hidden, rec.prev_target_hidden]))
+        prev.X[0], np.concatenate([rec.prev_draft_hidden, rec.prev_target_hidden]))
+    assert prev.feature_config == FeatureConfig(token_source="prev")
+
+
+def test_build_examples_keeps_record_order(mined):
+    records = mined.records
+    examples = build_examples(records, FeatureConfig(model_source="target"))
+    assert examples.X.shape == (len(records), 18)
+    assert examples.y.tolist() == [float(r.important) for r in records]
+    assert examples.task_ids.tolist() == [r.task_id for r in records]
+    for x, r in zip(examples.X, records):
+        np.testing.assert_array_equal(x, r.target_hidden)
+    with pytest.raises(DataError, match="no records"):
+        build_examples([], FeatureConfig())
+
+
+def test_grid_search_judge_carries_the_examples_config(pipeline, mined):
+    cfg = FeatureConfig(token_source="prev", model_source="target")
+    result = grid_search_C(build_examples(mined.records, cfg), split_seed=0)
+    assert result.model.feature_config == cfg
+    assert result.validation.feature_config == cfg
+    check_judge_compatible(result.model, pipeline.draft, pipeline.target)
 
 
 def test_engineered_pipeline_judge_quality(judged):

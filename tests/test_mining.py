@@ -7,13 +7,13 @@ import pytest
 
 from conftest import script_line
 from specjudge import mining, sampling
-from specjudge.lm import TokenSequence
+from specjudge.lm import DataError, TokenSequence
 from specjudge.mining import (MiningBudgetError, MiningConfig, MismatchRecord,
                               TaskSkippedError, context_fingerprint,
                               dataset_fingerprint, export_dataset, load_dataset,
                               mine_important, mine_naive)
 from specjudge.sampling import RandomState, rollout
-from specjudge.tasks import Answer, Task, extract_answer, gen_arithmetic_task
+from specjudge.tasks import Task, extract_answer, gen_arithmetic_task
 from specjudge.toymodels import PerturbSpec, ScriptedModel, make_draft
 
 
@@ -40,7 +40,7 @@ def filler_digit_pair(vocab):
                  tuple([start] + swapped[:5]): ids["8"]}
     draft = ScriptedModel(vocab, {**script, **overrides}, name="swapping-draft")
     task = Task(task_id="filler-digit", prompt=TokenSequence((start,), 1),
-                oracle_answer=Answer.number(9), max_response_len=len(response),
+                oracle_answer=9, max_response_len=len(response),
                 seed=0)
     return task, draft, target
 
@@ -61,7 +61,7 @@ def test_filler_swap_unimportant_digit_swap_important(vocab):
     then_id = vocab.token_to_id["Then"]
     assert result.final_tokens[1] == then_id  # harmless swap was adopted
     final_answer = extract_answer(result.final_tokens[1:], vocab)
-    assert final_answer.value == 9 == result.reference_answer.value
+    assert final_answer == 9 == result.reference_answer
 
 
 def test_naive_labeling_never_adopts(vocab):
@@ -80,7 +80,7 @@ def test_self_correcting_pair_separates_miners(self_correcting_pair):
     mined = mine_important(w.task, w.draft, w.target)
     assert sum(r.important for r in mined.records) >= 1
     final_answer = extract_answer(mined.final_tokens[1:], w.target.vocab)
-    assert final_answer.value == mined.reference_answer.value == 7
+    assert final_answer == mined.reference_answer == 7
 
 
 def test_record_fields_recompute(mined, pipeline):
@@ -138,11 +138,17 @@ def test_rollback_cap_raises_with_partial_records(vocab):
     assert len(done.records) == 2
 
 
+def test_negative_rollback_cap_rejected():
+    assert MiningConfig(max_rollbacks=0).max_rollbacks == 0
+    with pytest.raises(DataError, match="max_rollbacks"):
+        MiningConfig(max_rollbacks=-3)
+
+
 def test_unparseable_reference_skips_task(vocab):
     start = vocab.token_to_id["Start"]
     silent = ScriptedModel(vocab, {})  # immediately emits end-of-sequence
     task = Task(task_id="silent", prompt=TokenSequence((start,), 1),
-                oracle_answer=Answer.number(1), max_response_len=5, seed=0)
+                oracle_answer=1, max_response_len=5, seed=0)
     with pytest.raises(TaskSkippedError):
         mine_important(task, silent, silent)
 

@@ -9,7 +9,7 @@ import pytest
 from specjudge import tasks as tasks_mod
 from specjudge.cli import main
 from specjudge.lm import DataError
-from specjudge.tasks import (Answer, Chain, CONNECTIVES, answers_equivalent,
+from specjudge.tasks import (Chain, CONNECTIVES, answers_equivalent,
                              build_vocab, count_chains, enumerate_chains,
                              extract_answer, gen_arithmetic_task, gen_corpus,
                              load_tasks, prompt_words, response_budget,
@@ -31,7 +31,7 @@ def test_chain_values_match_integer_oracle():
         num_steps = rng.randint(2, 3)
         chain = sample_chain(rng, num_steps)
         assert len(chain.ops) == num_steps - 1  # the start counts as a step
-        assert chain.answer.value == eval_chain(chain)
+        assert chain.answer == eval_chain(chain)
     with pytest.raises(DataError):
         sample_chain(rng, 1)
     with pytest.raises(DataError):
@@ -51,7 +51,7 @@ def test_prompt_and_response_rendering():
         "The", "final", "answer", "is", "20", ".", "</s>",
     ]
     vocab = build_vocab()
-    assert extract_answer(vocab.encode(" ".join(words)), vocab).value == 20
+    assert extract_answer(vocab.encode(" ".join(words)), vocab) == 20
     assert response_budget(chain) >= len(words)
 
 
@@ -63,7 +63,7 @@ def test_rendered_tasks_reparse_to_oracle_answer():
         words = response_words(chain, ["Now"] * len(chain.ops))
         ids = vocab.encode(" ".join(prompt_words(chain) + words))
         assert vocab.decode(ids).split() == prompt_words(chain) + words
-        assert extract_answer(ids, vocab).value == chain.answer.value
+        assert extract_answer(ids, vocab) == chain.answer
 
 
 def test_chain_values_respect_vocab_bounds():
@@ -93,7 +93,7 @@ def test_extract_answer_uses_last_marker():
     vocab = build_vocab()
 
     def answer(text):
-        return extract_answer(vocab.encode(text), vocab).value
+        return extract_answer(vocab.encode(text), vocab)
 
     assert answer("final answer is 3 . Now final answer is 5 .") == 5
     assert answer("The final answer is") is None
@@ -103,10 +103,11 @@ def test_extract_answer_uses_last_marker():
 
 
 def test_answers_equivalent_rules():
-    assert answers_equivalent(Answer.number(5), Answer.number(5))
-    assert not answers_equivalent(Answer.number(5), Answer.number(6))
-    assert not answers_equivalent(Answer.no_answer(), Answer.number(5))
-    assert not answers_equivalent(Answer.no_answer(), Answer.no_answer())
+    assert answers_equivalent(5, 5)
+    assert not answers_equivalent(5, 6)
+    assert not answers_equivalent(None, 5)
+    assert not answers_equivalent(5, None)
+    assert not answers_equivalent(None, None)
 
 
 def test_gen_corpus_is_deterministic_and_decodable(vocab):
@@ -136,7 +137,7 @@ def test_save_load_tasks_round_trip(tmp_path, vocab):
     assert loaded == tasks
     row = json.loads(path.read_text().splitlines()[0])
     path.write_text(json.dumps({**row, "oracle": None}) + "\n")
-    assert load_tasks(str(path), vocab)[0].oracle_answer == Answer.no_answer()
+    assert load_tasks(str(path), vocab)[0].oracle_answer is None
     # A float or a bool would be truncated to an integer, so it is refused.
     for key, value in (("oracle", 10.9), ("oracle", True), ("oracle", "10"),
                        ("max_response_len", 20.7), ("max_response_len", False),
