@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -161,15 +162,20 @@ def _models_and_tasks(args):
     return vocab, target, draft, load_tasks(args.tasks, vocab)
 
 
+def _random_state(args) -> RandomState | None:
+    """The sampling state of --seed, or None when --temperature is 0 (greedy)."""
+    if not 0 <= args.temperature < math.inf:
+        raise DataError("temperature must be finite and >= 0")
+    return RandomState(args.seed) if args.temperature > 0 else None
+
+
 def _engine_config(args) -> EngineConfig:
-    state = RandomState(args.seed) if args.temperature > 0 else None
     return EngineConfig(window=args.window, max_tokens=args.max_tokens,
-                        temperature=args.temperature, state=state)
+                        temperature=args.temperature, state=_random_state(args))
 
 
 def _mining_config(args) -> MiningConfig:
-    state = RandomState(args.seed) if args.temperature > 0 else None
-    return MiningConfig(temperature=args.temperature, state=state,
+    return MiningConfig(temperature=args.temperature, state=_random_state(args),
                         max_rollbacks=args.max_rollbacks)
 
 
@@ -281,18 +287,20 @@ def cmd_decode(args) -> int:
     if len(policies) != 1:
         raise DataError("decode runs exactly one policy")
     config = _engine_config(args)
+    rows = []  # written only once every task has decoded
+    for task in tasks:
+        result, answer, correct = bench_mod.decode_task(
+            task, draft, target, policies[0], config)
+        rows.append(json.dumps({
+            "task_id": task.task_id,
+            "response": vocab.decode(result.response),
+            "answer": answer,
+            "correct": correct,
+            "cycles": len(result.cycles),
+            "accepted_per_cycle": accepted_per_cycle(result.cycles),
+        }) + "\n")
     with open(args.out, "w") as f:
-        for task in tasks:
-            result, answer, correct = bench_mod.decode_task(
-                task, draft, target, policies[0], config)
-            f.write(json.dumps({
-                "task_id": task.task_id,
-                "response": vocab.decode(result.response),
-                "answer": answer,
-                "correct": correct,
-                "cycles": len(result.cycles),
-                "accepted_per_cycle": accepted_per_cycle(result.cycles),
-            }) + "\n")
+        f.writelines(rows)
     _write_manifest(args.out, "decode", _manifest_options(args))
     print(f"decoded {len(tasks)} tasks to {args.out}")
     return 0
@@ -316,7 +324,8 @@ def cmd_record_trace(args) -> int:
     if not 0 <= args.task_index < len(tasks):
         raise DataError(f"task index {args.task_index} out of range")
     task = tasks[args.task_index]
-    response = rollout(target, task.prompt.tokens, task.max_response_len)
+    response = rollout(target, task.prompt.tokens, task.max_response_len,
+                       args.temperature, _random_state(args))
     seq = TokenSequence(task.prompt.tokens + tuple(response), len(task.prompt.tokens))
     save_trace(args.out, record_trace(draft, target, seq))
     _write_manifest(args.out, "record-trace", _manifest_options(args))
@@ -369,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine labeled mismatch records")
     _add_common(p)
-    p.add_argument("--naive", action="store_true",
-                   help="isolated per-mismatch labeling baseline")
-    p.add_argument("--max-rollbacks", type=int, default=None)
+    labeling = p.add_mutually_exclusive_group()  # the naive miner never rolls back
+    labeling.add_argument("--naive", action="store_true",
+                          help="isolated per-mismatch labeling baseline")
+    labeling.add_argument("--max-rollbacks", type=int, default=None)
     p.add_argument("--remote-url", default=None)
     p.add_argument("--remote-model", default=None)
     p.add_argument("--out", required=True)

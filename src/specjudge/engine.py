@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence
-from .judge import JudgeModel, assemble_features, check_judge_compatible, predict_importance
+from .judge import JudgeModel, check_judge_compatible, decode_features, predict_importance
 from .sampling import RandomState, autoregress, gumbel_max, seeded_choice
 
 
@@ -145,8 +145,8 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     emits the target's own choice.  A fully accepted window also emits the
     target's bonus choice from row W, unless it ends the sequence or leaves
     no room in the `budget` of tokens the response may still take.  Only
-    the judge reads hidden rows: one two-row pass of each model per
-    position it scores.
+    the judge reads hidden rows: one row of each model its features read,
+    per position it scores.
     """
     context = tuple(context)
     if not context:
@@ -172,12 +172,8 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
         if isinstance(policy, TopKPolicy):
             keep = _in_top_k(logits[j], drafted, policy.k)
         elif isinstance(policy, JudgePolicy) and j < n - 1:
-            # Position j is scored by the rows with and without tokens[j].
-            prefix = full[:c + j + 1]
-            prev, cur = draft.forward_parallel(prefix, start=c + j - 1).hidden
-            prev_t, cur_t = target.forward_parallel(prefix, start=c + j - 1).hidden
-            feats = assemble_features(policy.judge.feature_config,
-                                      cur, cur_t, prev, prev_t)
+            feats = decode_features(policy.judge.feature_config, draft, target,
+                                    full[:c + j], drafted)
             keep = predict_importance(policy.judge, feats) < policy.tau
         if not keep:
             return window.tokens[:j] + [choice], CycleStats(

@@ -1,9 +1,10 @@
 """Token-importance classifier: logistic regression on hidden states.
 
-Features come straight from mined mismatch records; which hidden vectors
-are used is a two-axis choice (encode the position before the mismatch or
-the draft token itself; take the draft model's state, the target's, or
-both concatenated).  Training is full-batch gradient descent with a
+Features come straight from mined mismatch records, and at decode time
+from one hidden row per model read; which hidden vectors are used is a
+two-axis choice (encode the position before the mismatch or the draft
+token itself; take the draft model's state, the target's, or both
+concatenated).  Training is full-batch gradient descent with a
 backtracking line search whose trials evaluate the loss alone; the
 gradient is taken once per iteration, at the accepted step.  The L2
 strength is grid-searched on a held-out task split, and the operating
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError
+from .lm import DataError, json_int
 
 C_GRID = tuple(10.0 ** -i for i in range(0, 8))  # 1e0 .. 1e-7
 
@@ -47,29 +48,42 @@ class FeatureConfig:
         if self.model_source not in MODEL_SOURCES:
             raise DataError(f"model_source must be one of {MODEL_SOURCES}")
 
+    def reads(self, side: str) -> bool:
+        """Whether the features hold the "draft" or "target" model's state."""
+        return self.model_source in (side, "both")
 
-def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden,
-                      prev_draft_hidden, prev_target_hidden) -> np.ndarray:
+
+def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden) -> np.ndarray:
     """Feature vector for one mismatch (draft part first on both).
 
-    The four hidden states are those of a mismatch record: the draft's and
-    the target's encoding of the sequence with the draft token appended,
-    and of the prefix just before it.  Mining and the decode-time judge
-    both build features here, so `cfg` picks the same vectors for both.
+    The two hidden states encode the same prefix, picked by
+    `cfg.token_source`; a side that `cfg.model_source` does not read may
+    be None.
     """
-    if cfg.token_source == "prev":
-        d, t = prev_draft_hidden, prev_target_hidden
-    else:
-        d, t = draft_hidden, target_hidden
-    if cfg.model_source == "draft":
-        vec = np.asarray(d, dtype=float)
-    elif cfg.model_source == "target":
-        vec = np.asarray(t, dtype=float)
-    else:
-        vec = np.concatenate([d, t]).astype(float)
+    parts = [h for side, h in (("draft", draft_hidden), ("target", target_hidden))
+             if cfg.reads(side)]
+    vec = np.concatenate(parts).astype(float)
     if not np.all(np.isfinite(vec)):
         raise DataError("non-finite feature vector")
     return vec
+
+
+def decode_features(cfg: FeatureConfig, draft, target, prefix,
+                    draft_token: int) -> np.ndarray:
+    """Decode-time features of drafting `draft_token` after `prefix`.
+
+    Each model `cfg` reads evaluates one row: `prefix` plus the draft token
+    for "draft_token", `prefix` alone for "prev".  Mining records the same
+    rows, so these equal the features `build_examples` makes for the mismatch.
+    """
+    tokens = tuple(prefix)
+    if cfg.token_source == "draft_token":
+        tokens += (draft_token,)
+
+    def row(model):
+        return model.forward_parallel(tokens, start=len(tokens) - 1).hidden[0]
+    return assemble_features(cfg, row(draft) if cfg.reads("draft") else None,
+                             row(target) if cfg.reads("target") else None)
 
 
 @dataclass(frozen=True)
@@ -92,9 +106,11 @@ def build_examples(records, cfg: FeatureConfig) -> Examples:
     records = list(records)
     if not records:
         raise DataError("no records to build examples from")
-    vecs = [assemble_features(cfg, r.draft_hidden, r.target_hidden,
-                              r.prev_draft_hidden, r.prev_target_hidden)
-            for r in records]
+    if cfg.token_source == "prev":
+        vecs = [assemble_features(cfg, r.prev_draft_hidden, r.prev_target_hidden)
+                for r in records]
+    else:
+        vecs = [assemble_features(cfg, r.draft_hidden, r.target_hidden) for r in records]
     dims = sorted({len(v) for v in vecs})
     if len(dims) > 1:
         raise DataError(
@@ -304,13 +320,13 @@ def load_judge(path: str) -> JudgeModel:
         bias = float(obj["bias"])
         if weights.ndim != 1 or not np.all(np.isfinite(weights)) or not np.isfinite(bias):
             raise DataError("judge weights must be a finite vector and its bias finite")
-        if len(weights) != int(obj["feature_dim"]):
+        if len(weights) != json_int(obj["feature_dim"], "feature_dim"):
             raise DataError("weight vector does not match feature_dim")
         return JudgeModel(weights=weights, bias=bias,
                           feature_config=cfg, C=float(obj["C"]),
                           threshold=float(obj["threshold"]),
                           dataset_hash=obj.get("dataset_hash", ""),
-                          seed=int(obj.get("seed", 0)))
+                          seed=json_int(obj.get("seed", 0), "seed"))
     except OSError as e:
         raise DataError(f"cannot read judge file {path}: {e}") from e
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
@@ -318,11 +334,8 @@ def load_judge(path: str) -> JudgeModel:
 
 
 def expected_feature_dim(cfg: FeatureConfig, draft, target) -> int:
-    if cfg.model_source == "draft":
-        return draft.hidden_dim
-    if cfg.model_source == "target":
-        return target.hidden_dim
-    return draft.hidden_dim + target.hidden_dim
+    return sum(model.hidden_dim for side, model in (("draft", draft), ("target", target))
+               if cfg.reads(side))
 
 
 def check_judge_compatible(judge: JudgeModel, draft, target) -> None:

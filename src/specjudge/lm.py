@@ -1,15 +1,12 @@
 """Core language-model contract shared by every backend.
 
-A model is a pure function of its token context with two per-step
-methods: the abstract primitive `next_logits_hidden` yields the next-token
-logits and the hidden state encoding the consumed prefix, and
-`next_logits` yields the logits alone, so drafting and rollouts build no
-hidden state that nothing reads.  Many rows of one sequence come from a
-parallel forward in one call: `forward_parallel` yields logits and hidden
-rows, and `forward_logits`, its counterpart of `next_logits`, the logits
-rows alone, for verification and mining.  Backends may override either
-row hook with a vectorized evaluation, and the tests hold every such
-override, and every `next_logits`, equal bit for bit to the primitive.
+A model is a pure function of its token context.  Its one hidden-state
+path is the abstract per-step primitive `next_logits_hidden`, which yields
+the next-token logits and the hidden state encoding the consumed prefix;
+`forward_parallel` makes one such call per row.  Logits alone have cheaper
+paths, for drafting, rollouts, verification and mining: `next_logits` per
+step and `forward_logits` for many rows, which backends may vectorize.
+The tests hold each equal bit for bit to the primitive.
 """
 
 from __future__ import annotations
@@ -21,6 +18,13 @@ import numpy as np
 
 class DataError(Exception):
     """Malformed input data (bad tokens, bad files, bad shapes)."""
+
+
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer: a float or bool would be truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ class LanguageModel:
     Subclasses implement `next_logits_hidden(context)`: given a non-empty
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
-    Backends with a cheaper logits-only step override `next_logits`.
+    Backends with a cheaper logits-only step override `next_logits`, and
+    with a vectorized logits pass `_logit_rows`.
     """
 
     name: str = "model"
@@ -153,8 +158,8 @@ class LanguageModel:
     def _rows(self, tokens: tuple[int, ...], start: int):
         """(logits, hidden) rows start..len-1 of validated `tokens`.
 
-        This reference makes one `next_logits_hidden` call per row;
-        backends override it with a vectorized evaluation.
+        One `next_logits_hidden` call per row.  The judge asks for a
+        single row, where this loop beats a vectorized pass.
         """
         n = len(tokens) - start
         logits = np.empty((n, self.vocab.size))

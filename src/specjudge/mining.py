@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError
+from .lm import DataError, json_int
 from .sampling import RandomState, positionwise_choices, rollout
 from .tasks import Task, answers_equivalent, extract_answer
 
@@ -215,6 +215,10 @@ def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
                         reference_answer=alpha, prompt_len=prompt_len)
 
 
+_HIDDEN_FIELDS = ("draft_hidden", "target_hidden", "prev_draft_hidden",
+                  "prev_target_hidden")
+
+
 def export_dataset(path: str, records) -> None:
     with open(path, "w") as f:
         for r in records:
@@ -222,11 +226,15 @@ def export_dataset(path: str, records) -> None:
                 "task_id": r.task_id, "position": r.position,
                 "target_token": r.target_token, "draft_token": r.draft_token,
                 "important": r.important, "context_hash": r.context_hash,
-                "draft_hidden": r.draft_hidden.tolist(),
-                "target_hidden": r.target_hidden.tolist(),
-                "prev_draft_hidden": r.prev_draft_hidden.tolist(),
-                "prev_target_hidden": r.prev_target_hidden.tolist(),
+                **{key: getattr(r, key).tolist() for key in _HIDDEN_FIELDS},
             }) + "\n")
+
+
+def _json_vector(row: dict, key: str) -> np.ndarray:
+    vec = np.array(row[key], dtype=float)
+    if vec.ndim != 1:
+        raise ValueError(f"{key} must be a list of numbers")
+    return vec
 
 
 def load_dataset(path: str) -> list[MismatchRecord]:
@@ -237,17 +245,16 @@ def load_dataset(path: str) -> list[MismatchRecord]:
                 if not line.strip():
                     continue
                 row = json.loads(line)
+                if not isinstance(row["important"], bool):
+                    raise ValueError(f"important must be true or false, "
+                                     f"got {row['important']!r}")
                 records.append(MismatchRecord(
-                    task_id=row["task_id"], position=int(row["position"]),
-                    target_token=int(row["target_token"]),
-                    draft_token=int(row["draft_token"]),
-                    important=bool(row["important"]),
+                    task_id=row["task_id"], position=json_int(row["position"], "position"),
+                    target_token=json_int(row["target_token"], "target_token"),
+                    draft_token=json_int(row["draft_token"], "draft_token"),
+                    important=row["important"],
                     context_hash=row["context_hash"],
-                    draft_hidden=np.array(row["draft_hidden"], dtype=float),
-                    target_hidden=np.array(row["target_hidden"], dtype=float),
-                    prev_draft_hidden=np.array(row["prev_draft_hidden"], dtype=float),
-                    prev_target_hidden=np.array(row["prev_target_hidden"], dtype=float),
-                ))
+                    **{key: _json_vector(row, key) for key in _HIDDEN_FIELDS}))
     except OSError as e:
         raise DataError(f"cannot read dataset file {path}: {e}") from e
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .lm import DataError, TokenSequence, Vocab
+from .lm import DataError, TokenSequence, Vocab, json_int
 
 CONNECTIVES = ("Now", "Then", "Next")
 CONNECTIVE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -240,14 +240,6 @@ def save_tasks(path: str, tasks, vocab: Vocab) -> None:
             }) + "\n")
 
 
-def _json_int(row: dict, key: str) -> int:
-    """row[key] if it is a JSON integer: a float or bool would be truncated."""
-    value = row[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 def load_tasks(path: str, vocab: Vocab) -> list:
     tasks = []
     try:
@@ -261,12 +253,14 @@ def load_tasks(path: str, vocab: Vocab) -> list:
             try:
                 row = json.loads(line)
                 ids = tuple(vocab.encode(row["prompt"]))
-                oracle = None if row["oracle"] is None else _json_int(row, "oracle")
+                oracle = (None if row["oracle"] is None
+                          else json_int(row["oracle"], "oracle"))
                 tasks.append(Task(task_id=row["task_id"],
                                   prompt=TokenSequence(ids, len(ids)),
                                   oracle_answer=oracle,
-                                  max_response_len=_json_int(row, "max_response_len"),
-                                  seed=_json_int(row, "seed")))
+                                  max_response_len=json_int(row["max_response_len"],
+                                                            "max_response_len"),
+                                  seed=json_int(row["seed"], "seed")))
             except (KeyError, ValueError, TypeError) as e:
                 raise DataError(f"bad task record in {path}: {e}") from e
     if not tasks:

@@ -110,25 +110,6 @@ class NGramModel(LanguageModel):
     def _logit_rows(self, tokens, start):
         return np.log(self._prob_rows(tokens, start))
 
-    def _rows(self, tokens, start):
-        """All rows at once: the probabilities, then log, entropy and top-1."""
-        probs = self._prob_rows(tokens, start)
-        logits = np.log(probs)
-        hidden = np.zeros((len(probs), self.hidden_dim))
-        w = self.order - 1
-        if w > 0:
-            # Rows whose context is shorter than the window average fewer tokens.
-            full = min(max(start, w - 1), len(tokens))
-            for i in range(start, full):
-                window = list(tokens[: i + 1])
-                hidden[i - start, :EMBED_DIM] = self.embedding[window].sum(axis=0) / (i + 1)
-            if full < len(tokens):
-                idx = [tokens[i - w + 1:i + 1] for i in range(full, len(tokens))]
-                hidden[full - start:, :EMBED_DIM] = self.embedding[idx].sum(axis=1) / w
-        hidden[:, EMBED_DIM] = -(probs * logits).sum(axis=1)
-        hidden[:, EMBED_DIM + 1] = logits.max(axis=1)
-        return logits, hidden
-
 
 def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
                 name: str = "ngram") -> NGramModel:
@@ -216,13 +197,6 @@ class PerturbedModel(LanguageModel):
 
     def _logit_rows(self, tokens, start):
         return self.base._logit_rows(tokens, start) + self._delta(tokens, start)
-
-    def _rows(self, tokens, start):
-        base_logits, base_hidden = self.base._rows(tokens, start)
-        delta = np.broadcast_to(self._delta(tokens, start), base_logits.shape)
-        logits = base_logits + delta
-        summary = delta[np.arange(len(logits)), logits.argmax(axis=1)]
-        return logits, np.concatenate([base_hidden, summary[:, None]], axis=1)
 
 
 def make_draft(target: LanguageModel, spec: PerturbSpec, name: str = "draft") -> PerturbedModel:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence
+from .lm import DataError, LanguageModel, LmOutput, TokenSequence, json_int
 
 SIDES = ("draft", "target")
 
@@ -113,8 +113,8 @@ def load_trace(path: str) -> Trace:
     try:
         with open(path) as f:
             head, *sides = [json.loads(line) for line in f if line.strip()]
-        tokens = tuple(int(t) for t in head["tokens"])
-        prompt_len = int(head["prompt_len"])
+        tokens = tuple(json_int(t, "token") for t in head["tokens"])
+        prompt_len = json_int(head["prompt_len"], "prompt_len")
         if not 1 <= prompt_len < len(tokens):
             raise ValueError("trace needs a non-empty prompt and response")
         if [s.get("side") for s in sides] != list(SIDES):

@@ -18,6 +18,7 @@ from specjudge.lm import DataError
 from specjudge.mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                               export_dataset, load_dataset, mine_important,
                               mine_naive)
+from specjudge.sampling import RandomState, rollout
 from specjudge.tasks import build_vocab, load_tasks
 from specjudge.trace import load_trace
 
@@ -125,6 +126,17 @@ def test_negative_rollback_cap_is_one_data_error(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_naive_mining_with_a_rollback_cap_is_a_usage_error(workdir, tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", *model_args(workdir), "--naive", "--max-rollbacks", "1",
+              "--out", str(out)])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "never.jsonl.manifest.json").exists()
+
+
 def test_mine_naive_labels_each_mismatch_in_isolation(workdir):
     out = workdir / "mined-naive.jsonl"
     rc = main(["mine", *model_args(workdir), "--naive", "--out", str(out)])
@@ -156,6 +168,27 @@ def test_decode_reports_per_task_results(workdir):
         assert set(row) == {"task_id", "response", "answer", "correct",
                             "cycles", "accepted_per_cycle"}
         assert row["accepted_per_cycle"] >= 1.0
+
+
+def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
+    """A trace covers one task; decoding three from it fails on the first
+    other one, and the tasks decoded before it are not written either."""
+    trace = tmp_path / "task1.trace"
+    assert main(["record-trace", *model_args(workdir), "--task-index", "1",
+                 "--out", str(trace)]) == 0
+    three = tmp_path / "three.jsonl"
+    three.write_text("".join((workdir / "tasks.jsonl").read_text()
+                             .splitlines(keepends=True)[1:4]))
+    args = model_args(workdir)
+    args[args.index("--target-model") + 1] = f"trace:path={trace}"
+    args[args.index("--tasks") + 1] = str(three)
+    out = tmp_path / "never.jsonl"
+    capsys.readouterr()
+    assert main(["decode", *args, "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("data error: context") and "recorded" in err
+    assert not out.exists()
+    assert not (tmp_path / "never.jsonl.manifest.json").exists()
 
 
 def test_decode_rejects_multiple_policies(workdir):
@@ -210,7 +243,7 @@ def test_incompatible_judge_is_one_data_error(workdir, tmp_path, capsys, command
     (["--temperature", "nan"], "temperature must be finite and >= 0"),
     (["--seed", "-1", "--temperature", "0.5"], "seed must fit in 64 bits"),
 ], ids=["inf", "1e309", "nan", "negative-seed"])
-@pytest.mark.parametrize("command", ["bench", "decode", "mine"])
+@pytest.mark.parametrize("command", ["bench", "decode", "mine", "record-trace"])
 def test_bad_sampling_settings_are_one_data_error(workdir, tmp_path, capsys, command,
                                                   settings, message):
     out = tmp_path / "never.out"
@@ -270,6 +303,21 @@ def test_record_trace_round_trips(workdir):
     assert rc == 2
 
 
+def test_record_trace_samples_at_the_given_temperature(workdir, tmp_path):
+    out = tmp_path / "sampled.trace"
+    assert main(["record-trace", *model_args(workdir), "--temperature", "0.7",
+                 "--seed", "5", "--out", str(out)]) == 0
+    vocab = build_vocab(9)
+    target = resolve_model(str(workdir / "target.json"), vocab)
+    task = load_tasks(str(workdir / "tasks.jsonl"), vocab)[0]
+    prompt = task.prompt.tokens
+    sampled = rollout(target, prompt, task.max_response_len, 0.7, RandomState(5))
+    assert load_trace(str(out)).tokens == prompt + tuple(sampled)
+    assert sampled != rollout(target, prompt, task.max_response_len)
+    manifest = json.loads((tmp_path / "sampled.trace.manifest.json").read_text())
+    assert manifest["options"]["temperature"] == 0.7
+
+
 def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
     dataset = tmp_path / "dataset.jsonl"
     export_dataset(str(dataset), mined.records)
@@ -315,6 +363,63 @@ def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader
     assert err[0].startswith(f"data error: cannot read {loader}")
     assert missing in err[0]
     assert not os.path.exists(out)
+
+
+def _set(key, value):
+    def edit(row):
+        row[key] = value
+    return edit
+
+
+def _set_first_token(value):
+    def edit(row):
+        row["tokens"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("loader, edit, message", [
+    ("dataset", _set("important", "false"), "important must be true or false"),
+    ("dataset", _set("position", 9.7), "position must be an integer, got 9.7"),
+    ("dataset", _set("target_token", True), "target_token must be an integer"),
+    ("dataset", _set("draft_hidden", 0.5), "draft_hidden must be a list of numbers"),
+    ("dataset", _set("prev_target_hidden", [[0.5, 1.0]]),
+     "prev_target_hidden must be a list of numbers"),
+    ("judge", _set("feature_dim", 37.9), "feature_dim must be an integer, got 37.9"),
+    ("judge", _set("seed", 1.5), "seed must be an integer, got 1.5"),
+    ("trace", _set_first_token(1.9), "token must be an integer, got 1.9"),
+    ("trace", _set("prompt_len", 2.6), "prompt_len must be an integer, got 2.6"),
+], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
+        "hidden-2d", "feature-dim-float", "seed-float", "trace-token-float",
+        "prompt-len-float"])
+def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
+                                                      loader, edit, message):
+    """Loaders refuse a value they would otherwise coerce, or crash on later."""
+    path = tmp_path / f"input.{loader}"
+    out = tmp_path / "never.out"
+    if loader == "dataset":
+        export_dataset(str(path), mined.records[:2])
+        argv = ["train-judge", "--dataset", str(path), "--out", str(out)]
+    elif loader == "judge":
+        save_judge(str(path), JudgeModel(weights=np.zeros(37), bias=0.0,
+                                         feature_config=FeatureConfig(), C=1.0))
+        argv = ["decode", *model_args(workdir), "--policy", "judge",
+                "--judge", str(path), "--out", str(out)]
+    else:
+        assert main(["record-trace", *model_args(workdir), "--out", str(path)]) == 0
+        argv = ["decode", *model_args(workdir), "--target-model",
+                f"trace:path={path}", "--out", str(out)]
+    first, *rest = path.read_text().splitlines(keepends=True)
+    if loader == "judge":  # one indented JSON object, not JSON lines
+        first, rest = path.read_text(), []
+    row = json.loads(first)
+    edit(row)
+    path.write_text(json.dumps(row) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"data error: bad {loader} file") and message in err[0]
+    assert not out.exists()
 
 
 def test_old_format_trace_is_a_data_error(workdir, tmp_path, capsys):

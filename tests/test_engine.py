@@ -302,21 +302,28 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
     """Drafting and verification read logits; the judge alone asks for rows.
 
     Lossless and top-K decodes make no `next_logits_hidden` call and no
-    `forward_parallel` on either model; the judge makes one draft and one
-    target forward per position it scores.
+    `forward_parallel` on either model; the judge makes one 1-row forward
+    of each model per position it scores, and each such row is one
+    hidden-state step (the draft's step runs its base, the target's).
     """
     draft, target = pipeline.draft, pipeline.target
-    calls = {"hidden": 0, "draft_forward": 0, "target_forward": 0, "judged": 0}
+    assert draft.base is target
+    calls = {"draft_hidden": 0, "target_hidden": 0, "draft_forward": 0,
+             "target_forward": 0, "judged": 0}
+    rows = []
 
     def count(name, fn):
         def spy(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name.endswith("_forward"):
+                rows.append(len(out.logits))
+            return out
         return spy
 
     for side, model in (("draft", draft), ("target", target)):
         monkeypatch.setattr(model, "next_logits_hidden",
-                            count("hidden", model.next_logits_hidden))
+                            count(f"{side}_hidden", model.next_logits_hidden))
         monkeypatch.setattr(model, "forward_parallel",
                             count(f"{side}_forward", model.forward_parallel))
     monkeypatch.setattr(engine, "predict_importance",
@@ -325,12 +332,14 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
     for policy in (LosslessPolicy(), TopKPolicy(2)):
         for task in tasks:
             spec_decode(task.prompt.tokens, draft, target, policy, config)
-    assert calls == {"hidden": 0, "draft_forward": 0, "target_forward": 0, "judged": 0}
+    assert set(calls.values()) == {0}
     for task in tasks:
         spec_decode(task.prompt.tokens, draft, target, JudgePolicy(judged.judge),
                     config)
-    assert calls["hidden"] == 0
-    assert calls["draft_forward"] == calls["target_forward"] == calls["judged"] > 0
+    n = calls["judged"]
+    assert n > 0 and set(rows) == {1}
+    assert calls == {"draft_hidden": n, "target_hidden": 2 * n, "draft_forward": n,
+                     "target_forward": n, "judged": n}
 
 
 PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)

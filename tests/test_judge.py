@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
                              JudgeModel, TrainingError, _grad, _loss,
                              build_examples, calibrate_threshold,
-                             check_judge_compatible, expected_feature_dim,
+                             check_judge_compatible, decode_features,
+                             expected_feature_dim,
                              grid_search_C, load_judge, predict_importance,
                              roc_auc, save_judge, split_by_task, train_logreg)
 from specjudge.lm import DataError
@@ -334,6 +335,21 @@ def test_build_examples_concatenates_draft_then_target(mined):
     np.testing.assert_array_equal(
         prev.X[0], np.concatenate([rec.prev_draft_hidden, rec.prev_target_hidden]))
     assert prev.feature_config == FeatureConfig(token_source="prev")
+
+
+@pytest.mark.parametrize("model_source", ["draft", "target"])
+def test_decode_features_ask_only_the_model_they_read(pipeline, monkeypatch,
+                                                      model_source):
+    """A one-sided config never runs the other model's forward."""
+    unread = pipeline.target if model_source == "draft" else pipeline.draft
+    monkeypatch.setattr(unread, "forward_parallel",
+                        lambda *a, **k: pytest.fail("unread model evaluated"))
+    prefix, token = (1, 2, 3), 4
+    for token_source, row in (("draft_token", prefix + (token,)), ("prev", prefix)):
+        cfg = FeatureConfig(token_source=token_source, model_source=model_source)
+        read = pipeline.draft if model_source == "draft" else pipeline.target
+        got = decode_features(cfg, pipeline.draft, pipeline.target, prefix, token)
+        np.testing.assert_array_equal(got, read.next_logits_hidden(row)[1])
 
 
 def test_build_examples_keeps_record_order(mined):
