@@ -4,9 +4,9 @@ A model is a pure function of its token context.  Its one hidden-state
 path is the abstract per-step primitive `next_logits_hidden`, which yields
 the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
-paths, for drafting, rollouts, verification and mining: `next_logits` per
-step and `forward_logits` for many rows, which backends may vectorize.
-The tests hold each equal bit for bit to the primitive.
+paths: `next_logits` per step, `logit_steps` for drafting and rollouts, and
+`forward_logits` for the many rows of verification and mining, which backends
+may vectorize.  The tests hold each equal bit for bit to the primitive.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class LanguageModel:
     Subclasses implement `next_logits_hidden(context)`: given a non-empty
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
-    Backends with a cheaper logits-only step override `next_logits`, and
-    with a vectorized logits pass `_logit_rows`.
+    Backends with a cheaper logits-only step override `next_logits`, with
+    per-step state `logit_steps`, and with a vectorized pass `_logit_rows`.
     """
 
     name: str = "model"
@@ -125,6 +125,14 @@ class LanguageModel:
     def next_logits(self, context: tuple[int, ...]) -> np.ndarray:
         """The logits of `next_logits_hidden(context)`, without the hidden state."""
         return self.next_logits_hidden(context)[0]
+
+    def logit_steps(self, context: tuple[int, ...]):
+        """Generator of `next_logits` rows: `send(None)` yields the row of `context`, each
+        later `send(t)` appends t and yields the next; step state lives only in here."""
+        context = tuple(context)
+        while True:
+            t = yield self.next_logits(context)
+            context += (t,)
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

@@ -12,14 +12,15 @@ A choice is argmax(logits / T + noise): log softmax(logits, T) differs
 from logits / T by one constant per row, so no softmax is computed.
 
 The noise is keyed by a running FNV-1a hash of the prefix, fed one token
-per step.  In a decode cycle each prefix's noise is drawn once, by the
-draft, and verification reuses the draft's rows; only the bonus row is
-drawn fresh.
+per step, as a perturbed draft keys its own noise in `logit_steps`.  In a
+decode cycle each prefix's noise is drawn once, by the draft, and
+verification reuses the draft's rows; only the bonus row is drawn fresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,12 +51,13 @@ class RandomState:
 _FNV_PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 
 
-# Kernel constants as 0-d uint64 arrays: as operands they skip the scalar
-# conversion that a Python int or np.uint64 costs on every numpy call.
+# Kernel constants as 0-d arrays: as operands they skip the scalar
+# conversion that a Python int or float costs on every numpy call.
 _PRIME_POW_U64 = tuple(np.array(p, dtype=np.uint64) for p in _FNV_PRIME_POW)
 (_BYTE, _EIGHT, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31, _SM_GAMMA, _SM_MUL1,
  _SM_MUL2) = (np.array(c, dtype=np.uint64) for c in (
     0xFF, 8, 11, 27, 30, 31, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_HALF, _TWO_POW_53 = np.array(0.5), np.array(float(1 << 53))
 
 
 def _fnv_feed(h: int, value: int) -> int:
@@ -97,9 +99,12 @@ def _running_keys(h: int, tokens) -> np.ndarray:
     return np.array(keys, dtype=np.uint64)
 
 
-def _byte_width(n: int) -> int:
-    """Bytes that the ids 0..n-1 need, at least one."""
-    return max(1, ((n - 1).bit_length() + 7) // 8)
+@lru_cache(maxsize=None)
+def _ids_and_width(n: int) -> tuple[np.ndarray, int]:
+    """The ids 0..n-1 as read-only uint64, built once per n, and the bytes they need."""
+    ids = np.arange(n, dtype=np.uint64)
+    ids.flags.writeable = False
+    return ids, max(1, ((n - 1).bit_length() + 7) // 8)
 
 
 def _fnv_feed_vec(h, values, nbytes: int) -> np.ndarray:
@@ -116,19 +121,19 @@ def _fnv_feed_vec(h, values, nbytes: int) -> np.ndarray:
     return (out ^ v) * _PRIME_POW_U64[9 - nbytes]
 
 
-def _unit_uniform_vec(keys: np.ndarray) -> np.ndarray:
-    """SplitMix64 of each key mapped into (0, 1) strictly.
+def _unit_uniform_vec(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 of each uint64 key mapped into (0, 1) strictly.
 
     The top 53 bits are offset by half an ulp of the 53-bit grid, so
-    neither 0 nor 1 can come out.
+    neither 0 nor 1 can come out.  The keys are scrambled in place.
     """
-    z = keys + _SM_GAMMA
+    z += _SM_GAMMA
     for shift, mul in ((_SHIFT30, _SM_MUL1), (_SHIFT27, _SM_MUL2)):
         z ^= z >> shift
         z *= mul
     z ^= z >> _SHIFT31
     z >>= _SHIFT11
-    return (z.astype(np.float64) + 0.5) / float(1 << 53)
+    return (z.astype(np.float64) + _HALF) / _TWO_POW_53
 
 
 def gumbel_key(state: RandomState | None, context) -> int:
@@ -148,9 +153,11 @@ def gumbel_noise(key, n: int) -> np.ndarray:
     seeded by feeding i into the key (see gumbel_key).  One key gives an
     (n,) vector, an array of m keys an (m, n) array.
     """
-    keys = np.asarray(key, dtype=np.uint64)[..., None]
-    u = _unit_uniform_vec(_fnv_feed_vec(keys, np.arange(n, dtype=np.uint64), _byte_width(n)))
-    return -np.log(-np.log(u))
+    keys = np.asarray(key, dtype=np.uint64)
+    keys = keys[:, None] if keys.ndim else keys  # one key stays 0-d, numpy's fast path
+    g = _unit_uniform_vec(_fnv_feed_vec(keys, *_ids_and_width(n)))
+    np.negative(np.log(g, out=g), out=g)
+    return np.negative(np.log(g, out=g), out=g)  # -log(-log u), in place
 
 
 def gumbel_max(logits, noise, temperature: float):
@@ -188,24 +195,24 @@ def autoregress(model, context, max_new: int, temperature: float = 0.0,
     """(tokens, Gumbel rows) of up to `max_new` seeded choices.
 
     Stops after end-of-sequence.  Row i of the Gumbel rows is the one
-    drawn at context + tokens[:i]; greedy steps draw none.  Each step reads
-    only the model's logits, each choice feeds a running Gumbel key, and
-    the context is validated once.
+    drawn at context + tokens[:i]; greedy steps draw none.  Each choice is
+    sent to one `model.logit_steps` generator, never asked for a row after
+    the last, and feeds a running Gumbel key; the context is validated once.
     """
     tokens = tuple(context)
     model._check_tokens(tokens)
     key = gumbel_key(state, tokens) if temperature > 0 else None
-    out, noise = [], []
+    steps = model.logit_steps(tokens)
+    out, noise, t = [], [], None  # sending None starts the generator
     eos = model.vocab.eos_id
     for _ in range(max_new):
-        logits = model.next_logits(tokens)
+        logits = steps.send(t)
         if key is None:
             t = argmax_token(logits)
         else:
             noise.append(gumbel_noise(key, len(logits)))
             t = int(gumbel_max(logits, noise[-1], temperature))
             key = _fnv_feed(key, t)
-        tokens += (t,)
         out.append(t)
         if t == eos:
             break

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lm import DataError, LanguageModel, Vocab, argmax_token
-from .sampling import (TAG_PERTURB, _byte_width, _fnv_feed_vec, _prefix_hash,
-                       _running_keys, _unit_uniform_vec)
+from .sampling import (TAG_PERTURB, _fnv_feed, _fnv_feed_vec, _ids_and_width,
+                       _prefix_hash, _running_keys, _unit_uniform_vec)
 
 EMBED_DIM = 16
-_BOX_MULLER_STREAMS = np.arange(2, dtype=np.uint64).reshape(2, 1, 1)
+_MINUS_TWO, _TWO_PI = np.array(-2.0), np.array(2.0 * math.pi)
 
 
 class NGramModel(LanguageModel):
@@ -35,8 +35,8 @@ class NGramModel(LanguageModel):
                  name: str = "ngram"):
         if order < 1:
             raise DataError("order must be >= 1")
-        if smoothing <= 0:
-            raise DataError("smoothing must be > 0")
+        if not 0 < smoothing < math.inf:
+            raise DataError("smoothing must be finite and > 0")
         self.vocab = vocab
         self.order = order
         self.smoothing = smoothing
@@ -139,8 +139,10 @@ class PerturbSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_scale < 0:
-            raise DataError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise DataError("noise_scale must be finite and >= 0")
+        if not all(math.isfinite(off) for off in self.bias_tokens.values()):
+            raise DataError("bias offsets must be finite")
 
 
 class PerturbedModel(LanguageModel):
@@ -159,33 +161,46 @@ class PerturbedModel(LanguageModel):
         self.hidden_dim = base.hidden_dim + 1
         self._bias = np.zeros(self.vocab.size)
         for tok, off in spec.bias_tokens.items():
+            if not 0 <= tok < self.vocab.size:
+                raise DataError(f"bias token id {tok} outside 0..{self.vocab.size - 1}")
             self._bias[tok] += off
-        self._ids = np.arange(self.vocab.size, dtype=np.uint64)
+        ids, self._id_bytes = _ids_and_width(self.vocab.size)
+        self._ids = np.array((ids, ids))  # (2, V): one row per Box-Muller stream
+        self._streams = np.indices(self._ids.shape, dtype=np.uint64)[0]
+        self._sigma = np.array(float(spec.noise_scale))
+
+    def _noise(self, keys) -> np.ndarray:
+        """bias + σ·sqrt(-2 ln u1)·cos(2π u2) in place, u1 and u2 keyed by feeding
+        each id, then 0 or 1, into a key: (V,) for one key, (n, V) for n keys."""
+        if self.spec.noise_scale == 0:
+            return self._bias
+        keys, ids, streams = np.asarray(keys, dtype=np.uint64), self._ids, self._streams
+        if keys.ndim:  # rows go between the stream axis and the id axis
+            keys, ids, streams = keys[:, None], ids[:, None], streams[:, None]
+        u = _unit_uniform_vec(_fnv_feed_vec(_fnv_feed_vec(keys, ids, self._id_bytes), streams, 1))
+        u1, u2 = u[0], u[1]
+        z = np.sqrt(np.multiply(np.log(u1, out=u1), _MINUS_TWO, out=u1), out=u1)
+        z *= np.cos(np.multiply(u2, _TWO_PI, out=u2), out=u2)
+        z *= self._sigma
+        z += self._bias
+        return z
 
     def _delta(self, tokens, start: int = -1) -> np.ndarray:
-        """Logit offsets for rows start..len-1 of `tokens`.
-
-        A negative start counts from the end, as in slicing; the default
-        is the last row alone.  Row i's noise is keyed by the FNV hash of
-        tokens[0..i], and one running hash yields every key.  A single
-        row comes back as a (V,) vector, several as (n, V); without noise
-        the bias vector serves every row.
-        """
-        sigma = self.spec.noise_scale
-        if sigma == 0:
-            return self._bias
+        """Logit offsets for rows start..len-1 of `tokens` (a negative start counts from
+        the end): (V,) for one row, else (n, V), row i keyed by hashing tokens[0..i]."""
         start %= len(tokens)
-        keys = _running_keys(_prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1]),
-                             tokens[start + 1:])
-        hi = _fnv_feed_vec(keys[:, None], self._ids, _byte_width(len(self._ids)))
-        # Row r absorbs r after each per-token hash: u1 from 0, u2 from 1.
-        u1, u2 = _unit_uniform_vec(_fnv_feed_vec(hi, _BOX_MULLER_STREAMS, 1))
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        delta = self._bias + sigma * z
-        return delta if len(delta) > 1 else delta[0]
+        key = _prefix_hash(TAG_PERTURB, self.spec.seed, tokens[: start + 1])
+        rest = tokens[start + 1:]
+        return self._noise(_running_keys(key, rest) if len(rest) else key)
 
-    def next_logits(self, context):
-        return self.base.next_logits(context) + self._delta(context)
+    def logit_steps(self, context):
+        """The base model's steps plus noise, keyed by one running hash of the context."""
+        rows = self.base.logit_steps(context)
+        key = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
+        t = None
+        while True:
+            t = yield rows.send(t) + self._noise(key)
+            key = _fnv_feed(key, t)
 
     def next_logits_hidden(self, context):
         context = tuple(context)

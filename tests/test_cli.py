@@ -467,6 +467,26 @@ def test_bad_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, spec, message", [
+    ("draft", "perturb:base={target},sigma=nan", "noise_scale must be finite and >= 0"),
+    ("draft", "perturb:base={target},sigma=inf", "noise_scale must be finite and >= 0"),
+    ("draft", "perturb:base={target},bias=Then:nan", "bias offsets must be finite"),
+    ("draft", "ngram:corpus={corpus},smoothing=nan", "smoothing must be finite and > 0"),
+    ("target", "ngram:corpus={corpus},smoothing=inf", "smoothing must be finite and > 0"),
+], ids=["sigma-nan", "sigma-inf", "bias-nan", "draft-smoothing-nan", "target-smoothing-inf"])
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_non_finite_model_parameter_is_one_data_error(workdir, tmp_path, capsys, command,
+                                                      side, spec, message):
+    spec = spec.format(corpus=workdir / "corpus.txt", target=workdir / "target.json")
+    out = tmp_path / "never.out"
+    args = model_args(workdir)
+    args[args.index(f"--{side}-model") + 1] = spec
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     ([1, 2], "is not a JSON object"),
     ({"kind": "perturb", "base": "target.json", "bias": ["Then"]},

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge import engine, mining
+from specjudge import engine, mining, toymodels
 from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
                               JudgePolicy, LosslessPolicy, TopKPolicy,
                               accepted_per_cycle, draft_window, spec_decode,
@@ -192,6 +192,23 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
     # One draft call per drafted token, none after the last one.
     assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)]
     assert len(seen) == len(window.tokens) == 5
+
+    # A perturbed draft hashes its context once per window and computes
+    # exactly one noise row per drafted token, whether EOS or the width
+    # ends the window.
+    draft = PerturbedModel(chain_model, PerturbSpec(noise_scale=0.3, seed=1))
+    hashes, rows = [], []
+    prefix_hash, noise = toymodels._prefix_hash, draft._noise
+    monkeypatch.setattr(toymodels, "_prefix_hash",
+                        lambda *args: hashes.append(args) or prefix_hash(*args))
+    monkeypatch.setattr(draft, "_noise", lambda keys: rows.append(np.size(keys)) or noise(keys))
+    sampled = EngineConfig(temperature=0.5, state=RandomState(3))
+    for config, width in product((EngineConfig(), sampled), (8, 3)):
+        seen.clear(), hashes.clear(), rows.clear()
+        window = draft_window(draft, (0,), width, config)
+        assert window.tokens == [1, 2, 1, 2, 3][:width]
+        assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)][:width]
+        assert len(hashes) == 1 and rows == [1] * len(window.tokens)
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model, monkeypatch):

@@ -64,34 +64,51 @@ def _assert_rows_match_steps(model, tokens, starts):
             assert np.array_equal(out.hidden[i - start], hidden), (model.name, start, i)
 
 
-@settings(max_examples=40, deadline=None)
-@given(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24),
-       order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
-def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
-    """Every row from every start equals the per-step primitive, bit for bit,
-    and so do the logits-only forward's rows and the logits-only step's
-    logits at every prefix.
+def _contract_models(tokens, order, prompt_len):
+    """(model, first row) pairs: an n-gram, its drafts without and with
+    noise, a scripted model and, when there is a response, both replays.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
     than the window.
     """
     v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
-    tokens = tuple(tokens)
     base = train_ngram(v, [[0, 1, 2, 7], [3, 1, 4, 1, 5, 7], tokens], order=order,
                        smoothing=0.3, seed=order)
-    models = [
-        base,
-        PerturbedModel(base, PerturbSpec()),
-        PerturbedModel(base, PerturbSpec(noise_scale=0.6, bias_tokens={2: 1.1}, seed=5)),
-        ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))}),
-    ]
-    for model in models:
-        _assert_rows_match_steps(model, tokens, range(len(tokens)))
+    noisy = PerturbedModel(base, PerturbSpec(noise_scale=0.6, bias_tokens={2: 1.1}, seed=5))
+    models = [base, PerturbedModel(base, PerturbSpec()), noisy,
+              ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))})]
+    pairs = [(model, 0) for model in models]
     if prompt_len < len(tokens):
-        trace = record_trace(models[2], base, TokenSequence(tokens, prompt_len))
-        for replay in trace.replay_models(v):
-            _assert_rows_match_steps(replay, tokens, range(prompt_len - 1, len(tokens)))
+        trace = record_trace(noisy, base, TokenSequence(tokens, prompt_len))
+        pairs += [(replay, prompt_len - 1) for replay in trace.replay_models(v)]
+    return pairs
+
+
+contract_cases = given(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24).map(tuple),
+                       order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@contract_cases
+def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
+    """Every row from every start equals the per-step primitive, bit for bit,
+    and so do the logits-only forward's rows and the logits-only step's
+    logits at every prefix."""
+    for model, first in _contract_models(tokens, order, prompt_len):
+        _assert_rows_match_steps(model, tokens, range(first, len(tokens)))
+
+
+@settings(max_examples=40, deadline=None)
+@contract_cases
+def test_logit_steps_match_next_logits(tokens, order, prompt_len):
+    """Each row of one `logit_steps` generator, sent the rest of the tokens,
+    equals `next_logits` at the same prefix, bit for bit."""
+    for model, first in _contract_models(tokens, order, prompt_len):
+        steps = model.logit_steps(tokens[: first + 1])
+        for i in range(first, len(tokens)):
+            row = steps.send(tokens[i] if i > first else None)
+            assert np.array_equal(row, model.next_logits(tokens[: i + 1])), (model.name, i)
 
 
 def test_forward_rows_ignore_later_tokens():

@@ -1,13 +1,17 @@
 """Seed-conditioned sampling: FNV keys, Gumbel noise and seeded choices."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from specjudge import sampling
 from specjudge.lm import DataError, Vocab, argmax_token
-from specjudge.sampling import (RandomState, _fnv_feed, _fnv_feed_vec,
-                                _prefix_hash, gumbel_key, gumbel_max, gumbel_noise,
+from specjudge.sampling import (TAG_PERTURB, RandomState, _fnv_feed,
+                                _fnv_feed_vec, _prefix_hash, _running_keys,
+                                _unit_uniform_vec, gumbel_key, gumbel_max, gumbel_noise,
                                 positionwise_choices, rollout, seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
@@ -92,6 +96,91 @@ def test_perturbed_delta_golden_row():
     np.testing.assert_array_equal(model._delta(CTX), [
         0.148847064823535, -0.2924348669748018, 1.6002407872141695,
         -0.1583731280070454, -0.2980674710448077, 0.15890206023204398])
+
+
+def byte_width(n):
+    """Bytes that the ids 0..n-1 need, at least one."""
+    return max(1, ((n - 1).bit_length() + 7) // 8)
+
+
+def reference_unit_uniform(keys):
+    """The allocating SplitMix64 map that `_unit_uniform_vec` replaced."""
+    z = keys + sampling._SM_GAMMA
+    for shift, mul in ((sampling._SHIFT30, sampling._SM_MUL1),
+                       (sampling._SHIFT27, sampling._SM_MUL2)):
+        z ^= z >> shift
+        z *= mul
+    z ^= z >> sampling._SHIFT31
+    z >>= sampling._SHIFT11
+    return (z.astype(np.float64) + 0.5) / float(1 << 53)
+
+
+def reference_gumbel_noise(key, n):
+    """The allocating Gumbel kernel that `gumbel_noise` replaced."""
+    keys = np.asarray(key, dtype=np.uint64)[..., None]
+    u = reference_unit_uniform(_fnv_feed_vec(keys, np.arange(n, dtype=np.uint64),
+                                             byte_width(n)))
+    return -np.log(-np.log(u))
+
+
+def reference_delta(model, tokens, start=-1):
+    """The perturbation kernel that `PerturbedModel._delta` replaced: the
+    prefix hashed per call, every intermediate a fresh array."""
+    sigma = model.spec.noise_scale
+    if sigma == 0:
+        return model._bias
+    start %= len(tokens)
+    keys = _running_keys(_prefix_hash(TAG_PERTURB, model.spec.seed, tokens[: start + 1]),
+                         tokens[start + 1:])
+    ids = np.arange(model.vocab.size, dtype=np.uint64)
+    hi = _fnv_feed_vec(keys[:, None], ids, byte_width(len(ids)))
+    streams = np.arange(2, dtype=np.uint64).reshape(2, 1, 1)
+    u1, u2 = reference_unit_uniform(_fnv_feed_vec(hi, streams, 1))
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    delta = model._bias + sigma * z
+    return delta if len(delta) > 1 else delta[0]
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# 300 ids need two bytes, so the kernels' multi-byte FNV feed runs too.
+kernel_vocab_sizes = st.sampled_from([2, 117, 300])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(hashes, min_size=1, max_size=6), st.integers(1, 3))
+def test_unit_uniform_equals_allocating_reference(keys, rows):
+    keys = np.array(keys * rows, dtype=np.uint64).reshape(rows, -1)
+    assert same_bits(_unit_uniform_vec(keys.copy()), reference_unit_uniform(keys))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_vocab_sizes, st.one_of(hashes, st.lists(hashes, min_size=1, max_size=5)))
+def test_gumbel_noise_equals_allocating_reference(n, key):
+    key = key if isinstance(key, int) else np.array(key, dtype=np.uint64)
+    assert same_bits(gumbel_noise(key, n), reference_gumbel_noise(key, n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_vocab_sizes, st.sampled_from([0.0, 0.3]), st.integers(0, MASK64),
+       st.data())
+def test_perturbation_equals_allocating_reference(n, sigma, seed, data):
+    """One row (the default start) and many rows, each bit for bit; the
+    step generator's running key gives the same rows as well."""
+    vocab = Vocab(tuple(f"t{i}" for i in range(n)), eos_id=n - 1)
+    tokens = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10)))
+    bias = data.draw(st.dictionaries(st.integers(0, n - 1), st.floats(-3, 3), max_size=3))
+    model = PerturbedModel(ScriptedModel(vocab, {}),
+                           PerturbSpec(noise_scale=sigma, bias_tokens=bias, seed=seed))
+    for start in (-1, 0, data.draw(st.integers(0, len(tokens) - 1))):
+        assert same_bits(model._delta(tokens, start), reference_delta(model, tokens, start))
+    steps = model.logit_steps(tokens[:1])
+    for i in range(len(tokens)):
+        row = steps.send(tokens[i] if i else None)
+        base = model.base.next_logits(tokens[: i + 1])
+        assert same_bits(row, base + reference_delta(model, tokens[: i + 1]))
 
 
 def test_random_state_validates_64_bits():

@@ -82,6 +82,25 @@ def test_ngram_validations():
         NGramModel(v, order=2, smoothing=0.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda v: NGramModel(v, order=2, smoothing=float("nan")), "smoothing must be finite"),
+    (lambda v: NGramModel(v, order=2, smoothing=float("inf")), "smoothing must be finite"),
+    (lambda v: PerturbSpec(noise_scale=float("nan")), "noise_scale must be finite"),
+    (lambda v: PerturbSpec(noise_scale=float("inf")), "noise_scale must be finite"),
+    (lambda v: PerturbSpec(noise_scale=-float("inf")), "noise_scale must be finite"),
+    (lambda v: PerturbSpec(bias_tokens={2: float("nan")}), "bias offsets must be finite"),
+    (lambda v: PerturbSpec(bias_tokens={2: -float("inf")}), "bias offsets must be finite"),
+    (lambda v: make_draft(ScriptedModel(v, {}), PerturbSpec(bias_tokens={-1: 1.0})),
+     "bias token id -1 outside 0..3"),
+    (lambda v: make_draft(ScriptedModel(v, {}), PerturbSpec(bias_tokens={7: 1.0})),
+     "bias token id 7 outside 0..3"),
+], ids=["smoothing-nan", "smoothing-inf", "sigma-nan", "sigma-inf", "sigma-neg-inf",
+        "bias-nan", "bias-neg-inf", "bias-id-negative", "bias-id-past-vocab"])
+def test_non_finite_or_out_of_range_parameters_are_data_errors(build, message):
+    with pytest.raises(DataError, match=message):
+        build(small_vocab())
+
+
 def test_perturbed_model_identity_at_zero_noise():
     v = small_vocab()
     base = train_ngram(v, [[0, 1, 2, 3]], order=2, smoothing=0.5)
