@@ -265,8 +265,7 @@ def cmd_mine(args) -> int:
 
 def cmd_train_judge(args) -> int:
     records = load_dataset(args.dataset)
-    cfg = FeatureConfig(token_source=args.token_source,
-                        model_source=args.model_source)
+    cfg = FeatureConfig(model_source=args.model_source)
     result = grid_search_C(build_examples(records, cfg), split_seed=args.seed,
                            max_iters=args.max_iters)
     judge = result.model
@@ -390,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-judge", help="train the importance classifier")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--token-source", default="draft_token",
-                   choices=["prev", "draft_token"])
     p.add_argument("--model-source", default="both",
                    choices=["draft", "target", "both"])
     p.add_argument("--target-recall", type=float, default=0.90)

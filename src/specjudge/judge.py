@@ -1,10 +1,10 @@
 """Token-importance classifier: logistic regression on hidden states.
 
-Features come straight from mined mismatch records, and at decode time
-from one hidden row per model read; which hidden vectors are used is a
-two-axis choice (encode the position before the mismatch or the draft
-token itself; take the draft model's state, the target's, or both
-concatenated).  Training is full-batch gradient descent with a
+Features are the hidden states at the draft token (the prefix with the
+draft token appended): from mined mismatch records in training, and at
+decode time from one hidden row per model read.  The one choice is
+which model's state to use: the draft's, the target's, or both
+concatenated.  Training is full-batch gradient descent with a
 backtracking line search whose trials evaluate the loss alone; the
 gradient is taken once per iteration, at the accepted step.  The L2
 strength is grid-searched on a held-out task split, and the operating
@@ -23,7 +23,6 @@ from .lm import DataError, json_int
 
 C_GRID = tuple(10.0 ** -i for i in range(0, 8))  # 1e0 .. 1e-7
 
-TOKEN_SOURCES = ("prev", "draft_token")
 MODEL_SOURCES = ("draft", "target", "both")
 
 
@@ -37,14 +36,11 @@ class CalibrationError(DataError):
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Which hidden states feed the classifier."""
+    """Which model's hidden state at the draft token feeds the classifier."""
 
-    token_source: str = "draft_token"
     model_source: str = "both"
 
     def __post_init__(self):
-        if self.token_source not in TOKEN_SOURCES:
-            raise DataError(f"token_source must be one of {TOKEN_SOURCES}")
         if self.model_source not in MODEL_SOURCES:
             raise DataError(f"model_source must be one of {MODEL_SOURCES}")
 
@@ -56,9 +52,8 @@ class FeatureConfig:
 def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden) -> np.ndarray:
     """Feature vector for one mismatch (draft part first on both).
 
-    The two hidden states encode the same prefix, picked by
-    `cfg.token_source`; a side that `cfg.model_source` does not read may
-    be None.
+    Both hidden states encode the same prefix plus draft token; a side
+    that `cfg.model_source` does not read may be None.
     """
     parts = [h for side, h in (("draft", draft_hidden), ("target", target_hidden))
              if cfg.reads(side)]
@@ -72,13 +67,11 @@ def decode_features(cfg: FeatureConfig, draft, target, prefix,
                     draft_token: int) -> np.ndarray:
     """Decode-time features of drafting `draft_token` after `prefix`.
 
-    Each model `cfg` reads evaluates one row: `prefix` plus the draft token
-    for "draft_token", `prefix` alone for "prev".  Mining records the same
-    rows, so these equal the features `build_examples` makes for the mismatch.
+    Each model `cfg` reads evaluates one row, `prefix` plus the draft
+    token.  Mining records the same rows, so these equal the features
+    `build_examples` makes for the mismatch.
     """
-    tokens = tuple(prefix)
-    if cfg.token_source == "draft_token":
-        tokens += (draft_token,)
+    tokens = tuple(prefix) + (draft_token,)
 
     def row(model):
         return model.forward_parallel(tokens, start=len(tokens) - 1).hidden[0]
@@ -106,11 +99,7 @@ def build_examples(records, cfg: FeatureConfig) -> Examples:
     records = list(records)
     if not records:
         raise DataError("no records to build examples from")
-    if cfg.token_source == "prev":
-        vecs = [assemble_features(cfg, r.prev_draft_hidden, r.prev_target_hidden)
-                for r in records]
-    else:
-        vecs = [assemble_features(cfg, r.draft_hidden, r.target_hidden) for r in records]
+    vecs = [assemble_features(cfg, r.draft_hidden, r.target_hidden) for r in records]
     dims = sorted({len(v) for v in vecs})
     if len(dims) > 1:
         raise DataError(
@@ -172,11 +161,15 @@ def _grad(X, y, w, z, C):
 def train_logreg(examples: Examples, C: float, max_iters: int = 500) -> JudgeModel:
     """Full-batch gradient descent with Armijo backtracking, from zeros.
 
-    Minimizes mean log-loss + C/2 * ||w||^2 (bias unregularized); trials
-    evaluate the loss alone, the gradient only the accepted step.  The
-    whole procedure is deterministic, so retraining on identical inputs
-    reproduces identical parameters bit for bit.  The judge carries the
-    examples' feature config.
+    Takes at most `max_iters` descent steps toward the minimum of mean
+    log-loss + C/2 * ||w||^2 (bias unregularized), stopping early once
+    the gradient norm falls below 1e-8 or no step down to 1e-12 lowers
+    the loss; on the fixture's examples every C in `C_GRID` stops at the
+    500-step cap, short of the minimum.
+    Trials evaluate the loss alone, the gradient only the accepted step.
+    The whole procedure is deterministic, so retraining on identical
+    inputs reproduces identical parameters bit for bit.  The judge
+    carries the examples' feature config.
     """
     if C < 0:
         raise TrainingError("C must be >= 0")
@@ -298,8 +291,7 @@ def calibrate_threshold(judge: JudgeModel, validation: Examples,
 def save_judge(path: str, judge: JudgeModel) -> None:
     with open(path, "w") as f:
         json.dump({
-            "feature_config": {"token_source": judge.feature_config.token_source,
-                               "model_source": judge.feature_config.model_source},
+            "feature_config": {"model_source": judge.feature_config.model_source},
             "feature_dim": judge.feature_dim,
             "weights": judge.weights.tolist(),
             "bias": judge.bias,

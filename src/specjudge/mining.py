@@ -67,9 +67,9 @@ class MismatchRecord:
     """One labeled draft/target disagreement.
 
     `position` is the absolute index into the prompt+response stream.
-    The two *_hidden vectors encode the draft token itself (sequence with
-    the draft token swapped in); the prev_* vectors encode the position
-    just before the disagreement.
+    `draft_hidden` and `target_hidden` are each model's hidden state at
+    the draft token: the prefix before `position` with the draft token
+    appended.
     """
 
     task_id: str
@@ -80,8 +80,6 @@ class MismatchRecord:
     context_hash: str
     draft_hidden: np.ndarray
     target_hidden: np.ndarray
-    prev_draft_hidden: np.ndarray
-    prev_target_hidden: np.ndarray
 
     def __post_init__(self):
         if self.target_token == self.draft_token:
@@ -116,8 +114,6 @@ def _record(task_id, tokens, t, draft_token, important, draft, target) -> Mismat
         important=important, context_hash=context_fingerprint(prev),
         draft_hidden=_point_hidden(draft, branch),
         target_hidden=_point_hidden(target, branch),
-        prev_draft_hidden=_point_hidden(draft, prev),
-        prev_target_hidden=_point_hidden(target, prev),
     )
 
 
@@ -215,8 +211,7 @@ def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
                         reference_answer=alpha, prompt_len=prompt_len)
 
 
-_HIDDEN_FIELDS = ("draft_hidden", "target_hidden", "prev_draft_hidden",
-                  "prev_target_hidden")
+_HIDDEN_FIELDS = ("draft_hidden", "target_hidden")
 
 
 def export_dataset(path: str, records) -> None:

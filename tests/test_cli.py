@@ -371,6 +371,12 @@ def _set(key, value):
     return edit
 
 
+def _set_feature_config(key, value):
+    def edit(row):
+        row["feature_config"][key] = value
+    return edit
+
+
 def _set_first_token(value):
     def edit(row):
         row["tokens"][0] = value
@@ -382,15 +388,20 @@ def _set_first_token(value):
     ("dataset", _set("position", 9.7), "position must be an integer, got 9.7"),
     ("dataset", _set("target_token", True), "target_token must be an integer"),
     ("dataset", _set("draft_hidden", 0.5), "draft_hidden must be a list of numbers"),
-    ("dataset", _set("prev_target_hidden", [[0.5, 1.0]]),
-     "prev_target_hidden must be a list of numbers"),
+    ("dataset", _set("target_hidden", [[0.5, 1.0]]),
+     "target_hidden must be a list of numbers"),
     ("judge", _set("feature_dim", 37.9), "feature_dim must be an integer, got 37.9"),
     ("judge", _set("seed", 1.5), "seed must be an integer, got 1.5"),
+    # a judge fit on another feature layout: its weights mean other features
+    ("judge", _set_feature_config("token_source", "prev"),
+     "unexpected keyword argument 'token_source'"),
+    ("judge", _set_feature_config("token_source", "draft_token"),
+     "unexpected keyword argument 'token_source'"),
     ("trace", _set_first_token(1.9), "token must be an integer, got 1.9"),
     ("trace", _set("prompt_len", 2.6), "prompt_len must be an integer, got 2.6"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
-        "hidden-2d", "feature-dim-float", "seed-float", "trace-token-float",
-        "prompt-len-float"])
+        "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
+        "layout-key-draft-token", "trace-token-float", "prompt-len-float"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
     """Loaders refuse a value they would otherwise coerce, or crash on later."""

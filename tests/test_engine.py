@@ -12,8 +12,7 @@ from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
                               JudgePolicy, LosslessPolicy, TopKPolicy,
                               accepted_per_cycle, draft_window, spec_decode,
                               verify_window)
-from specjudge.judge import (MODEL_SOURCES, TOKEN_SOURCES, FeatureConfig,
-                             JudgeModel, build_examples)
+from specjudge.judge import MODEL_SOURCES, FeatureConfig, JudgeModel, build_examples
 from specjudge.lm import DataError, Vocab
 from specjudge.sampling import (RandomState, gumbel_key, gumbel_noise, rollout,
                                 seeded_choice)
@@ -250,12 +249,10 @@ def test_decode_result_response_view(chain_model):
 @pytest.mark.parametrize("config", [
     EngineConfig(window=8, max_tokens=64),
     EngineConfig(window=8, max_tokens=64, temperature=0.2, state=RandomState(0)),
-], ids=["greedy", "sampled"])
-@pytest.mark.parametrize("token_source", TOKEN_SOURCES)
+], ids=["draft_token-greedy", "draft_token-sampled"])  # features sit at the draft token
 @pytest.mark.parametrize("model_source", MODEL_SOURCES)
 def test_decode_time_features_equal_training_features(
-        pipeline, judged, eval_tasks, monkeypatch, config, token_source,
-        model_source):
+        pipeline, judged, eval_tasks, monkeypatch, config, model_source):
     """The judge sees at decode time the features it was trained on.
 
     Every feature vector handed to predict_importance must equal the one
@@ -263,7 +260,7 @@ def test_decode_time_features_equal_training_features(
     token and target token.
     """
     draft, target = pipeline.draft, pipeline.target
-    cfg = FeatureConfig(token_source=token_source, model_source=model_source)
+    cfg = FeatureConfig(model_source=model_source)
     split = draft.hidden_dim
     weights = {"draft": judged.judge.weights[:split],
                "target": judged.judge.weights[split:],

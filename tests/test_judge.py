@@ -331,10 +331,7 @@ def test_build_examples_concatenates_draft_then_target(mined):
     examples = build_examples([rec], FeatureConfig())
     np.testing.assert_array_equal(
         examples.X[0], np.concatenate([rec.draft_hidden, rec.target_hidden]))
-    prev = build_examples([rec], FeatureConfig(token_source="prev"))
-    np.testing.assert_array_equal(
-        prev.X[0], np.concatenate([rec.prev_draft_hidden, rec.prev_target_hidden]))
-    assert prev.feature_config == FeatureConfig(token_source="prev")
+    assert examples.feature_config == FeatureConfig()
 
 
 @pytest.mark.parametrize("model_source", ["draft", "target"])
@@ -345,11 +342,10 @@ def test_decode_features_ask_only_the_model_they_read(pipeline, monkeypatch,
     monkeypatch.setattr(unread, "forward_parallel",
                         lambda *a, **k: pytest.fail("unread model evaluated"))
     prefix, token = (1, 2, 3), 4
-    for token_source, row in (("draft_token", prefix + (token,)), ("prev", prefix)):
-        cfg = FeatureConfig(token_source=token_source, model_source=model_source)
-        read = pipeline.draft if model_source == "draft" else pipeline.target
-        got = decode_features(cfg, pipeline.draft, pipeline.target, prefix, token)
-        np.testing.assert_array_equal(got, read.next_logits_hidden(row)[1])
+    read = pipeline.draft if model_source == "draft" else pipeline.target
+    got = decode_features(FeatureConfig(model_source=model_source), pipeline.draft,
+                          pipeline.target, prefix, token)
+    np.testing.assert_array_equal(got, read.next_logits_hidden(prefix + (token,))[1])
 
 
 def test_build_examples_keeps_record_order(mined):
@@ -365,7 +361,7 @@ def test_build_examples_keeps_record_order(mined):
 
 
 def test_grid_search_judge_carries_the_examples_config(pipeline, mined):
-    cfg = FeatureConfig(token_source="prev", model_source="target")
+    cfg = FeatureConfig(model_source="target")
     result = grid_search_C(build_examples(mined.records, cfg), split_seed=0)
     assert result.model.feature_config == cfg
     assert result.validation.feature_config == cfg

@@ -1,12 +1,14 @@
 """Important-token mining: labels, adoption, budgets, and serialization."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from conftest import script_line
 from specjudge import mining, sampling
+from specjudge.judge import FeatureConfig, build_examples
 from specjudge.lm import DataError, TokenSequence
 from specjudge.mining import (MiningBudgetError, MiningConfig, MismatchRecord,
                               TaskSkippedError, context_fingerprint,
@@ -98,10 +100,6 @@ def test_record_fields_recompute(mined, pipeline):
                                   pipeline.draft.next_logits_hidden(branch)[1])
     np.testing.assert_array_equal(rec.target_hidden,
                                   pipeline.target.next_logits_hidden(branch)[1])
-    np.testing.assert_array_equal(rec.prev_draft_hidden,
-                                  pipeline.draft.next_logits_hidden(prev)[1])
-    np.testing.assert_array_equal(rec.prev_target_hidden,
-                                  pipeline.target.next_logits_hidden(prev)[1])
 
 
 def test_record_positions_strictly_increase(mined):
@@ -242,6 +240,26 @@ def test_export_load_round_trip(tmp_path, mined):
             (b.task_id, b.position, b.target_token, b.draft_token,
              b.important, b.context_hash)
         np.testing.assert_array_equal(a.draft_hidden, b.draft_hidden)
-        np.testing.assert_array_equal(a.prev_target_hidden, b.prev_target_hidden)
+        np.testing.assert_array_equal(a.target_hidden, b.target_hidden)
     assert dataset_fingerprint(subset) == dataset_fingerprint(loaded)
     assert dataset_fingerprint(subset) != dataset_fingerprint(subset[:-1])
+
+
+def test_extra_dataset_fields_are_ignored(tmp_path, mined):
+    """Older datasets also stored each model's hidden row before the
+    mismatch, as `prev_` plus the field name; such lines load as without it."""
+    path, old = tmp_path / "dataset.jsonl", tmp_path / "old.jsonl"
+    export_dataset(str(path), mined.records[:25])
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    old.write_text("".join(
+        json.dumps({**row, **{"prev_" + key: row[key][::-1]
+                              for key in ("draft_hidden", "target_hidden")}}) + "\n"
+        for row in rows))
+    records, old_records = load_dataset(str(path)), load_dataset(str(old))
+    assert len(old_records) == len(records)
+    for a, b in zip(records, old_records):
+        for field in dataclasses.fields(MismatchRecord):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+    assert dataset_fingerprint(old_records) == dataset_fingerprint(records)
+    np.testing.assert_array_equal(build_examples(old_records, FeatureConfig()).X,
+                                  build_examples(records, FeatureConfig()).X)
