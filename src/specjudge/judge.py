@@ -4,9 +4,9 @@ Features are the hidden states at the draft token (the prefix with the
 draft token appended): from mined mismatch records in training, and at
 decode time from one hidden row per model read.  The one choice is
 which model's state to use: the draft's, the target's, or both
-concatenated.  Training is full-batch gradient descent with a
-backtracking line search whose trials evaluate the loss alone; the
-gradient is taken once per iteration, at the accepted step.  The L2
+concatenated.  Training is Newton's method (iteratively reweighted
+least squares) with a backtracking line search, run to the optimum of
+the L2-regularized log-loss.  The L2
 strength is grid-searched on a held-out task split, and the operating
 threshold is calibrated to a target recall on important tokens.
 """
@@ -159,13 +159,14 @@ def _grad(X, y, w, z, C):
 
 
 def train_logreg(examples: Examples, C: float, max_iters: int = 500) -> JudgeModel:
-    """Full-batch gradient descent with Armijo backtracking, from zeros.
+    """Damped Newton's method (IRLS) with Armijo backtracking, from zeros.
 
-    Takes at most `max_iters` descent steps toward the minimum of mean
-    log-loss + C/2 * ||w||^2 (bias unregularized), stopping early once
-    the gradient norm falls below 1e-8 or no step down to 1e-12 lowers
-    the loss; on the fixture's examples every C in `C_GRID` stops at the
-    500-step cap, short of the minimum.
+    Minimizes mean log-loss + C/2 * ||w||^2 (bias unregularized), taking
+    at most `max_iters` Newton steps and stopping once the gradient norm
+    falls below 1e-8 or no step down to 1e-12 lowers the loss; on the
+    491 examples mined from tasks 2000..2199 every C in `C_GRID` converges.
+    The Newton system is solved by least squares, so a singular Hessian
+    (duplicated feature columns at C=0) still gives a finite step.
     Trials evaluate the loss alone, the gradient only the accepted step.
     The whole procedure is deterministic, so retraining on identical
     inputs reproduces identical parameters bit for bit.  The judge
@@ -178,22 +179,26 @@ def train_logreg(examples: Examples, C: float, max_iters: int = 500) -> JudgeMod
     X, y = examples.X, examples.y
     if np.unique(y).size < 2:
         raise TrainingError("training data has a single class")
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    step = 1.0
+    n, d = X.shape
+    A = np.column_stack([X, np.ones(n)])  # the bias is the last coordinate
+    ridge = np.diag(np.append(np.full(d, C), 0.0))
+    w, b = np.zeros(d), 0.0
     loss, z = _loss(X, y, w, b, C)
     for _ in range(max_iters):
-        gw, gb = _grad(X, y, w, z, C)
-        gnorm2 = float(gw @ gw) + gb * gb
-        if np.sqrt(gnorm2) < 1e-8:  # converged
+        g = np.append(*_grad(X, y, w, z, C))  # (dL/dw, dL/db)
+        if np.sqrt(g @ g) < 1e-8:  # converged
             break
-        step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
+        e = np.exp(-np.abs(z))  # p(1 - p) = e / (1 + e)^2 in both tails
+        hessian = A.T @ (A * (e / (1.0 + e) ** 2)[:, None]) / n + ridge
+        delta = np.linalg.lstsq(hessian, g, rcond=None)[0]
+        slope = float(g @ delta)
+        step = 1.0
         improved = False
         while step >= 1e-12:
-            w2 = w - step * gw
-            b2 = b - step * gb
+            w2 = w - step * delta[:d]
+            b2 = b - step * float(delta[d])
             loss2, z2 = _loss(X, y, w2, b2, C)
-            if loss2 <= loss - 1e-4 * step * gnorm2:
+            if loss2 <= loss - 1e-4 * step * slope:
                 improved = True
                 break
             step *= 0.5
@@ -307,7 +312,11 @@ def load_judge(path: str) -> JudgeModel:
     try:
         with open(path) as f:
             obj = json.load(f)
-        cfg = FeatureConfig(**obj["feature_config"])
+        layout = obj["feature_config"]
+        if not isinstance(layout, dict) or set(layout) != {"model_source"}:
+            raise ValueError(f"trained for another feature layout (feature_config "
+                             f"{layout!r}); retrain it with train-judge")
+        cfg = FeatureConfig(**layout)
         weights = np.array(obj["weights"], dtype=float)
         bias = float(obj["bias"])
         if weights.ndim != 1 or not np.all(np.isfinite(weights)) or not np.isfinite(bias):

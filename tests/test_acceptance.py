@@ -233,7 +233,7 @@ def test_criterion_10_trained_judge_is_pinned(judged):
     judge = judged.judge
     h = hashlib.sha256(judge.weights.tobytes())
     h.update(repr((judge.bias, judge.C, judge.threshold)).encode())
-    assert h.hexdigest()[:16] == "296d09fbaf219880"
+    assert h.hexdigest()[:16] == "cfc4ed608e6bba16"
 
 
 def records_equal(a, b):

@@ -394,14 +394,15 @@ def _set_first_token(value):
     ("judge", _set("seed", 1.5), "seed must be an integer, got 1.5"),
     # a judge fit on another feature layout: its weights mean other features
     ("judge", _set_feature_config("token_source", "prev"),
-     "unexpected keyword argument 'token_source'"),
+     "trained for another feature layout"),
     ("judge", _set_feature_config("token_source", "draft_token"),
-     "unexpected keyword argument 'token_source'"),
+     "trained for another feature layout"),
+    ("judge", _set("feature_config", {}), "retrain it with train-judge"),
     ("trace", _set_first_token(1.9), "token must be an integer, got 1.9"),
     ("trace", _set("prompt_len", 2.6), "prompt_len must be an integer, got 2.6"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
         "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
-        "layout-key-draft-token", "trace-token-float", "prompt-len-float"])
+        "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
     """Loaders refuse a value they would otherwise coerce, or crash on later."""
