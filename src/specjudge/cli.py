@@ -76,8 +76,10 @@ def _spec_value(spec: dict, key: str, cast=str, default=None):
         raise DataError(f"bad model spec value {key}={spec[key]!r}: {e}") from e
 
 
-def resolve_model(spec_text: str, vocab, side: str = "target"):
-    """Build a model from a JSON spec file or an inline kind:k=v,... string."""
+def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | None = None):
+    """Build a model from a JSON spec file or an inline kind:k=v,... string; an n-gram
+    spec already in `ngrams`, keyed by its resolved values, is not trained again."""
+    ngrams = {} if ngrams is None else ngrams
     if os.path.exists(spec_text) and spec_text.endswith(".json"):
         try:
             with open(spec_text) as f:
@@ -90,13 +92,16 @@ def resolve_model(spec_text: str, vocab, side: str = "target"):
         spec = _parse_inline_spec(spec_text)
     kind = spec.get("kind")
     if kind == "ngram":
-        corpus = _load_corpus_lines(_spec_value(spec, "corpus"), vocab)
-        return train_ngram(vocab, corpus, order=_spec_value(spec, "order", int, 16),
-                           smoothing=_spec_value(spec, "smoothing", float, 0.2),
-                           seed=_spec_value(spec, "seed", int, 0),
-                           name=_spec_value(spec, "name", str, "ngram"))
+        path, order, smoothing, seed, name = key = (
+            _spec_value(spec, "corpus"), _spec_value(spec, "order", int, 16),
+            _spec_value(spec, "smoothing", float, 0.2), _spec_value(spec, "seed", int, 0),
+            _spec_value(spec, "name", str, "ngram"))
+        if key not in ngrams:
+            ngrams[key] = train_ngram(vocab, _load_corpus_lines(path, vocab), order,
+                                      smoothing, seed, name)
+        return ngrams[key]
     if kind == "perturb":
-        base = resolve_model(_spec_value(spec, "base"), vocab, side)
+        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams)
         bias_raw = spec.get("bias", {})
         if isinstance(bias_raw, str):
             bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)
@@ -156,9 +161,9 @@ def policy(name: str) -> str:
 
 def _models_and_tasks(args):
     """Vocab, target, draft and tasks named by the shared model flags, in that order."""
-    vocab = build_vocab(args.max_value)
-    target = resolve_model(args.target_model, vocab, "target")
-    draft = resolve_model(args.draft_model, vocab, "draft")
+    vocab, ngrams = build_vocab(args.max_value), {}
+    target = resolve_model(args.target_model, vocab, "target", ngrams)
+    draft = resolve_model(args.draft_model, vocab, "draft", ngrams)
     return vocab, target, draft, load_tasks(args.tasks, vocab)
 
 
@@ -266,8 +271,7 @@ def cmd_mine(args) -> int:
 def cmd_train_judge(args) -> int:
     records = load_dataset(args.dataset)
     cfg = FeatureConfig(model_source=args.model_source)
-    result = grid_search_C(build_examples(records, cfg), split_seed=args.seed,
-                           max_iters=args.max_iters)
+    result = grid_search_C(build_examples(records, cfg), split_seed=args.seed)
     judge = result.model
     judge.threshold = calibrate_threshold(judge, result.validation,
                                           target_recall=args.target_recall)
@@ -392,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-source", default="both",
                    choices=["draft", "target", "both"])
     p.add_argument("--target-recall", type=float, default=0.90)
-    p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_judge)
 

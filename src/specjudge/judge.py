@@ -244,8 +244,7 @@ class GridSearchResult:
     validation: Examples
 
 
-def grid_search_C(examples: Examples, split_seed: int = 0,
-                  max_iters: int = 500) -> GridSearchResult:
+def grid_search_C(examples: Examples, split_seed: int = 0) -> GridSearchResult:
     """Pick the L2 strength by validation ROC-AUC over the fixed grid.
 
     Ties go to the larger C (stronger regularization).  The returned
@@ -258,7 +257,7 @@ def grid_search_C(examples: Examples, split_seed: int = 0,
     best = None
     aucs = {}
     for C in C_GRID:
-        model = train_logreg(train, C, max_iters=max_iters)
+        model = train_logreg(train, C)
         auc = roc_auc(val.y, [predict_importance(model, x) for x in val.X])
         aucs[C] = auc
         # strict > keeps the earlier (larger) C on ties

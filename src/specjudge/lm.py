@@ -56,13 +56,11 @@ class Vocab:
 
     def encode(self, text: str) -> list[int]:
         """Whitespace-tokenize `text`; unknown words are a data error."""
-        ids, mapping = [], self.token_to_id
-        for word in text.split():
-            tid = mapping.get(word)
-            if tid is None:
-                raise DataError(f"unknown token {word!r}")
-            ids.append(tid)
-        return ids
+        mapping = self.token_to_id
+        try:
+            return [mapping[w] for w in text.split()]
+        except KeyError as e:  # the first unknown word
+            raise DataError(f"unknown token {e.args[0]!r}") from None
 
     def decode(self, tokens) -> str:
         return " ".join(self.id_to_text[t] for t in tokens)

@@ -9,7 +9,6 @@ scale.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ class NGramModel(LanguageModel):
         self.seed = seed
         self.name = name
         self.hidden_dim = EMBED_DIM + 2
-        self.counts: dict[tuple[int, ...], Counter] = {}
+        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.embedding = np.random.default_rng(seed).standard_normal((vocab.size, EMBED_DIM))
 
     def _context_key(self, context: tuple[int, ...]) -> tuple[int, ...]:
@@ -53,11 +52,12 @@ class NGramModel(LanguageModel):
     def observe(self, tokens) -> None:
         tokens, w, counts = tuple(tokens), self.order - 1, self.counts
         for i in range(1, len(tokens)):
-            key = tokens[max(0, i - w):i] if w > 0 else ()
-            counter = counts.get(key)
-            if counter is None:  # a Counter only for a new context
-                counter = counts[key] = Counter()
-            counter[tokens[i]] += 1
+            key, tok = tokens[i - w:i] if i > w else tokens[:i], tokens[i]  # last w tokens; () at w=0
+            d = counts.get(key)
+            if d is None:  # a dict of only ints is left untracked by the collector
+                counts[key] = {tok: 1}
+            else:
+                d[tok] = d.get(tok, 0) + 1
 
     def next_probs(self, context: tuple[int, ...]) -> np.ndarray:
         key = self._context_key(tuple(context))

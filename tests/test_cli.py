@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specjudge import remote
+from specjudge import cli, remote
 from specjudge.cli import main, resolve_model
 from specjudge.judge import FeatureConfig, JudgeModel, load_judge, save_judge
 from specjudge.lm import DataError
@@ -76,6 +76,35 @@ def test_inline_model_specs_match_json_specs(workdir):
     assert (a == b).all()
     with pytest.raises(DataError):
         resolve_model("hologram:size=3", vocab)
+
+
+def test_mine_trains_the_shared_ngram_spec_once(workdir, tmp_path, monkeypatch):
+    """With the README's specs, the draft's base names the target's file: one
+    command trains that n-gram once and the draft wraps the target itself."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(workdir / "corpus.txt", "corpus.txt")
+    Path("target.json").write_text(
+        '{"kind": "ngram", "corpus": "corpus.txt", "order": 16, "smoothing": 0.2}')
+    Path("draft.json").write_text('{"kind": "perturb", "base": "target.json", '
+                                  '"sigma": 0.3, "bias": {"Then": 1.4}, "seed": 7}')
+    trained, pairs = [], []
+    cli_train, cli_mine = cli.train_ngram, cli.mine_important
+
+    def counting_train(*args, **kwargs):
+        trained.append(cli_train(*args, **kwargs))
+        return trained[-1]
+
+    def recording_miner(task, draft, target, *args, **kwargs):
+        pairs.append((draft, target))
+        return cli_mine(task, draft, target, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_ngram", counting_train)
+    monkeypatch.setattr(cli, "mine_important", recording_miner)
+    assert main(["mine", "--max-value", "9", "--draft-model", "draft.json",
+                 "--target-model", "target.json", "--tasks",
+                 str(workdir / "tasks.jsonl"), "--out", "mined.jsonl"]) == 0
+    assert len(trained) == 1 and len(pairs) == 12
+    assert all(draft.base is target is trained[0] for draft, target in pairs)
 
 
 def test_mine_writes_a_labeled_dataset(workdir, capsys):
@@ -323,8 +352,7 @@ def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
     export_dataset(str(dataset), mined.records)
     out = tmp_path / "judge.json"
     rc = main(["train-judge", "--dataset", str(dataset), "--seed", "0",
-               "--max-iters", "150", "--target-recall", "0.9",
-               "--out", str(out)])
+               "--target-recall", "0.9", "--out", str(out)])
     assert rc == 0
     assert "val AUC" in capsys.readouterr().out
     judge = load_judge(str(out))
@@ -334,14 +362,17 @@ def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
     assert manifest["command"] == "train-judge"
 
 
-def test_train_judge_rejects_negative_iterations(tmp_path, mined, capsys):
+def test_train_judge_max_iters_is_a_usage_error(tmp_path, mined, capsys):
+    """Newton's method meets its gradient stop long before any cap, so there is no
+    --max-iters flag: passing one is a usage error."""
     dataset = tmp_path / "dataset.jsonl"
     export_dataset(str(dataset), mined.records)
     out = tmp_path / "judge.json"
-    rc = main(["train-judge", "--dataset", str(dataset), "--max-iters", "-5",
-               "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: max_iters must be >= 0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["train-judge", "--dataset", str(dataset), "--max-iters", "150",
+              "--out", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-iters 150" in capsys.readouterr().err
     assert not out.exists()
 
 

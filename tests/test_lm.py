@@ -37,6 +37,12 @@ def test_vocab_encode_decode_round_trip():
         v.encode("a z")
 
 
+def test_vocab_encode_names_the_first_unknown_word():
+    with pytest.raises(DataError) as exc:
+        small_vocab().encode("a zed b why")
+    assert str(exc.value) == "unknown token 'zed'"
+
+
 def test_token_sequence_boundary():
     seq = TokenSequence((1, 2, 3, 0), prompt_len=2)
     assert len(seq) == 4

@@ -50,6 +50,15 @@ def test_ngram_counts_match_per_position_reference(corpus, order):
         [(k, list(c.items())) for k, c in expect.items()]
 
 
+def test_fixture_counts_match_per_position_reference(pipeline):
+    """The conftest target's count tables on the full fixture corpus."""
+    counts = pipeline.target.counts
+    assert len(counts) == 97023
+    expect = reference_counts(pipeline.corpus, 16)
+    assert [(k, list(c.items())) for k, c in counts.items()] == \
+        [(k, list(c.items())) for k, c in expect.items()]
+
+
 def test_ngram_context_window_is_order_minus_one():
     v = small_vocab()
     model = train_ngram(v, [[0, 1, 2], [2, 1, 0]], order=2, smoothing=0.5)
