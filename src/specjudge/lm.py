@@ -100,7 +100,7 @@ class LmOutput:
 
 def argmax_token(logits) -> int:
     """Argmax with ties broken toward the lowest token id."""
-    return int(np.argmax(logits))
+    return int(np.asarray(logits).argmax())  # the method skips np.argmax's dispatch
 
 
 class LanguageModel:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import requests
-
 from .lm import DataError, Vocab
 
 
@@ -55,6 +53,8 @@ def remote_generate(endpoint: RemoteEndpoint, prompt: str, max_tokens: int,
     (a protocol error).  `sleep` waits out each backoff; it defaults to
     `time.sleep` as looked up at call time, so a patched one takes effect.
     """
+    import requests  # only remote mining needs it; `import specjudge` stays light
+
     if sleep is None:
         sleep = time.sleep
     url = endpoint.base_url.rstrip("/") + "/v1/completions"

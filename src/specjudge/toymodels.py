@@ -28,6 +28,11 @@ class NGramModel(LanguageModel):
     the last order-1 tokens (fewer near the sequence start).  The hidden
     state is the mean embedding of the context window plus the entropy and
     top-1 log-probability of the next-token distribution.
+
+    `counts` maps each seen context to its index in `distributions`, the
+    distinct (token, count) item tuples in first-seen order; index 0 is the
+    empty one of every unseen context.  Each has one read-only logits row,
+    with its entropy and top-1, computed once when the counts are set.
     """
 
     def __init__(self, vocab: Vocab, order: int, smoothing: float, seed: int = 0,
@@ -42,15 +47,52 @@ class NGramModel(LanguageModel):
         self.seed = seed
         self.name = name
         self.hidden_dim = EMBED_DIM + 2
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.embedding = np.random.default_rng(seed).standard_normal((vocab.size, EMBED_DIM))
+        self._set_counts({})
 
-    def _context_key(self, context: tuple[int, ...]) -> tuple[int, ...]:
+    def _set_counts(self, counts: dict[tuple[int, ...], dict[int, int]]) -> None:
+        """Intern each context's next-token counts and build one row per distinct set."""
+        index = {(): 0}
+        self.counts = {key: index.setdefault(tuple(d.items()), len(index))
+                       for key, d in counts.items()}
+        self.distributions = list(index)
+        k, size = self.smoothing, self.vocab.size
+        self._logits = np.empty((len(index), size))
+        self._summary = np.empty((len(index), 2))  # the entropy and top-1 hidden columns
+        for i, items in enumerate(index):
+            probs = np.full(size, k)
+            for tok, c in items:
+                probs[tok] += c
+            probs /= k * size + sum(c for _, c in items)
+            self._logits[i] = logits = np.log(probs)
+            self._summary[i] = -(probs * logits).sum(), logits.max()
+        self._logits.flags.writeable = False
+
+    def next_logits(self, context):
         w = self.order - 1
-        return context[-w:] if w > 0 else ()
+        return self._logits[self.counts.get(tuple(context[-w:]) if w > 0 else (), 0)]
 
-    def observe(self, tokens) -> None:
-        tokens, w, counts = tuple(tokens), self.order - 1, self.counts
+    def next_logits_hidden(self, context):
+        w = self.order - 1
+        key = tuple(context[-w:]) if w > 0 else ()  # the window; () at order 1
+        emb = self.embedding[list(key)].sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
+        i = self.counts.get(key, 0)
+        return self._logits[i], np.concatenate([emb, self._summary[i]])
+
+    def _logit_rows(self, tokens, start):
+        w, get = self.order - 1, self.counts.get
+        return self._logits[[get(tokens[max(0, end - w):end] if w > 0 else (), 0)
+                             for end in range(start + 1, len(tokens) + 1)]]
+
+
+def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
+                name: str = "ngram") -> NGramModel:
+    """Count-train an NGramModel on an iterable of token sequences."""
+    model = NGramModel(vocab, order, smoothing, seed=seed, name=name)
+    counts, w, n = {}, order - 1, 0
+    for seq in corpus:
+        tokens = tuple(seq)
+        model._check_tokens(tokens)
         for i in range(1, len(tokens)):
             key, tok = tokens[i - w:i] if i > w else tokens[:i], tokens[i]  # last w tokens; () at w=0
             d = counts.get(key)
@@ -58,71 +100,10 @@ class NGramModel(LanguageModel):
                 counts[key] = {tok: 1}
             else:
                 d[tok] = d.get(tok, 0) + 1
-
-    def next_probs(self, context: tuple[int, ...]) -> np.ndarray:
-        key = self._context_key(tuple(context))
-        k = self.smoothing
-        probs = np.full(self.vocab.size, k)
-        total = k * self.vocab.size
-        counter = self.counts.get(key)
-        if counter:
-            for tok, c in counter.items():
-                probs[tok] += c
-            total += sum(counter.values())
-        return probs / total
-
-    def next_logits(self, context):
-        return np.log(self.next_probs(context))
-
-    def next_logits_hidden(self, context):
-        context = tuple(context)
-        probs = self.next_probs(context)
-        logits = np.log(probs)
-        w = self.order - 1
-        window = context[-w:] if w > 0 else ()
-        if window:
-            emb = self.embedding[list(window)].sum(axis=0) / len(window)
-        else:
-            emb = np.zeros(EMBED_DIM)
-        entropy = float(-(probs * logits).sum())
-        top1 = float(logits.max())
-        return logits, np.concatenate([emb, [entropy, top1]])
-
-    def _prob_rows(self, tokens, start):
-        """Next-token probabilities of rows start..len-1 from one count array."""
-        n, size, w = len(tokens) - start, self.vocab.size, self.order - 1
-        k = self.smoothing
-        probs = np.full((n, size), k)
-        totals = np.full(n, k * size)
-        rows, ids, counts = [], [], []
-        for j in range(n):
-            end = start + j + 1
-            counter = self.counts.get(tokens[max(0, end - w):end] if w > 0 else ())
-            if counter:
-                rows += [j] * len(counter)
-                ids += counter.keys()
-                counts += counter.values()
-                totals[j] += sum(counter.values())
-        probs[rows, ids] += counts
-        probs /= totals[:, None]
-        return probs
-
-    def _logit_rows(self, tokens, start):
-        return np.log(self._prob_rows(tokens, start))
-
-
-def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
-                name: str = "ngram") -> NGramModel:
-    """Count-train an NGramModel on an iterable of token sequences."""
-    model = NGramModel(vocab, order, smoothing, seed=seed, name=name)
-    n = 0
-    for seq in corpus:
-        tokens = tuple(seq)
-        model._check_tokens(tokens)
-        model.observe(tokens)
         n += 1
     if n == 0:
         raise DataError("empty training corpus")
+    model._set_counts(counts)
     return model
 
 

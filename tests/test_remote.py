@@ -1,6 +1,10 @@
 """Completion-API client: retries, backoff, protocol errors, tokenization."""
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +143,15 @@ def test_remote_generator_respects_the_budget(completions_server, vocab):
     generate = remote_generator(endpoint, vocab)
     tokens = generate(vocab.encode("Start with 7 ."), budget=3)
     assert tokens == vocab.encode("Now 7 plus")
+
+
+def test_import_specjudge_leaves_requests_unloaded():
+    """Only remote mining needs `requests`, so the package imports it lazily."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, specjudge; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -38,25 +38,97 @@ def reference_counts(corpus, order):
     return counts
 
 
+def interned_items(model):
+    """Each context with its interned (token, count) items, in insertion order."""
+    return [(k, list(model.distributions[i])) for k, i in model.counts.items()]
+
+
+def reference_items(counts):
+    return [(k, list(c.items())) for k, c in counts.items()]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=24), min_size=1,
                 max_size=8),
        st.sampled_from([1, 3, 16]))
 def test_ngram_counts_match_per_position_reference(corpus, order):
     model = train_ngram(small_vocab(), corpus, order=order, smoothing=0.5)
-    expect = reference_counts(corpus, order)
-    # keys in insertion order, each Counter's items in insertion order
-    assert [(k, list(c.items())) for k, c in model.counts.items()] == \
-        [(k, list(c.items())) for k, c in expect.items()]
+    expect = reference_items(reference_counts(corpus, order))
+    # keys in insertion order, each context's items in insertion order
+    assert interned_items(model) == expect
+    # one entry per distinct item tuple in first-seen order, the unseen () first
+    assert model.distributions == list(dict.fromkeys([()] + [tuple(c) for _, c in expect]))
 
 
 def test_fixture_counts_match_per_position_reference(pipeline):
     """The conftest target's count tables on the full fixture corpus."""
-    counts = pipeline.target.counts
-    assert len(counts) == 97023
-    expect = reference_counts(pipeline.corpus, 16)
-    assert [(k, list(c.items())) for k, c in counts.items()] == \
-        [(k, list(c.items())) for k, c in expect.items()]
+    model = pipeline.target
+    assert len(model.counts) == 97023
+    assert len(model.distributions) == 525  # 524 seen, plus the unseen row
+    assert interned_items(model) == reference_items(reference_counts(pipeline.corpus, 16))
+
+
+def reference_row(model, counts, context):
+    """(logits, hidden) by the add-k formula, rebuilt from the counts at each call."""
+    key = context[-(model.order - 1):] if model.order > 1 else ()
+    k, size = model.smoothing, model.vocab.size
+    probs = np.full(size, k)
+    total = k * size
+    counter = counts.get(key)
+    if counter:
+        for tok, c in counter.items():
+            probs[tok] += c
+        total += sum(counter.values())
+    probs = probs / total
+    logits = np.log(probs)
+    emb = model.embedding[list(key)].sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
+    return logits, np.concatenate([emb, [float(-(probs * logits).sum()), float(logits.max())]])
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=24), min_size=1,
+                max_size=6),
+       st.sampled_from([1, 3, 16]), st.data())
+def test_ngram_rows_match_add_k_reference_bit_for_bit(corpus, order, data):
+    """Seen contexts (short of the window at order 16), unseen ones (token 4
+    never occurs in the corpus) and contexts longer than the window."""
+    vocab = Vocab(("a", "b", "c", "d", "</s>"), eos_id=4)
+    model = train_ngram(vocab, corpus, order=order, smoothing=0.3, seed=2)
+    counts = reference_counts(corpus, order)
+    seq = tuple(data.draw(st.sampled_from(corpus)))
+    prefixes = [seq[:i] for i in range(1, len(seq) + 1)]
+    contexts = prefixes + [p + (4,) for p in prefixes] + [(4,) * 16 + p for p in prefixes]
+    for context in contexts:
+        logits, hidden = reference_row(model, counts, context)
+        assert same_bits(model.next_logits(context), logits), context
+        got_logits, got_hidden = model.next_logits_hidden(context)
+        assert same_bits(got_logits, logits), context
+        assert same_bits(got_hidden, hidden), context
+    tokens = (4,) * 16 + seq + (4,) + seq
+    start = data.draw(st.integers(0, len(tokens) - 1))
+    want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
+                     for i in range(start, len(tokens))])
+    assert same_bits(model.forward_logits(tokens, start), want)
+
+
+def test_ngram_rows_are_read_only_and_forward_logits_is_fresh():
+    model = train_ngram(small_vocab(), [[0, 1, 2, 3]], order=2, smoothing=0.5)
+    before, hidden_before = (a.copy() for a in model.next_logits_hidden((0,)))
+    for row in (model.next_logits((0,)), model.next_logits_hidden((0,))[0],
+                model.next_logits((3,))):
+        with pytest.raises(ValueError):
+            row[1] = 0.0
+    rows = model.forward_logits((2, 0, 1), 0)
+    rows[:] = 0.0
+    _, hidden = model.next_logits_hidden((0,))
+    hidden[:] = 0.0
+    assert same_bits(model.next_logits((0,)), before)
+    assert same_bits(model.next_logits_hidden((0,))[1], hidden_before)
 
 
 def test_ngram_context_window_is_order_minus_one():
