@@ -4,9 +4,9 @@ A model is a pure function of its token context.  Its one hidden-state
 path is the abstract per-step primitive `next_logits_hidden`, which yields
 the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
-paths: `next_logits` per step, `logit_steps` for drafting and rollouts, and
-`forward_logits` for the many rows of verification and mining, which backends
-may vectorize.  The tests hold each equal bit for bit to the primitive.
+paths: `next_logits` per step, `logit_steps` and `greedy` for drafting and
+rollouts, and `forward_logits` for the many rows of verification and mining,
+which backends may vectorize.  Tests hold each bit-equal to the primitive.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    per-step state `logit_steps`, and with a vectorized pass `_logit_rows`.
+    per-step state `logit_steps`, with a batched argmax run `greedy`, and
+    with a vectorized pass `_logit_rows`.
     """
 
     name: str = "model"
@@ -131,6 +132,15 @@ class LanguageModel:
         while True:
             t = yield self.next_logits(context)
             context += (t,)
+
+    def greedy(self, context: tuple[int, ...], n: int) -> list[int]:
+        """Up to `n` argmax choices after `context`, stopping after end-of-sequence;
+        one `logit_steps` generator, never asked for a row after the last choice."""
+        eos, steps, out, t = self.vocab.eos_id, self.logit_steps(context), [], None
+        while len(out) < n and t != eos:  # sending None starts the generator
+            t = argmax_token(steps.send(t))
+            out.append(t)
+        return out
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

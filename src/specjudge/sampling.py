@@ -12,9 +12,10 @@ A choice is argmax(logits / T + noise): log softmax(logits, T) differs
 from logits / T by one constant per row, so no softmax is computed.
 
 The noise is keyed by a running FNV-1a hash of the prefix, fed one token
-per step, as a perturbed draft keys its own noise in `logit_steps`.  In a
-decode cycle each prefix's noise is drawn once, by the draft, and
-verification reuses the draft's rows; only the bonus row is drawn fresh.
+per step, as a perturbed draft keys its own noise.  In a decode cycle each
+prefix's noise is drawn once, by the draft, and verification reuses the
+draft's rows; only the bonus row is drawn fresh.  Greedy choices draw none:
+`autoregress` leaves them to the model's `greedy`.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def gumbel_max(logits, noise, temperature: float):
     scores += noise
     if not np.isfinite(scores).all():
         raise ValueError("sampling requires finite scores")
-    return np.argmax(scores, axis=-1)
+    return scores.argmax(axis=-1)  # the method skips np.argmax's dispatch
 
 
 def seeded_choice(logits, context, state: RandomState | None, temperature: float) -> int:
@@ -194,25 +195,24 @@ def autoregress(model, context, max_new: int, temperature: float = 0.0,
                 state: RandomState | None = None):
     """(tokens, Gumbel rows) of up to `max_new` seeded choices.
 
-    Stops after end-of-sequence.  Row i of the Gumbel rows is the one
-    drawn at context + tokens[:i]; greedy steps draw none.  Each choice is
-    sent to one `model.logit_steps` generator, never asked for a row after
-    the last, and feeds a running Gumbel key; the context is validated once.
+    Stops after end-of-sequence; the context is validated once.  A
+    temperature not above 0 is `model.greedy`, which draws no Gumbel rows.
+    Otherwise row i of the Gumbel rows is the one drawn at context +
+    tokens[:i]: each choice is sent to one `model.logit_steps` generator,
+    never asked for a row after the last, and feeds a running Gumbel key.
     """
     tokens = tuple(context)
     model._check_tokens(tokens)
-    key = gumbel_key(state, tokens) if temperature > 0 else None
+    if not temperature > 0:
+        return model.greedy(tokens, max_new), []
+    key = gumbel_key(state, tokens)
     steps = model.logit_steps(tokens)
-    out, noise, t = [], [], None  # sending None starts the generator
-    eos = model.vocab.eos_id
+    eos, out, noise, t = model.vocab.eos_id, [], [], None  # sending None starts the generator
     for _ in range(max_new):
         logits = steps.send(t)
-        if key is None:
-            t = argmax_token(logits)
-        else:
-            noise.append(gumbel_noise(key, len(logits)))
-            t = int(gumbel_max(logits, noise[-1], temperature))
-            key = _fnv_feed(key, t)
+        noise.append(gumbel_noise(key, len(logits)))
+        t = int(gumbel_max(logits, noise[-1], temperature))
+        key = _fnv_feed(key, t)
         out.append(t)
         if t == eos:
             break

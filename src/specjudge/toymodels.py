@@ -183,6 +183,38 @@ class PerturbedModel(LanguageModel):
             t = yield rows.send(t) + self._noise(key)
             key = _fnv_feed(key, t)
 
+    def greedy(self, context, n):
+        """The stepwise greedy choices, bit for bit.  The noise-free draft guesses a run
+        and one noise draw checks it: guessed row j sits where the stepwise loop is once
+        j choices match, and choices are kept up to the first miss.  A window may waste
+        n rows: each run ends at the window's end or where it could waste no more, and
+        with no waste left the rest is stepped, so at most 2n rows are drawn."""
+        key = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
+        out, eos, spare = [], self.vocab.eos_id, n  # the rows the window may still waste
+        while spare and len(out) < n and out[-1:] != [eos]:
+            steps, rows, guess, t = self.base.logit_steps((*context, *out)), [], [], None
+            while len(guess) < min(spare + 1, n - len(out)) and t != eos:
+                try:
+                    rows.append(steps.send(t))
+                except DataError:  # a replay rejects a guessed prefix; a run that reaches it raises
+                    if not rows:
+                        raise
+                    break
+                t = int((rows[-1] + self._bias).argmax())
+                guess.append(t)
+            keys = _running_keys(key, guess[:-1])
+            choices = (np.array(rows) + self._noise(keys)).argmax(axis=1).tolist()
+            j = next((j for j, (c, g) in enumerate(zip(choices, guess)) if c != g), len(guess) - 1)
+            out += choices[:j + 1]
+            key = _fnv_feed(int(keys[j]), choices[j])
+            spare -= len(rows) - j - 1
+        steps, t = self.base.logit_steps((*context, *out)), None
+        while len(out) < n and out[-1:] != [eos]:
+            t = int((steps.send(t) + self._noise(key)).argmax())
+            out.append(t)
+            key = _fnv_feed(key, t)
+        return out
+
     def next_logits_hidden(self, context):
         context = tuple(context)
         base_logits, base_hidden = self.base.next_logits_hidden(context)

@@ -13,7 +13,7 @@ from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
                               accepted_per_cycle, draft_window, spec_decode,
                               verify_window)
 from specjudge.judge import MODEL_SOURCES, FeatureConfig, JudgeModel, build_examples
-from specjudge.lm import DataError, Vocab
+from specjudge.lm import DataError, LanguageModel, Vocab
 from specjudge.sampling import (RandomState, gumbel_key, gumbel_noise, rollout,
                                 seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
@@ -194,7 +194,8 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
 
     # A perturbed draft hashes its context once per window and computes
     # exactly one noise row per drafted token, whether EOS or the width
-    # ends the window.
+    # ends the window: a sampled window one row per call, a greedy one all
+    # its rows in one call, since its noise-free guesses never miss here.
     draft = PerturbedModel(chain_model, PerturbSpec(noise_scale=0.3, seed=1))
     hashes, rows = [], []
     prefix_hash, noise = toymodels._prefix_hash, draft._noise
@@ -207,7 +208,28 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
         window = draft_window(draft, (0,), width, config)
         assert window.tokens == [1, 2, 1, 2, 3][:width]
         assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)][:width]
-        assert len(hashes) == 1 and rows == [1] * len(window.tokens)
+        n = len(window.tokens)
+        assert len(hashes) == 1 and rows == ([1] * n if config.temperature else [n])
+
+
+def test_greedy_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monkeypatch):
+    """Noise that swamps the base logits makes the noise-free guesses miss
+    about two times in three.  A greedy window of n tokens still equals the
+    stepwise choices, hashes its context once and draws at most 2n noise
+    rows, in at most n calls."""
+    base = ScriptedModel(chain_vocab, {}, default_token=0)
+    draft = PerturbedModel(base, PerturbSpec(noise_scale=100.0, bias_tokens={3: -1e4}, seed=2))
+    expect = {n: LanguageModel.greedy(draft, (0,), n) for n in (1, 8, 64)}
+    hashes, rows = [], []
+    prefix_hash, noise = toymodels._prefix_hash, draft._noise
+    monkeypatch.setattr(toymodels, "_prefix_hash",
+                        lambda *args: hashes.append(args) or prefix_hash(*args))
+    monkeypatch.setattr(draft, "_noise", lambda keys: rows.append(np.size(keys)) or noise(keys))
+    for n, tokens in expect.items():
+        hashes.clear(), rows.clear()
+        assert draft.greedy((0,), n) == tokens and len(tokens) == n
+        assert len(hashes) == 1 and sum(rows) <= 2 * n and len(rows) <= n
+    assert len(rows) > 8  # the 64-token window missed many times
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model, monkeypatch):
@@ -514,6 +536,34 @@ def test_sampled_rollout_equals_a_per_step_seeded_choice_loop(
             if t == PROPERTY_VOCAB.eos_id:
                 break
         assert rollout(model, (0,) + tuple(context), window, temperature, state) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(**{k: v for k, v in sampled_pairs.items() if k != "temperature"})
+def test_greedy_rollout_equals_a_per_step_argmax_loop(
+        seed, agree, sigma, perturb_target, context, window):
+    """Greedy rollouts of perturbed models equal one `next_logits_hidden`
+    argmax per step; at sigma 20 their noise-free guesses miss often, and
+    the draft still draws at most 2n noise rows, in at most n calls.
+    Lossless decoding of the pair still reproduces the target's rollout."""
+    draft, target = random_sampled_pair(seed, agree, sigma, perturb_target)
+    prompt, drawn = (0,) + tuple(context), []
+    for model in (draft, target):
+        tokens, expect = prompt, []
+        for _ in range(window):
+            t = int(np.argmax(model.next_logits_hidden(tokens)[0]))
+            tokens += (t,)
+            expect.append(t)
+            if t == PROPERTY_VOCAB.eos_id:
+                break
+        if model is draft:  # count the rollout's noise draws only
+            noise = draft._noise
+            draft._noise = lambda keys: drawn.append(np.size(keys)) or noise(keys)
+        assert rollout(model, prompt, window) == expect
+    assert sum(drawn) <= 2 * window and len(drawn) <= window
+    config = EngineConfig(window=window, max_tokens=12)
+    result = spec_decode(prompt, draft, target, LosslessPolicy(), config)
+    assert list(result.response) == rollout(target, prompt, 12)
 
 
 def test_sampled_verify_needs_a_noise_row_per_drafted_token(chain_model):

@@ -72,7 +72,8 @@ def _assert_rows_match_steps(model, tokens, starts):
 
 def _contract_models(tokens, order, prompt_len):
     """(model, first row) pairs: an n-gram, its drafts without and with
-    noise, a scripted model and, when there is a response, both replays.
+    noise, a scripted model and, when there is a response, both replays
+    and the noisy draft's perturbation of each.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
@@ -87,7 +88,9 @@ def _contract_models(tokens, order, prompt_len):
     pairs = [(model, 0) for model in models]
     if prompt_len < len(tokens):
         trace = record_trace(noisy, base, TokenSequence(tokens, prompt_len))
-        pairs += [(replay, prompt_len - 1) for replay in trace.replay_models(v)]
+        replays = trace.replay_models(v)
+        replays += tuple(PerturbedModel(replay, noisy.spec) for replay in replays)
+        pairs += [(replay, prompt_len - 1) for replay in replays]
     return pairs
 
 
@@ -115,6 +118,34 @@ def test_logit_steps_match_next_logits(tokens, order, prompt_len):
         for i in range(first, len(tokens)):
             row = steps.send(tokens[i] if i > first else None)
             assert np.array_equal(row, model.next_logits(tokens[: i + 1])), (model.name, i)
+
+
+def _stepwise_greedy(model, context, n):
+    """Up to n argmax choices from one `logit_steps` generator, stopping after EOS."""
+    steps, out = model.logit_steps(context), []
+    while len(out) < n and (not out or out[-1] != model.vocab.eos_id):
+        out.append(argmax_token(steps.send(out[-1] if out else None)))
+    return out
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the DataError it raises."""
+    try:
+        return fn(*args)
+    except DataError as e:
+        return type(e)
+
+
+@settings(max_examples=40, deadline=None)
+@contract_cases
+def test_greedy_matches_stepwise_argmax(tokens, order, prompt_len):
+    """`greedy` from every prefix, for every budget, equals a stepwise argmax
+    loop over `logit_steps`; a replay that leaves its trace fails the same way."""
+    for model, first in _contract_models(tokens, order, prompt_len):
+        for k in range(first + 1, len(tokens) + 1):
+            for n in range(len(tokens) + 3):
+                expect = _outcome(_stepwise_greedy, model, tokens[:k], n)
+                assert _outcome(model.greedy, tokens[:k], n) == expect, (model.name, k, n)
 
 
 def test_forward_rows_ignore_later_tokens():
