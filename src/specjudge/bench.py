@@ -69,7 +69,7 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
 
     A task whose decode raises DataError is reported on stderr, counted as
     incorrect, and tallied in the row's failure count; the run continues.
-    Any other exception is a bug, not a task failure, and ends the run.
+    Any other exception ends the run: a bug, or a too small temperature.
     """
     tasks = list(tasks)
     if not tasks:

@@ -5,8 +5,8 @@ record-trace.  Every command takes --seed, resolves models from spec
 strings or JSON files, and writes a manifest of its resolved
 configuration next to its output.  The list flags (--num-steps, --topk,
 --threshold, --policy) take non-empty comma lists.  Exit codes: 0
-success, 1 usage (a malformed list included), 2 data error (an
-unwritable --out included), 3 remote error.
+success, 1 usage (a malformed list included), 2 data error (an unwritable
+--out or a --temperature too small to sample included), 3 remote error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import bench as bench_mod
 from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
@@ -27,7 +29,7 @@ from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                      dataset_fingerprint, export_dataset, load_dataset,
                      mine_important, mine_naive)
 from .remote import RemoteEndpoint, RemoteError, remote_generator
-from .sampling import RandomState, rollout
+from .sampling import RandomState, ScoreError, rollout
 from .tasks import (build_vocab, gen_corpus, gen_arithmetic_task, load_tasks,
                     save_tasks)
 from .toymodels import PerturbSpec, make_draft, train_ngram
@@ -424,11 +426,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # an overflow is checked, as a ScoreError, not warned
+            return args.func(args)
     except RemoteError as e:
         print(f"remote error: {e}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as e:
+    except (DataError, OSError, ScoreError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -96,14 +96,14 @@ class CycleStats:
 class DraftWindow:
     """Drafted tokens plus the Gumbel rows that chose them.
 
-    `noise[i]` is the Gumbel row drawn at `context + tokens[:i]`, the step
-    that drafted `tokens[i]`, when sampled; greedy windows draw none.  The
-    draft steps read logits only: the judge asks the draft for its hidden
-    rows at the positions it scores.
+    Sampled, `noise` is one (n, V) array, the kept rows of each guessed run
+    joined once: row i was drawn at `context + tokens[:i]`, which drafted
+    `tokens[i]`.  Greedy windows draw none (None).  The draft steps read
+    logits only: the judge asks the draft for hidden rows where it scores.
     """
 
     tokens: list[int]
-    noise: list[np.ndarray]
+    noise: np.ndarray | None
 
 
 @dataclass
@@ -160,7 +160,7 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     if temp == 0:
         choices = logits[:n].argmax(axis=1)
     else:
-        if len(window.noise) != n:
+        if window.noise is None or len(window.noise) != n:
             raise DataError("a sampled window needs one noise row per drafted token")
         choices = gumbel_max(logits[:n], window.noise, temp)
 

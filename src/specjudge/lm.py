@@ -4,7 +4,7 @@ A model is a pure function of its token context.  Its one hidden-state
 path is the abstract per-step primitive `next_logits_hidden`, which yields
 the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
-paths: `next_logits` per step, `logit_steps` and `greedy` for drafting and
+paths: `next_logits` per step, `logit_steps` and `sample` for drafting and
 rollouts, and `forward_logits` for the many rows of verification and mining,
 which backends may vectorize.  Tests hold each bit-equal to the primitive.
 """
@@ -110,7 +110,7 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    per-step state `logit_steps`, with a batched argmax run `greedy`, and
+    per-step state `logit_steps`, with batched runs of choices `sample`, and
     with a vectorized pass `_logit_rows`.
     """
 
@@ -133,14 +133,26 @@ class LanguageModel:
             t = yield self.next_logits(context)
             context += (t,)
 
-    def greedy(self, context: tuple[int, ...], n: int) -> list[int]:
-        """Up to `n` argmax choices after `context`, stopping after end-of-sequence;
-        one `logit_steps` generator, never asked for a row after the last choice."""
+    def sample(self, context: tuple[int, ...], n: int, temperature: float = 0.0,
+               key: int | None = None):
+        """(choices, Gumbel rows) of up to `n` choices after `context`, stopping after EOS:
+        argmax and no rows with no Gumbel `key`, else Gumbel-max at `temperature` and
+        (len, V) rows, row i drawn at `key` fed choices[:i].  One `logit_steps` generator."""
         eos, steps, out, t = self.vocab.eos_id, self.logit_steps(context), [], None
-        while len(out) < n and t != eos:  # sending None starts the generator
-            t = argmax_token(steps.send(t))
+        if key is None:
+            while len(out) < n and t != eos:  # sending None starts the generator
+                t = argmax_token(steps.send(t))
+                out.append(t)
+            return out, None
+        from . import sampling  # sampling imports this module
+        noise = []
+        while len(out) < n and t != eos:
+            logits = steps.send(t)
+            noise.append(sampling.gumbel_noise(key, len(logits)))
+            t = int(sampling.gumbel_max(logits, noise[-1], temperature))
+            key = sampling._fnv_feed(key, t)
             out.append(t)
-        return out
+        return out, np.array(noise).reshape(len(out), self.vocab.size)
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

@@ -14,8 +14,9 @@ from logits / T by one constant per row, so no softmax is computed.
 The noise is keyed by a running FNV-1a hash of the prefix, fed one token
 per step, as a perturbed draft keys its own noise.  In a decode cycle each
 prefix's noise is drawn once, by the draft, and verification reuses the
-draft's rows; only the bonus row is drawn fresh.  Greedy choices draw none:
-`autoregress` leaves them to the model's `greedy`.
+draft's rows; only the bonus row is drawn fresh.  Greedy choices draw none.
+`autoregress` leaves the choices to the model's `sample`: a perturbed draft
+guesses runs of them and draws each run's Gumbel rows in one call.
 """
 
 from __future__ import annotations
@@ -161,19 +162,23 @@ def gumbel_noise(key, n: int) -> np.ndarray:
     return np.negative(np.log(g, out=g), out=g)  # -log(-log u), in place
 
 
+class ScoreError(ValueError):
+    """Sampling scores that are not finite, as when logits / T overflows at a tiny T."""
+
+
 def gumbel_max(logits, noise, temperature: float):
     """argmax(logits / T + noise) along the last axis, lowest id on ties.
 
     Equal to argmax(log softmax(logits, T) + noise): log softmax only
     subtracts a per-row constant.  A temperature that is not finite and
-    positive, or a non-finite score, is a ValueError.
+    positive is a ValueError, and a non-finite score a ScoreError.
     """
     if not 0 < temperature < np.inf:
         raise ValueError("sampling requires a finite temperature > 0")
     scores = np.asarray(logits, dtype=float) / temperature
     scores += noise
     if not np.isfinite(scores).all():
-        raise ValueError("sampling requires finite scores")
+        raise ScoreError(f"sampling scores are not finite at temperature {float(temperature)!r}")
     return scores.argmax(axis=-1)  # the method skips np.argmax's dispatch
 
 
@@ -193,30 +198,17 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
 
 def autoregress(model, context, max_new: int, temperature: float = 0.0,
                 state: RandomState | None = None):
-    """(tokens, Gumbel rows) of up to `max_new` seeded choices.
+    """(tokens, Gumbel rows) of up to `max_new` seeded choices: `model.sample`
+    after the context is validated once.
 
-    Stops after end-of-sequence; the context is validated once.  A
-    temperature not above 0 is `model.greedy`, which draws no Gumbel rows.
-    Otherwise row i of the Gumbel rows is the one drawn at context +
-    tokens[:i]: each choice is sent to one `model.logit_steps` generator,
-    never asked for a row after the last, and feeds a running Gumbel key.
+    Stops after end-of-sequence.  A temperature not above 0 is greedy and
+    draws no Gumbel rows (None).  Otherwise row i of the (len, V) rows is the
+    one drawn at context + tokens[:i], keyed by one running Gumbel key.
     """
     tokens = tuple(context)
     model._check_tokens(tokens)
-    if not temperature > 0:
-        return model.greedy(tokens, max_new), []
-    key = gumbel_key(state, tokens)
-    steps = model.logit_steps(tokens)
-    eos, out, noise, t = model.vocab.eos_id, [], [], None  # sending None starts the generator
-    for _ in range(max_new):
-        logits = steps.send(t)
-        noise.append(gumbel_noise(key, len(logits)))
-        t = int(gumbel_max(logits, noise[-1], temperature))
-        key = _fnv_feed(key, t)
-        out.append(t)
-        if t == eos:
-            break
-    return out, noise
+    key = gumbel_key(state, tokens) if temperature > 0 else None
+    return model.sample(tokens, max_new, temperature, key)
 
 
 def rollout(model, context, max_new: int, temperature: float = 0.0,

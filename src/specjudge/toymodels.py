@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sampling
 from .lm import DataError, LanguageModel, Vocab, argmax_token
 from .sampling import (TAG_PERTURB, _fnv_feed, _fnv_feed_vec, _ids_and_width,
-                       _prefix_hash, _running_keys, _unit_uniform_vec)
+                       _prefix_hash, _running_keys, _unit_uniform_vec, gumbel_max)
 
 EMBED_DIM = 16
 _MINUS_TWO, _TWO_PI = np.array(-2.0), np.array(2.0 * math.pi)
@@ -183,17 +184,21 @@ class PerturbedModel(LanguageModel):
             t = yield rows.send(t) + self._noise(key)
             key = _fnv_feed(key, t)
 
-    def greedy(self, context, n):
-        """The stepwise greedy choices, bit for bit.  The noise-free draft guesses a run
-        and one noise draw checks it: guessed row j sits where the stepwise loop is once
-        j choices match, and choices are kept up to the first miss.  A window may waste
-        n rows: each run ends at the window's end or where it could waste no more, and
-        with no waste left the rest is stepped, so at most 2n rows are drawn."""
-        key = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
-        out, eos, spare = [], self.vocab.eos_id, n  # the rows the window may still waste
+    def sample(self, context, n, temperature=0.0, key=None):
+        """The stepwise choices and Gumbel rows, bit for bit.  The noise-free draft guesses
+        a run and one noise draw (and one Gumbel draw, sampled) at the guessed prefixes
+        checks it: guessed row j sits where the stepwise loop is once j choices match, and
+        choices are kept up to the first miss.  A greedy run is guessed to the window's
+        end, a sampled one to twice what the last run kept (4 rows at first), and none
+        past the n rows a window may waste; with no waste left the rest is stepped, so
+        at most 2n rows are drawn in at most n calls."""
+        pkey = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
+        out, noise, eos, spare = [], [], self.vocab.eos_id, n  # the rows the window may still waste
+        run = n if key is None else 4
         while spare and len(out) < n and out[-1:] != [eos]:
             steps, rows, guess, t = self.base.logit_steps((*context, *out)), [], [], None
-            while len(guess) < min(spare + 1, n - len(out)) and t != eos:
+            limit = min(run, spare + 1, n - len(out))
+            while len(guess) < limit and t != eos:
                 try:
                     rows.append(steps.send(t))
                 except DataError:  # a replay rejects a guessed prefix; a run that reaches it raises
@@ -202,18 +207,35 @@ class PerturbedModel(LanguageModel):
                     break
                 t = int((rows[-1] + self._bias).argmax())
                 guess.append(t)
-            keys = _running_keys(key, guess[:-1])
-            choices = (np.array(rows) + self._noise(keys)).argmax(axis=1).tolist()
+            pkeys = _running_keys(pkey, guess[:-1])
+            scores = np.array(rows) + self._noise(pkeys)
+            if key is None:
+                choices = scores.argmax(axis=1).tolist()
+            else:  # gumbel_noise is looked up at call time, where tracing wraps it
+                keys = _running_keys(key, guess[:-1])
+                gumbel = sampling.gumbel_noise(keys, self.vocab.size)
+                choices = gumbel_max(scores, gumbel, temperature).tolist()
             j = next((j for j, (c, g) in enumerate(zip(choices, guess)) if c != g), len(guess) - 1)
             out += choices[:j + 1]
-            key = _fnv_feed(int(keys[j]), choices[j])
+            pkey = _fnv_feed(int(pkeys[j]), choices[j])
             spare -= len(rows) - j - 1
+            if key is not None:
+                noise.append(gumbel[:j + 1])
+                key, run = _fnv_feed(int(keys[j]), choices[j]), 2 * (j + 1)
         steps, t = self.base.logit_steps((*context, *out)), None
-        while len(out) < n and out[-1:] != [eos]:
-            t = int((steps.send(t) + self._noise(key)).argmax())
+        while len(out) < n and out[-1:] != [eos]:  # nothing left to waste: step
+            row = steps.send(t) + self._noise(pkey)
+            if key is None:
+                t = int(row.argmax())
+            else:
+                gumbel = sampling.gumbel_noise(key, self.vocab.size)
+                t = int(gumbel_max(row, gumbel, temperature))
+                noise.append(gumbel[None])
+                key = _fnv_feed(key, t)
             out.append(t)
-            key = _fnv_feed(key, t)
-        return out
+            pkey = _fnv_feed(pkey, t)
+        return out, None if key is None else np.concatenate(
+            noise or [np.empty((0, self.vocab.size))])
 
     def next_logits_hidden(self, context):
         context = tuple(context)

@@ -271,8 +271,10 @@ def test_incompatible_judge_is_one_data_error(workdir, tmp_path, capsys, command
     (["--temperature", "1e309"], "temperature must be finite and >= 0"),
     (["--temperature", "nan"], "temperature must be finite and >= 0"),
     (["--seed", "-1", "--temperature", "0.5"], "seed must fit in 64 bits"),
-], ids=["inf", "1e309", "nan", "negative-seed"])
+    (["--temperature", "1e-310"], "sampling scores are not finite at temperature 1e-310"),
+], ids=["inf", "1e309", "nan", "negative-seed", "1e-310"])
 @pytest.mark.parametrize("command", ["bench", "decode", "mine", "record-trace"])
+@pytest.mark.filterwarnings("error")  # a warning would be one more line on stderr
 def test_bad_sampling_settings_are_one_data_error(workdir, tmp_path, capsys, command,
                                                   settings, message):
     out = tmp_path / "never.out"

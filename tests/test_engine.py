@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge import engine, mining, toymodels
+from specjudge import engine, mining, sampling, toymodels
 from specjudge.engine import (CycleStats, DecodeResult, EngineConfig,
                               JudgePolicy, LosslessPolicy, TopKPolicy,
                               accepted_per_cycle, draft_window, spec_decode,
@@ -194,42 +194,105 @@ def test_draft_window_stops_after_eos(chain_model, monkeypatch):
 
     # A perturbed draft hashes its context once per window and computes
     # exactly one noise row per drafted token, whether EOS or the width
-    # ends the window: a sampled window one row per call, a greedy one all
-    # its rows in one call, since its noise-free guesses never miss here.
+    # ends the window, since its noise-free guesses never miss here.  A
+    # greedy window draws all its rows in one call.  A sampled window draws
+    # its perturbation and Gumbel rows in runs of 4 at first, then twice
+    # what the last run kept, so 5 tokens take runs of 4 and 1.
     draft = PerturbedModel(chain_model, PerturbSpec(noise_scale=0.3, seed=1))
-    hashes, rows = [], []
-    prefix_hash, noise = toymodels._prefix_hash, draft._noise
-    monkeypatch.setattr(toymodels, "_prefix_hash",
-                        lambda *args: hashes.append(args) or prefix_hash(*args))
-    monkeypatch.setattr(draft, "_noise", lambda keys: rows.append(np.size(keys)) or noise(keys))
+    counts = _counting_noise(monkeypatch, draft)
     sampled = EngineConfig(temperature=0.5, state=RandomState(3))
     for config, width in product((EngineConfig(), sampled), (8, 3)):
-        seen.clear(), hashes.clear(), rows.clear()
+        seen.clear()
+        for drawn in counts.values():
+            drawn.clear()
         window = draft_window(draft, (0,), width, config)
         assert window.tokens == [1, 2, 1, 2, 3][:width]
         assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 1), (0, 1, 2, 1, 2)][:width]
         n = len(window.tokens)
-        assert len(hashes) == 1 and rows == ([1] * n if config.temperature else [n])
+        if config.temperature:
+            runs = {5: [4, 1], 3: [3]}[n]
+            assert counts["perturb"] == counts["gumbel"] == runs
+            assert window.noise.shape == (n, chain_model.vocab.size)
+        else:
+            assert counts["perturb"] == [n] and counts["gumbel"] == []
+            assert window.noise is None
+        assert len(counts["perturb_hash"]) == 1
+        assert len(counts["gumbel_hash"]) == int(config.temperature > 0)
+
+
+def _counting_noise(monkeypatch, draft):
+    """Lists that record the rows of each call to the draft's perturbation and
+    Gumbel kernels, and one entry per context hash of each key stream."""
+    counts = {"perturb_hash": [], "gumbel_hash": [], "perturb": [], "gumbel": []}
+
+    def counting(fn, drawn):  # for a kernel, the rows of its keys argument
+        return lambda *args: drawn.append(np.size(args[0])) or fn(*args)
+
+    monkeypatch.setattr(toymodels, "_prefix_hash",
+                        counting(toymodels._prefix_hash, counts["perturb_hash"]))
+    monkeypatch.setattr(sampling, "_prefix_hash",
+                        counting(sampling._prefix_hash, counts["gumbel_hash"]))
+    monkeypatch.setattr(draft, "_noise", counting(draft._noise, counts["perturb"]))
+    monkeypatch.setattr(sampling, "gumbel_noise",
+                        counting(sampling.gumbel_noise, counts["gumbel"]))
+    return counts
+
+
+def test_sampled_runs_double_while_guesses_hold(chain_vocab, monkeypatch):
+    """A sampled run guesses 4 rows at first, then up to twice as many rows as
+    the last run kept; here every guess holds, so the runs double until the
+    window's end."""
+    draft = PerturbedModel(ScriptedModel(chain_vocab, {}, default_token=0),
+                           PerturbSpec(noise_scale=0.3, seed=1))
+    counts = _counting_noise(monkeypatch, draft)
+    window = draft_window(draft, (0,), 64, EngineConfig(temperature=0.5, state=RandomState(3)))
+    assert window.tokens == [0] * 64
+    assert counts["perturb"] == counts["gumbel"] == [4, 8, 16, 32, 4]
+
+
+def _missing_draft(chain_vocab):
+    """A draft whose σ=100 noise swamps the base logits, so its noise-free guesses
+    miss about two times in three; EOS is biased away, so windows run full."""
+    base = ScriptedModel(chain_vocab, {}, default_token=0)
+    return PerturbedModel(base, PerturbSpec(noise_scale=100.0, bias_tokens={3: -1e4}, seed=2))
 
 
 def test_greedy_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monkeypatch):
-    """Noise that swamps the base logits makes the noise-free guesses miss
-    about two times in three.  A greedy window of n tokens still equals the
-    stepwise choices, hashes its context once and draws at most 2n noise
-    rows, in at most n calls."""
-    base = ScriptedModel(chain_vocab, {}, default_token=0)
-    draft = PerturbedModel(base, PerturbSpec(noise_scale=100.0, bias_tokens={3: -1e4}, seed=2))
-    expect = {n: LanguageModel.greedy(draft, (0,), n) for n in (1, 8, 64)}
-    hashes, rows = [], []
-    prefix_hash, noise = toymodels._prefix_hash, draft._noise
-    monkeypatch.setattr(toymodels, "_prefix_hash",
-                        lambda *args: hashes.append(args) or prefix_hash(*args))
-    monkeypatch.setattr(draft, "_noise", lambda keys: rows.append(np.size(keys)) or noise(keys))
+    """A greedy window of n tokens from a draft whose guesses mostly miss still
+    equals the stepwise choices, hashes its context once and draws at most 2n
+    noise rows, in at most n calls."""
+    draft = _missing_draft(chain_vocab)
+    expect = {n: LanguageModel.sample(draft, (0,), n)[0] for n in (1, 8, 64)}
+    counts = _counting_noise(monkeypatch, draft)
     for n, tokens in expect.items():
-        hashes.clear(), rows.clear()
-        assert draft.greedy((0,), n) == tokens and len(tokens) == n
-        assert len(hashes) == 1 and sum(rows) <= 2 * n and len(rows) <= n
+        for drawn in counts.values():
+            drawn.clear()
+        assert rollout(draft, (0,), n) == tokens and len(tokens) == n
+        rows = counts["perturb"]
+        assert len(counts["perturb_hash"]) == 1 and sum(rows) <= 2 * n and len(rows) <= n
+        assert counts["gumbel_hash"] == counts["gumbel"] == []
     assert len(rows) > 8  # the 64-token window missed many times
+
+
+def test_sampled_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monkeypatch):
+    """The same draft sampled: a window of n tokens equals the stepwise choices and
+    Gumbel rows, hashes its context once per key stream, and draws at most 2n rows
+    of each noise kernel, in at most n calls."""
+    draft, config = _missing_draft(chain_vocab), EngineConfig(temperature=0.5,
+                                                              state=RandomState(5))
+    key = gumbel_key(config.state, (0,))
+    expect = {n: LanguageModel.sample(draft, (0,), n, 0.5, key) for n in (1, 8, 64)}
+    counts = _counting_noise(monkeypatch, draft)
+    for n, (tokens, noise) in expect.items():
+        for drawn in counts.values():
+            drawn.clear()
+        window = draft_window(draft, (0,), n, config)
+        assert window.tokens == tokens and len(tokens) == n
+        assert window.noise.shape == noise.shape and window.noise.tobytes() == noise.tobytes()
+        assert len(counts["perturb_hash"]) == len(counts["gumbel_hash"]) == 1
+        assert counts["perturb"] == counts["gumbel"]
+        assert sum(counts["gumbel"]) <= 2 * n and len(counts["gumbel"]) <= n
+    assert len(counts["gumbel"]) > 8  # the 64-token window missed many times
 
 
 def test_max_tokens_suppresses_the_bonus(chain_model, monkeypatch):

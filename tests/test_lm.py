@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
+from specjudge.sampling import RandomState, _fnv_feed, gumbel_key, gumbel_max, gumbel_noise
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
 from specjudge.trace import record_trace
 
@@ -94,8 +95,9 @@ def _contract_models(tokens, order, prompt_len):
     return pairs
 
 
-contract_cases = given(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24).map(tuple),
-                       order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
+contract_args = dict(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24).map(tuple),
+                     order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
+contract_cases = given(**contract_args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,13 +141,49 @@ def _outcome(fn, *args):
 @settings(max_examples=40, deadline=None)
 @contract_cases
 def test_greedy_matches_stepwise_argmax(tokens, order, prompt_len):
-    """`greedy` from every prefix, for every budget, equals a stepwise argmax
+    """Greedy `sample` from every prefix, for every budget, equals a stepwise argmax
     loop over `logit_steps`; a replay that leaves its trace fails the same way."""
     for model, first in _contract_models(tokens, order, prompt_len):
         for k in range(first + 1, len(tokens) + 1):
             for n in range(len(tokens) + 3):
                 expect = _outcome(_stepwise_greedy, model, tokens[:k], n)
-                assert _outcome(model.greedy, tokens[:k], n) == expect, (model.name, k, n)
+                assert _outcome(lambda *a: model.sample(*a)[0], tokens[:k], n) == expect, \
+                    (model.name, k, n)
+
+
+def _stepwise_sampled(model, context, n, temperature, key):
+    """Up to n Gumbel-max choices from one `logit_steps` generator, stopping after
+    EOS, and the bytes of their Gumbel rows, row i drawn at the key fed choices[:i]."""
+    steps, out, rows = model.logit_steps(context), [], []
+    while len(out) < n and (not out or out[-1] != model.vocab.eos_id):
+        logits = steps.send(out[-1] if out else None)
+        rows.append(gumbel_noise(key, model.vocab.size))
+        out.append(int(gumbel_max(logits, rows[-1], temperature)))
+        key = _fnv_feed(key, out[-1])
+    return out, np.array(rows).tobytes()
+
+
+def _sampled(model, context, n, temperature, key):
+    out, noise = model.sample(context, n, temperature, key)
+    assert noise.shape == (len(out), model.vocab.size)
+    return out, noise.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**contract_args, temperature=st.sampled_from([0.3, 1.0, 5.0]),
+       seed=st.integers(0, 2**64 - 1))
+def test_sampled_matches_stepwise_gumbel_max(tokens, order, prompt_len, temperature, seed):
+    """Sampled `sample` from every prefix, for every budget, equals a stepwise
+    Gumbel-max loop over `logit_steps`: the same choices and the same Gumbel-row
+    bytes; a replay that leaves its trace fails the same way."""
+    state = RandomState(seed)
+    for model, first in _contract_models(tokens, order, prompt_len):
+        for k in range(first + 1, len(tokens) + 1):
+            key = gumbel_key(state, tokens[:k])
+            for n in range(len(tokens) + 3):
+                expect = _outcome(_stepwise_sampled, model, tokens[:k], n, temperature, key)
+                assert _outcome(_sampled, model, tokens[:k], n, temperature, key) == expect, \
+                    (model.name, k, n)
 
 
 def test_forward_rows_ignore_later_tokens():
