@@ -78,11 +78,17 @@ def _spec_value(spec: dict, key: str, cast=str, default=None):
         raise DataError(f"bad model spec value {key}={spec[key]!r}: {e}") from e
 
 
-def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | None = None):
+def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | None = None,
+                  chain: tuple[str, ...] = ()):
     """Build a model from a JSON spec file or an inline kind:k=v,... string; an n-gram
-    spec already in `ngrams`, keyed by its resolved values, is not trained again."""
+    spec already in `ngrams`, keyed by its resolved values, is not trained again.
+    `chain` is the real paths of the spec files whose bases are being resolved: a file
+    met again on it names itself through its bases."""
     ngrams = {} if ngrams is None else ngrams
     if os.path.exists(spec_text) and spec_text.endswith(".json"):
+        chain += (os.path.realpath(spec_text),)
+        if chain[-1] in chain[:-1]:
+            raise DataError("model spec names itself as a base: " + " -> ".join(chain))
         try:
             with open(spec_text) as f:
                 spec = json.load(f)
@@ -103,7 +109,7 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
                                       smoothing, seed, name)
         return ngrams[key]
     if kind == "perturb":
-        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams)
+        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams, chain)
         bias_raw = spec.get("bias", {})
         if isinstance(bias_raw, str):
             bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)

@@ -4,9 +4,10 @@ A model is a pure function of its token context.  Its one hidden-state
 path is the abstract per-step primitive `next_logits_hidden`, which yields
 the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
-paths: `next_logits` per step, `logit_steps` and `sample` for drafting and
-rollouts, and `forward_logits` for the many rows of verification and mining,
-which backends may vectorize.  Tests hold each bit-equal to the primitive.
+paths: `next_logits` per step, `sample` for the runs of choices of drafting
+and rollouts, and `forward_logits` for the many rows of verification and
+mining, which backends may vectorize.  Tests hold each bit-equal to the
+primitive.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    per-step state `logit_steps`, with batched runs of choices `sample`, and
-    with a vectorized pass `_logit_rows`.
+    batched runs of choices `sample`, and with a vectorized pass `_logit_rows`.
     """
 
     name: str = "model"
@@ -125,34 +125,24 @@ class LanguageModel:
         """The logits of `next_logits_hidden(context)`, without the hidden state."""
         return self.next_logits_hidden(context)[0]
 
-    def logit_steps(self, context: tuple[int, ...]):
-        """Generator of `next_logits` rows: `send(None)` yields the row of `context`, each
-        later `send(t)` appends t and yields the next; step state lives only in here."""
-        context = tuple(context)
-        while True:
-            t = yield self.next_logits(context)
-            context += (t,)
-
     def sample(self, context: tuple[int, ...], n: int, temperature: float = 0.0,
                key: int | None = None):
         """(choices, Gumbel rows) of up to `n` choices after `context`, stopping after EOS:
         argmax and no rows with no Gumbel `key`, else Gumbel-max at `temperature` and
-        (len, V) rows, row i drawn at `key` fed choices[:i].  One `logit_steps` generator."""
-        eos, steps, out, t = self.vocab.eos_id, self.logit_steps(context), [], None
-        if key is None:
-            while len(out) < n and t != eos:  # sending None starts the generator
-                t = argmax_token(steps.send(t))
-                out.append(t)
-            return out, None
+        (len, V) rows, row i drawn at `key` fed choices[:i].  One `next_logits` per choice."""
         from . import sampling  # sampling imports this module
-        noise = []
+        context, out, noise, eos, t = tuple(context), [], [], self.vocab.eos_id, None
         while len(out) < n and t != eos:
-            logits = steps.send(t)
-            noise.append(sampling.gumbel_noise(key, len(logits)))
-            t = int(sampling.gumbel_max(logits, noise[-1], temperature))
-            key = sampling._fnv_feed(key, t)
+            logits = self.next_logits(context)
+            if key is None:
+                t = argmax_token(logits)
+            else:
+                noise.append(sampling.gumbel_noise(key, len(logits)))
+                t = int(sampling.gumbel_max(logits, noise[-1], temperature))
+                key = sampling._fnv_feed(key, t)
+            context += (t,)
             out.append(t)
-        return out, np.array(noise).reshape(len(out), self.vocab.size)
+        return out, None if key is None else np.array(noise).reshape(len(out), self.vocab.size)
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

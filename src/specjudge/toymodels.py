@@ -175,38 +175,29 @@ class PerturbedModel(LanguageModel):
         rest = tokens[start + 1:]
         return self._noise(_running_keys(key, rest) if len(rest) else key)
 
-    def logit_steps(self, context):
-        """The base model's steps plus noise, keyed by one running hash of the context."""
-        rows = self.base.logit_steps(context)
-        key = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
-        t = None
-        while True:
-            t = yield rows.send(t) + self._noise(key)
-            key = _fnv_feed(key, t)
-
     def sample(self, context, n, temperature=0.0, key=None):
         """The stepwise choices and Gumbel rows, bit for bit.  The noise-free draft guesses
         a run and one noise draw (and one Gumbel draw, sampled) at the guessed prefixes
         checks it: guessed row j sits where the stepwise loop is once j choices match, and
         choices are kept up to the first miss.  A greedy run is guessed to the window's
         end, a sampled one to twice what the last run kept (4 rows at first), and none
-        past the n rows a window may waste; with no waste left the rest is stepped, so
-        at most 2n rows are drawn in at most n calls."""
+        past the n rows a window may waste, so a run with no waste left is one row: at
+        most 2n rows are drawn in at most n calls."""
         pkey = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
         out, noise, eos, spare = [], [], self.vocab.eos_id, n  # the rows the window may still waste
         run = n if key is None else 4
-        while spare and len(out) < n and out[-1:] != [eos]:
-            steps, rows, guess, t = self.base.logit_steps((*context, *out)), [], [], None
+        while len(out) < n and out[-1:] != [eos]:
+            prefix, rows, guess = (*context, *out), [], []
             limit = min(run, spare + 1, n - len(out))
-            while len(guess) < limit and t != eos:
+            while len(guess) < limit and guess[-1:] != [eos]:
                 try:
-                    rows.append(steps.send(t))
+                    rows.append(self.base.next_logits(prefix))
                 except DataError:  # a replay rejects a guessed prefix; a run that reaches it raises
                     if not rows:
                         raise
                     break
-                t = int((rows[-1] + self._bias).argmax())
-                guess.append(t)
+                guess.append(int((rows[-1] + self._bias).argmax()))
+                prefix += (guess[-1],)
             pkeys = _running_keys(pkey, guess[:-1])
             scores = np.array(rows) + self._noise(pkeys)
             if key is None:
@@ -222,18 +213,6 @@ class PerturbedModel(LanguageModel):
             if key is not None:
                 noise.append(gumbel[:j + 1])
                 key, run = _fnv_feed(int(keys[j]), choices[j]), 2 * (j + 1)
-        steps, t = self.base.logit_steps((*context, *out)), None
-        while len(out) < n and out[-1:] != [eos]:  # nothing left to waste: step
-            row = steps.send(t) + self._noise(pkey)
-            if key is None:
-                t = int(row.argmax())
-            else:
-                gumbel = sampling.gumbel_noise(key, self.vocab.size)
-                t = int(gumbel_max(row, gumbel, temperature))
-                noise.append(gumbel[None])
-                key = _fnv_feed(key, t)
-            out.append(t)
-            pkey = _fnv_feed(pkey, t)
         return out, None if key is None else np.concatenate(
             noise or [np.empty((0, self.vocab.size))])
 

@@ -549,6 +549,27 @@ def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
     assert len(err) == 1 and message in err[0]
 
 
+@pytest.mark.parametrize("specs", [
+    {"d.json": "d.json"},
+    {"d.json": "e.json", "e.json": "d.json"},
+], ids=["self", "two-files"])
+@pytest.mark.parametrize("command", ["bench", "decode", "mine", "record-trace"])
+def test_model_spec_cycle_is_one_data_error(workdir, tmp_path, monkeypatch, capsys,
+                                            command, specs):
+    """A perturb spec whose bases lead back to itself is a data error naming the chain
+    of spec files, not an endless recursion."""
+    monkeypatch.chdir(tmp_path)
+    for name, base in specs.items():
+        Path(name).write_text(json.dumps({"kind": "perturb", "base": base, "sigma": 0.3}))
+    args = model_args(workdir)
+    args[args.index("--draft-model") + 1] = "d.json"
+    assert main([command, *args, "--out", "never.out"]) == 2
+    chain = " -> ".join(str(tmp_path.resolve() / name) for name in [*specs, "d.json"])
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: model spec names itself as a base: {chain}"]
+    assert not Path("never.out").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
     for command, flag in (("gen-tasks", "--count"), ("gen-corpus", "--variants")):

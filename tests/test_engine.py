@@ -295,6 +295,35 @@ def test_sampled_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monke
     assert len(counts["gumbel"]) > 8  # the 64-token window missed many times
 
 
+@settings(max_examples=30, deadline=None)
+@given(sigma=st.sampled_from([0.3, 3.0, 100.0]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 64), temperature=st.sampled_from([0.0, 0.5]))
+def test_draft_traffic_stays_linear(sigma, seed, n, temperature):
+    """A window of n tokens equals the stepwise choices and Gumbel rows, hashes its
+    context once per key stream and draws at most 2n rows of each noise kernel, in
+    at most n calls, however often the guesses miss.  The base scores token 0 40
+    above the rest, so at σ=0.3 and 3 every guess holds, while σ=100 swamps the
+    gap and the noise-free guesses miss about two times in three.  EOS is biased
+    away, so windows run full."""
+    base = ScriptedModel(Vocab(("a", "b", "c", "</s>"), eos_id=3), {}, default_token=0)
+    draft = PerturbedModel(base, PerturbSpec(noise_scale=sigma, bias_tokens={3: -1e4},
+                                             seed=seed))
+    config = EngineConfig(temperature=temperature, state=RandomState(seed))
+    key = gumbel_key(config.state, (0,)) if temperature else None
+    tokens, noise = LanguageModel.sample(draft, (0,), n, temperature, key)  # stepwise
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = _counting_noise(monkeypatch, draft)
+        window = draft_window(draft, (0,), n, config)
+    assert window.tokens == tokens and len(tokens) == n
+    rows = counts["perturb"]
+    assert len(counts["perturb_hash"]) == 1 and sum(rows) <= 2 * n and len(rows) <= n
+    if temperature:
+        assert window.noise.shape == noise.shape and window.noise.tobytes() == noise.tobytes()
+        assert len(counts["gumbel_hash"]) == 1 and counts["gumbel"] == rows
+    else:
+        assert window.noise is None and counts["gumbel_hash"] == counts["gumbel"] == []
+
+
 def test_max_tokens_suppresses_the_bonus(chain_model, monkeypatch):
     def no_bonus(*args):
         raise AssertionError("a bonus row was drawn with no room to emit it")

@@ -163,18 +163,6 @@ def test_training_is_bit_reproducible():
     assert a.bias == b.bias
 
 
-def test_zero_iterations_returns_the_zero_model():
-    model = train_logreg(separable_examples(), C=1.0, max_iters=0)
-    assert np.array_equal(model.weights, np.zeros(3))
-    assert model.bias == 0.0
-    assert predict_importance(model, [5.0, -2.0, 1.0]) == 0.5
-
-
-def test_negative_iterations_rejected():
-    with pytest.raises(TrainingError, match="max_iters"):
-        train_logreg(separable_examples(), C=1.0, max_iters=-5)
-
-
 def test_single_class_training_rejected():
     examples = make_examples([[0.0], [1.0]], [True, True])
     with pytest.raises(TrainingError):

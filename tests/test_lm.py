@@ -72,9 +72,11 @@ def _assert_rows_match_steps(model, tokens, starts):
 
 
 def _contract_models(tokens, order, prompt_len):
-    """(model, first row) pairs: an n-gram, its drafts without and with
-    noise, a scripted model and, when there is a response, both replays
-    and the noisy draft's perturbation of each.
+    """(model, first row) pairs: an n-gram, its drafts without noise, with
+    σ=0.6 noise and with σ=3 noise (whose noise-free guesses mostly miss, so
+    its runs shrink to one row once a window's waste is spent), a scripted
+    model and, when there is a response, both replays and each noisy
+    draft's perturbation of each.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
@@ -84,13 +86,15 @@ def _contract_models(tokens, order, prompt_len):
     base = train_ngram(v, [[0, 1, 2, 7], [3, 1, 4, 1, 5, 7], tokens], order=order,
                        smoothing=0.3, seed=order)
     noisy = PerturbedModel(base, PerturbSpec(noise_scale=0.6, bias_tokens={2: 1.1}, seed=5))
-    models = [base, PerturbedModel(base, PerturbSpec()), noisy,
+    missing = PerturbedModel(base, PerturbSpec(noise_scale=3.0, seed=6))
+    models = [base, PerturbedModel(base, PerturbSpec()), noisy, missing,
               ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))})]
     pairs = [(model, 0) for model in models]
     if prompt_len < len(tokens):
         trace = record_trace(noisy, base, TokenSequence(tokens, prompt_len))
         replays = trace.replay_models(v)
-        replays += tuple(PerturbedModel(replay, noisy.spec) for replay in replays)
+        replays += tuple(PerturbedModel(replay, draft.spec)
+                         for draft in (noisy, missing) for replay in replays)
         pairs += [(replay, prompt_len - 1) for replay in replays]
     return pairs
 
@@ -110,23 +114,11 @@ def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
         _assert_rows_match_steps(model, tokens, range(first, len(tokens)))
 
 
-@settings(max_examples=40, deadline=None)
-@contract_cases
-def test_logit_steps_match_next_logits(tokens, order, prompt_len):
-    """Each row of one `logit_steps` generator, sent the rest of the tokens,
-    equals `next_logits` at the same prefix, bit for bit."""
-    for model, first in _contract_models(tokens, order, prompt_len):
-        steps = model.logit_steps(tokens[: first + 1])
-        for i in range(first, len(tokens)):
-            row = steps.send(tokens[i] if i > first else None)
-            assert np.array_equal(row, model.next_logits(tokens[: i + 1])), (model.name, i)
-
-
 def _stepwise_greedy(model, context, n):
-    """Up to n argmax choices from one `logit_steps` generator, stopping after EOS."""
-    steps, out = model.logit_steps(context), []
-    while len(out) < n and (not out or out[-1] != model.vocab.eos_id):
-        out.append(argmax_token(steps.send(out[-1] if out else None)))
+    """Up to n argmax choices, one `next_logits` call each, stopping after EOS."""
+    out = []
+    while len(out) < n and out[-1:] != [model.vocab.eos_id]:
+        out.append(argmax_token(model.next_logits(context + tuple(out))))
     return out
 
 
@@ -142,7 +134,7 @@ def _outcome(fn, *args):
 @contract_cases
 def test_greedy_matches_stepwise_argmax(tokens, order, prompt_len):
     """Greedy `sample` from every prefix, for every budget, equals a stepwise argmax
-    loop over `logit_steps`; a replay that leaves its trace fails the same way."""
+    loop over `next_logits`; a replay that leaves its trace fails the same way."""
     for model, first in _contract_models(tokens, order, prompt_len):
         for k in range(first + 1, len(tokens) + 1):
             for n in range(len(tokens) + 3):
@@ -152,11 +144,11 @@ def test_greedy_matches_stepwise_argmax(tokens, order, prompt_len):
 
 
 def _stepwise_sampled(model, context, n, temperature, key):
-    """Up to n Gumbel-max choices from one `logit_steps` generator, stopping after
-    EOS, and the bytes of their Gumbel rows, row i drawn at the key fed choices[:i]."""
-    steps, out, rows = model.logit_steps(context), [], []
-    while len(out) < n and (not out or out[-1] != model.vocab.eos_id):
-        logits = steps.send(out[-1] if out else None)
+    """Up to n Gumbel-max choices, one `next_logits` call each, stopping after EOS,
+    and the bytes of their Gumbel rows, row i drawn at the key fed choices[:i]."""
+    out, rows = [], []
+    while len(out) < n and out[-1:] != [model.vocab.eos_id]:
+        logits = model.next_logits(context + tuple(out))
         rows.append(gumbel_noise(key, model.vocab.size))
         out.append(int(gumbel_max(logits, rows[-1], temperature)))
         key = _fnv_feed(key, out[-1])
@@ -174,7 +166,7 @@ def _sampled(model, context, n, temperature, key):
        seed=st.integers(0, 2**64 - 1))
 def test_sampled_matches_stepwise_gumbel_max(tokens, order, prompt_len, temperature, seed):
     """Sampled `sample` from every prefix, for every budget, equals a stepwise
-    Gumbel-max loop over `logit_steps`: the same choices and the same Gumbel-row
+    Gumbel-max loop over `next_logits`: the same choices and the same Gumbel-row
     bytes; a replay that leaves its trace fails the same way."""
     state = RandomState(seed)
     for model, first in _contract_models(tokens, order, prompt_len):
@@ -184,6 +176,34 @@ def test_sampled_matches_stepwise_gumbel_max(tokens, order, prompt_len, temperat
                 expect = _outcome(_stepwise_sampled, model, tokens[:k], n, temperature, key)
                 assert _outcome(_sampled, model, tokens[:k], n, temperature, key) == expect, \
                     (model.name, k, n)
+
+
+class _Refusing(ScriptedModel):
+    """Rejects every context that holds token 5, as a replay rejects one off its trace."""
+
+    def next_logits_hidden(self, context):
+        if 5 in context:
+            raise DataError("refused context")
+        return super().next_logits_hidden(context)
+
+
+def test_a_rejected_one_row_run_fails_as_stepping_does():
+    """A σ=100 draft's guesses mostly miss, so its windows spend their waste and go
+    on in runs of one row; once it chooses 5 the next row is rejected.  At this seed
+    both temperatures reach a one-row run whose only row is rejected, and every
+    budget fails or succeeds exactly as the stepwise loops do."""
+    v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
+    draft = PerturbedModel(_Refusing(v, {}, default_token=0),
+                           PerturbSpec(noise_scale=100.0, bias_tokens={7: -1e4}, seed=0))
+    key = gumbel_key(RandomState(0), (0,))
+    outcomes = set()
+    for n in range(1, 40):
+        greedy = _outcome(_stepwise_greedy, draft, (0,), n)
+        assert _outcome(lambda *a: draft.sample(*a)[0], (0,), n) == greedy, n
+        sampled = _outcome(_stepwise_sampled, draft, (0,), n, 0.5, key)
+        assert _outcome(_sampled, draft, (0,), n, 0.5, key) == sampled, n
+        outcomes |= {greedy is DataError, sampled is DataError}
+    assert outcomes == {False, True}
 
 
 def test_forward_rows_ignore_later_tokens():
