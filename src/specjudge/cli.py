@@ -79,37 +79,39 @@ def _spec_value(spec: dict, key: str, cast=str, default=None):
 
 
 def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | None = None,
-                  chain: tuple[str, ...] = ()):
+                  chain: tuple[str, ...] = (), root: str = ""):
     """Build a model from a JSON spec file or an inline kind:k=v,... string; an n-gram
     spec already in `ngrams`, keyed by its resolved values, is not trained again.
     `chain` is the real paths of the spec files whose bases are being resolved: a file
-    met again on it names itself through its bases."""
+    met again on it names itself through its bases.  Relative paths resolve against
+    `root`; the values a spec file holds, against the file's own directory."""
     ngrams = {} if ngrams is None else ngrams
-    if os.path.exists(spec_text) and spec_text.endswith(".json"):
-        chain += (os.path.realpath(spec_text),)
+    spec_path = os.path.join(root, spec_text)
+    if os.path.exists(spec_path) and spec_text.endswith(".json"):
+        chain += (os.path.realpath(spec_path),)
         if chain[-1] in chain[:-1]:
             raise DataError("model spec names itself as a base: " + " -> ".join(chain))
         try:
-            with open(spec_text) as f:
+            with open(spec_path) as f:
                 spec = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read model spec {spec_text}: {e}") from e
+            raise DataError(f"cannot read model spec {spec_path}: {e}") from e
         if not isinstance(spec, dict):
-            raise DataError(f"model spec {spec_text} is not a JSON object")
+            raise DataError(f"model spec {spec_path} is not a JSON object")
+        root = os.path.dirname(spec_path)
     else:
         spec = _parse_inline_spec(spec_text)
     kind = spec.get("kind")
     if kind == "ngram":
-        path, order, smoothing, seed, name = key = (
-            _spec_value(spec, "corpus"), _spec_value(spec, "order", int, 16),
-            _spec_value(spec, "smoothing", float, 0.2), _spec_value(spec, "seed", int, 0),
-            _spec_value(spec, "name", str, "ngram"))
+        path = os.path.join(root, _spec_value(spec, "corpus"))
+        key = (os.path.realpath(path), _spec_value(spec, "order", int, 16),
+               _spec_value(spec, "smoothing", float, 0.2), _spec_value(spec, "seed", int, 0),
+               _spec_value(spec, "name", str, "ngram"))
         if key not in ngrams:
-            ngrams[key] = train_ngram(vocab, _load_corpus_lines(path, vocab), order,
-                                      smoothing, seed, name)
+            ngrams[key] = train_ngram(vocab, _load_corpus_lines(path, vocab), *key[1:])
         return ngrams[key]
     if kind == "perturb":
-        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams, chain)
+        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams, chain, root)
         bias_raw = spec.get("bias", {})
         if isinstance(bias_raw, str):
             bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)
@@ -131,7 +133,7 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
         if side not in SIDES:
             raise DataError(f"trace model spec side must be draft or target, "
                             f"got {side!r}")
-        return ReplayModel(load_trace(path), vocab, side)
+        return ReplayModel(load_trace(os.path.join(root, path)), vocab, side)
     raise DataError(f"unknown model kind {kind!r}")
 
 

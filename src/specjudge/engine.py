@@ -99,7 +99,8 @@ class DraftWindow:
     Sampled, `noise` is one (n, V) array, the kept rows of each guessed run
     joined once: row i was drawn at `context + tokens[:i]`, which drafted
     `tokens[i]`.  Greedy windows draw none (None).  The draft steps read
-    logits only: the judge asks the draft for hidden rows where it scores.
+    logits only: the judge asks for hidden rows where it scores, and the draft
+    serves their perturbation rows from the window it remembers drawing.
     """
 
     tokens: list[int]
@@ -145,8 +146,8 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     emits the target's own choice.  A fully accepted window also emits the
     target's bonus choice from row W, unless it ends the sequence or leaves
     no room in the `budget` of tokens the response may still take.  Only
-    the judge reads hidden rows: one row of each model its features read,
-    per position it scores.
+    the judge reads hidden rows: `hidden_rows` of the models its features
+    read, per position it scores.
     """
     context = tuple(context)
     if not context:

@@ -1,9 +1,9 @@
 """Token-importance classifier: logistic regression on hidden states.
 
 Features are the hidden states at the draft token (the prefix with the
-draft token appended): from mined mismatch records in training, and at
-decode time from one hidden row per model read.  The one choice is
-which model's state to use: the draft's, the target's, or both
+draft token appended), one hidden row per model read: `hidden_rows`
+computes them for mined mismatch records in training and at decode time.  The one
+choice is which model's state to use: the draft's, the target's, or both
 concatenated.  Training is Newton's method (iteratively reweighted
 least squares) with a backtracking line search, run to the optimum of
 the L2-regularized log-loss.  The L2
@@ -58,26 +58,30 @@ def assemble_features(cfg: FeatureConfig, draft_hidden, target_hidden) -> np.nda
     """
     parts = [h for side, h in (("draft", draft_hidden), ("target", target_hidden))
              if cfg.reads(side)]
-    vec = np.concatenate(parts).astype(float)
-    if not np.all(np.isfinite(vec)):
+    vec = np.concatenate(parts).astype(float, copy=False)
+    if not np.isfinite(vec).all():
         raise DataError("non-finite feature vector")
     return vec
 
 
-def decode_features(cfg: FeatureConfig, draft, target, prefix,
-                    draft_token: int) -> np.ndarray:
-    """Decode-time features of drafting `draft_token` after `prefix`.
-
-    Each model `cfg` reads evaluates one row, `prefix` plus the draft
-    token.  Mining records the same rows, so these equal the features
-    `build_examples` makes for the mismatch.
-    """
-    tokens = tuple(prefix) + (draft_token,)
-
+def hidden_rows(cfg: FeatureConfig, draft, target, tokens):
+    """(draft row, target row) encoding `tokens`, each from a 1-row `forward_parallel`
+    and None on a side `cfg` does not read.  A draft wrapping this target leads its
+    row with the target's, which is then sliced off instead of computed again."""
     def row(model):
         return model.forward_parallel(tokens, start=len(tokens) - 1).hidden[0]
-    return assemble_features(cfg, row(draft) if cfg.reads("draft") else None,
-                             row(target) if cfg.reads("target") else None)
+    d = row(draft) if cfg.reads("draft") else None
+    if d is not None and cfg.reads("target") and getattr(draft, "base", None) is target:
+        return d, d[:target.hidden_dim]
+    return d, row(target) if cfg.reads("target") else None
+
+
+def decode_features(cfg: FeatureConfig, draft, target, prefix,
+                    draft_token: int) -> np.ndarray:
+    """Decode-time features of drafting `draft_token` after `prefix`: the
+    `hidden_rows` mining records, so they equal `build_examples`' features."""
+    return assemble_features(cfg, *hidden_rows(cfg, draft, target,
+                                               (*prefix, draft_token)))
 
 
 @dataclass(frozen=True)

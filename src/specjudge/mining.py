@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .judge import FeatureConfig, hidden_rows
 from .lm import DataError, json_int
 from .sampling import RandomState, positionwise_choices, rollout
 from .tasks import Task, answers_equivalent, extract_answer
@@ -101,20 +102,14 @@ def context_fingerprint(tokens) -> str:
     return hashlib.sha256(json.dumps(list(tokens)).encode()).hexdigest()[:16]
 
 
-def _point_hidden(model, prefix) -> np.ndarray:
-    _, hidden = model.next_logits_hidden(tuple(prefix))
-    return hidden
-
-
 def _record(task_id, tokens, t, draft_token, important, draft, target) -> MismatchRecord:
     prev = tokens[:t]
-    branch = prev + (draft_token,)
+    draft_hidden, target_hidden = hidden_rows(FeatureConfig(), draft, target,
+                                              prev + (draft_token,))
     return MismatchRecord(
         task_id=task_id, position=t, target_token=tokens[t], draft_token=draft_token,
         important=important, context_hash=context_fingerprint(prev),
-        draft_hidden=_point_hidden(draft, branch),
-        target_hidden=_point_hidden(target, branch),
-    )
+        draft_hidden=draft_hidden, target_hidden=target_hidden)
 
 
 def _generate(target, prefix, budget, cfg, target_generate):

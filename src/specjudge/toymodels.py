@@ -76,7 +76,7 @@ class NGramModel(LanguageModel):
     def next_logits_hidden(self, context):
         w = self.order - 1
         key = tuple(context[-w:]) if w > 0 else ()  # the window; () at order 1
-        emb = self.embedding[list(key)].sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
+        emb = self.embedding.take(key, 0).sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
         i = self.counts.get(key, 0)
         return self._logits[i], np.concatenate([emb, self._summary[i]])
 
@@ -133,6 +133,9 @@ class PerturbedModel(LanguageModel):
     Hidden states pass through with one appended scalar: the total logit
     offset applied at the token this model would pick, which tells a
     downstream classifier how hard the perturbation pushed its choice.
+
+    `sample` keeps the perturbation rows of its last window, and
+    `next_logits_hidden` serves that window's prefixes from them.
     """
 
     def __init__(self, base: LanguageModel, spec: PerturbSpec, name: str = "draft"):
@@ -150,6 +153,7 @@ class PerturbedModel(LanguageModel):
         self._ids = np.array((ids, ids))  # (2, V): one row per Box-Muller stream
         self._streams = np.indices(self._ids.shape, dtype=np.uint64)[0]
         self._sigma = np.array(float(spec.noise_scale))
+        self._window = ((), (), ())  # the last window's context, choices and kept rows per run
 
     def _noise(self, keys) -> np.ndarray:
         """bias + σ·sqrt(-2 ln u1)·cos(2π u2) in place, u1 and u2 keyed by feeding
@@ -184,7 +188,7 @@ class PerturbedModel(LanguageModel):
         past the n rows a window may waste, so a run with no waste left is one row: at
         most 2n rows are drawn in at most n calls."""
         pkey = _prefix_hash(TAG_PERTURB, self.spec.seed, context)
-        out, noise, eos, spare = [], [], self.vocab.eos_id, n  # the rows the window may still waste
+        out, noise, kept, eos, spare = [], [], [], self.vocab.eos_id, n  # rows it may yet waste
         run = n if key is None else 4
         while len(out) < n and out[-1:] != [eos]:
             prefix, rows, guess = (*context, *out), [], []
@@ -199,7 +203,7 @@ class PerturbedModel(LanguageModel):
                 guess.append(int((rows[-1] + self._bias).argmax()))
                 prefix += (guess[-1],)
             pkeys = _running_keys(pkey, guess[:-1])
-            scores = np.array(rows) + self._noise(pkeys)
+            scores = np.array(rows) + (delta := self._noise(pkeys))
             if key is None:
                 choices = scores.argmax(axis=1).tolist()
             else:  # gumbel_noise is looked up at call time, where tracing wraps it
@@ -208,21 +212,35 @@ class PerturbedModel(LanguageModel):
                 choices = gumbel_max(scores, gumbel, temperature).tolist()
             j = next((j for j, (c, g) in enumerate(zip(choices, guess)) if c != g), len(guess) - 1)
             out += choices[:j + 1]
+            if delta.ndim == 2:  # σ = 0 draws no rows
+                kept.append(delta[:j + 1])
             pkey = _fnv_feed(int(pkeys[j]), choices[j])
             spare -= len(rows) - j - 1
             if key is not None:
                 noise.append(gumbel[:j + 1])
                 key, run = _fnv_feed(int(keys[j]), choices[j]), 2 * (j + 1)
+        self._window = (tuple(context), tuple(out), kept)
         return out, None if key is None else np.concatenate(
             noise or [np.empty((0, self.vocab.size))])
 
     def next_logits_hidden(self, context):
         context = tuple(context)
         base_logits, base_hidden = self.base.next_logits_hidden(context)
-        delta = self._delta(context)
+        delta = self._window_delta(context)
         logits = base_logits + delta
         summary = float(delta[argmax_token(logits)])
         return logits, np.concatenate([base_hidden, [summary]])
+
+    def _window_delta(self, context: tuple) -> np.ndarray:
+        """`_delta(context)`, the row the last window drew at `context` if it drew one."""
+        ctx, out, kept = self._window  # read once: the next window swaps the whole tuple
+        i = len(context) - len(ctx)  # row i was drawn at the window's context + i choices
+        if 0 <= i < len(out) and context[:len(ctx)] == ctx and context[len(ctx):] == out[:i]:
+            for rows in kept:
+                if i < len(rows):
+                    return rows[i]
+                i -= len(rows)
+        return self._delta(context)
 
     def _logit_rows(self, tokens, start):
         return self.base._logit_rows(tokens, start) + self._delta(tokens, start)

@@ -570,6 +570,32 @@ def test_model_spec_cycle_is_one_data_error(workdir, tmp_path, monkeypatch, caps
     assert not Path("never.out").exists()
 
 
+def test_spec_file_paths_resolve_against_the_file(workdir, tmp_path, monkeypatch):
+    """Relative corpus, base and trace paths inside a spec file name files beside it,
+    for every command run from another directory; the shared n-gram is trained once."""
+    monkeypatch.chdir(tmp_path)
+    specs = Path("specs")
+    specs.mkdir()
+    shutil.copy(workdir / "corpus.txt", specs / "corpus.txt")
+    (specs / "target.json").write_text('{"kind": "ngram", "corpus": "corpus.txt"}')
+    (specs / "draft.json").write_text('{"kind": "perturb", "base": "target.json", '
+                                      '"sigma": 0.3, "seed": 7}')
+    (specs / "replay.json").write_text('{"kind": "trace", "path": "task0.trace"}')
+    trained, cli_train = [], cli.train_ngram
+    monkeypatch.setattr(cli, "train_ngram",
+                        lambda *a, **k: trained.append(cli_train(*a, **k)) or trained[-1])
+    models = ["--max-value", "9", "--draft-model", "specs/draft.json",
+              "--target-model", "specs/target.json", "--tasks", str(workdir / "tasks.jsonl")]
+    for command, out in (("mine", "mined.jsonl"), ("decode", "decoded.jsonl"),
+                         ("bench", "report.csv"), ("record-trace", "specs/task0.trace")):
+        assert main([command, *models, "--out", out]) == 0
+    assert len(trained) == 4  # one per command
+    vocab, ngrams = build_vocab(9), {}
+    draft = resolve_model("specs/draft.json", vocab, ngrams=ngrams)
+    assert draft.base is resolve_model("specs/target.json", vocab, ngrams=ngrams)
+    assert resolve_model("specs/replay.json", vocab).name == "replay-ngram"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gen_tasks_rejects_an_empty_task_set(tmp_path, capsys, count):
     for command, flag in (("gen-tasks", "--count"), ("gen-corpus", "--variants")):

@@ -371,9 +371,12 @@ def test_decode_time_features_equal_training_features(
 
     Every feature vector handed to predict_importance must equal the one
     build_examples makes from mining's record for the same prefix, draft
-    token and target token.
+    token and target token.  The records come from a fresh draft that never
+    drew a window, so no row the decoding draft served is checked against
+    itself.
     """
     draft, target = pipeline.draft, pipeline.target
+    fresh = PerturbedModel(target, draft.spec)
     cfg = FeatureConfig(model_source=model_source)
     split = draft.hidden_dim
     weights = {"draft": judged.judge.weights[:split],
@@ -414,7 +417,7 @@ def test_decode_time_features_equal_training_features(
         for got, (j, choice) in zip(features, mismatches):
             tokens = context + tuple(window.tokens[:j]) + (choice,)
             record = mining._record("parity", tokens, len(context) + j,
-                                    window.tokens[j], False, draft, target)
+                                    window.tokens[j], False, fresh, target)
             (row,) = build_examples([record], cfg).X
             np.testing.assert_array_equal(got, row)
         judged_positions += len(features)
@@ -430,14 +433,16 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
     """Drafting and verification read logits; the judge alone asks for rows.
 
     Lossless and top-K decodes make no `next_logits_hidden` call and no
-    `forward_parallel` on either model; the judge makes one 1-row forward
-    of each model per position it scores, and each such row is one
-    hidden-state step (the draft's step runs its base, the target's).
+    `forward_parallel` on either model.  The judge makes one 1-row forward of
+    the draft per position it scores and none of the target: the draft's step
+    runs its base, the target, once, and that row leads the draft's.  The
+    draft's perturbation row is the one its window drew, so no `_delta` is
+    drawn again.  A mined record takes one step of each model the same way.
     """
     draft, target = pipeline.draft, pipeline.target
     assert draft.base is target
-    calls = {"draft_hidden": 0, "target_hidden": 0, "draft_forward": 0,
-             "target_forward": 0, "judged": 0}
+    calls = dict.fromkeys(("draft_hidden", "target_hidden", "draft_forward",
+                           "target_forward", "delta", "judged"), 0)
     rows = []
 
     def count(name, fn):
@@ -454,6 +459,7 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
                             count(f"{side}_hidden", model.next_logits_hidden))
         monkeypatch.setattr(model, "forward_parallel",
                             count(f"{side}_forward", model.forward_parallel))
+    monkeypatch.setattr(draft, "_delta", count("delta", draft._delta))
     monkeypatch.setattr(engine, "predict_importance",
                         count("judged", engine.predict_importance))
     tasks = eval_tasks[:10]
@@ -466,8 +472,19 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
                     config)
     n = calls["judged"]
     assert n > 0 and set(rows) == {1}
-    assert calls == {"draft_hidden": n, "target_hidden": 2 * n, "draft_forward": n,
-                     "target_forward": n, "judged": n}
+    assert calls == {"draft_hidden": n, "target_hidden": n, "draft_forward": n,
+                     "target_forward": 0, "delta": 0, "judged": n}
+
+    calls.update(dict.fromkeys(calls, 0), records=0)
+    monkeypatch.setattr(mining, "_record", count("records", mining._record))
+    records = mining.mine_important(gen_arithmetic_task(2000, 2, pipeline.vocab),
+                                    draft, target, mining.MiningConfig(
+                                        config.temperature, config.state)).records
+    n = calls.pop("records")
+    assert n == len(records) > 0 and set(rows) == {1}
+    assert {k: calls[k] for k in ("draft_hidden", "target_hidden", "draft_forward",
+                                  "target_forward")} == {
+        "draft_hidden": n, "target_hidden": n, "draft_forward": n, "target_forward": 0}
 
 
 PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)

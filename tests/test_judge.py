@@ -17,6 +17,7 @@ from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
                              grid_search_C, load_judge, predict_importance,
                              roc_auc, save_judge, split_by_task, train_logreg)
 from specjudge.lm import DataError
+from specjudge.toymodels import train_ngram
 
 
 def make_examples(X, y, tasks_of=None):
@@ -367,18 +368,37 @@ def test_build_examples_concatenates_draft_then_target(mined):
     assert examples.feature_config == FeatureConfig()
 
 
-@pytest.mark.parametrize("model_source", ["draft", "target"])
+@pytest.mark.parametrize("model_source", ["draft", "target", "both"])
 def test_decode_features_ask_only_the_model_they_read(pipeline, monkeypatch,
                                                       model_source):
-    """A one-sided config never runs the other model's forward."""
-    unread = pipeline.target if model_source == "draft" else pipeline.draft
+    """A one-sided config never runs the other model's forward, and reading both
+    never runs the target's: the draft wraps it, so its row leads the draft's."""
+    draft, target = pipeline.draft, pipeline.target
+    unread = draft if model_source == "target" else target
     monkeypatch.setattr(unread, "forward_parallel",
                         lambda *a, **k: pytest.fail("unread model evaluated"))
-    prefix, token = (1, 2, 3), 4
-    read = pipeline.draft if model_source == "draft" else pipeline.target
-    got = decode_features(FeatureConfig(model_source=model_source), pipeline.draft,
-                          pipeline.target, prefix, token)
-    np.testing.assert_array_equal(got, read.next_logits_hidden(prefix + (token,))[1])
+    cfg, tokens = FeatureConfig(model_source=model_source), (1, 2, 3, 4)
+    got = decode_features(cfg, draft, target, tokens[:-1], tokens[-1])
+    np.testing.assert_array_equal(got, np.concatenate(
+        [m.next_logits_hidden(tokens)[1] for side, m in (("draft", draft), ("target", target))
+         if cfg.reads(side)]))
+
+
+def test_decode_features_of_an_independent_draft_read_both_models(pipeline, monkeypatch):
+    """A draft that does not wrap the target (an order-3 n-gram, no `base`) has
+    its own row and the target's read, each from one 1-row forward."""
+    draft, target = train_ngram(pipeline.vocab, pipeline.corpus, 3, 0.2, seed=1), pipeline.target
+    read = []
+    for model in (draft, target):
+        def spy(tokens, start=0, fn=model.forward_parallel, model=model):
+            read.append((model, len(tokens) - start))
+            return fn(tokens, start)
+        monkeypatch.setattr(model, "forward_parallel", spy)
+    tokens = (1, 2, 3, 4)
+    got = decode_features(FeatureConfig(), draft, target, tokens[:-1], tokens[-1])
+    assert read == [(draft, 1), (target, 1)]
+    np.testing.assert_array_equal(got, np.concatenate(
+        [draft.next_logits_hidden(tokens)[1], target.next_logits_hidden(tokens)[1]]))
 
 
 def test_build_examples_keeps_record_order(mined):

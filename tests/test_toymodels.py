@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, Vocab
-from specjudge.sampling import positionwise_choices, rollout
+from specjudge.sampling import RandomState, gumbel_key, positionwise_choices, rollout
 from specjudge.toymodels import (EMBED_DIM, NGramModel, PerturbSpec,
                                  ScriptedModel, make_draft, train_ngram)
 
@@ -217,6 +217,47 @@ def test_perturbed_model_noise_is_context_keyed():
     other = make_draft(base, PerturbSpec(noise_scale=0.8, seed=10))
     d4, _ = other.next_logits_hidden((0, 1))
     assert np.any(d4 != d1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sigma=st.sampled_from([0.0, 0.3, 3.0, 100.0]), temperature=st.sampled_from([0.0, 0.5]),
+       n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       lines=st.lists(st.integers(0, 199), min_size=2, max_size=2, unique=True),
+       cut=st.floats(0, 1))
+def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, temperature,
+                                                               n, seed, lines, cut):
+    """A draft serves the perturbation rows its last window drew, bit for bit the
+    rows a fresh draft draws: at each prefix of that window, not at its end or off
+    it, not from its caller's mutated list, and not once a second window replaced it."""
+    vocab, target = pipeline.vocab, pipeline.target
+    spec = PerturbSpec(noise_scale=sigma, bias_tokens={vocab.token_to_id["Then"]: 1.4},
+                       seed=seed)
+    draft, fresh = make_draft(target, spec), make_draft(target, spec)
+    contexts = [tuple(pipeline.corpus[i][:1 + int(cut * (len(pipeline.corpus[i]) - 1))])
+                for i in lines]
+
+    def window(context):
+        key = gumbel_key(RandomState(seed), context) if temperature else None
+        return draft.sample(context, n, temperature, key)[0]
+
+    def prefixes(context, out):
+        return [context + tuple(out[:i]) for i in range(len(out) + 1)]
+
+    def same_as_fresh(context):
+        return all(same_bits(got, want) for got, want in
+                   zip(draft.next_logits_hidden(context), fresh.next_logits_hidden(context)))
+
+    out = window(contexts[0])
+    first = prefixes(contexts[0], out)
+    off = [p[:-1] + ((p[-1] + 1) % vocab.size,) for p in first[1:]] + [contexts[0][:-1]]
+    out[0] = (out[0] + 1) % vocab.size  # the caller's list is its own
+    out.append(out[0])
+    for context in [*first, *off, *prefixes(contexts[0], out)]:
+        if context:
+            assert same_as_fresh(context)
+    second = window(contexts[1])
+    for context in [*prefixes(contexts[1], second), *first]:
+        assert same_as_fresh(context)
 
 
 def test_perturbed_summary_feature_reports_winning_delta():
