@@ -135,11 +135,10 @@ def _reference(task: Task, draft, target, cfg: MiningConfig, target_generate):
     return x + y, alpha, choices
 
 
-def _label(task: Task, tokens, t, draft_token, alpha, draft, target, cfg,
-           target_generate):
+def _label(task: Task, tokens, t, draft_token, alpha, target, cfg, target_generate):
     """Swap `draft_token` in at position t, let the target finish, compare answers.
 
-    Returns the finished candidate sequence and the labeled record.
+    Returns the finished candidate sequence and whether the answer changed.
     """
     prompt_len = len(task.prompt.tokens)
     branch = tokens[:t] + (draft_token,)
@@ -148,9 +147,7 @@ def _label(task: Task, tokens, t, draft_token, alpha, draft, target, cfg,
         budget = task.max_response_len - (t - prompt_len + 1)
         candidate += tuple(_generate(target, branch, budget, cfg, target_generate))
     alpha_hat = extract_answer(candidate[prompt_len:], target.vocab)
-    important = not answers_equivalent(alpha_hat, alpha)
-    return candidate, _record(task.task_id, tokens, t, draft_token, important,
-                              draft, target)
+    return candidate, not answers_equivalent(alpha_hat, alpha)
 
 
 def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
@@ -173,11 +170,10 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
         if rollbacks > cap:
             raise MiningBudgetError(
                 f"{task.task_id}: rollback cap {cap} exceeded", records)
-        t = pending[0]
-        candidate, record = _label(task, tokens, t, choices[t], alpha, draft, target,
-                                   cfg, target_generate)
-        records.append(record)
-        if record.important:
+        t, before = pending[0], tokens
+        candidate, important = _label(task, tokens, t, choices[t], alpha, target, cfg,
+                                      target_generate)
+        if important:
             pending = [p for p in pending if p > t]
         else:
             # Choices at positions <= t read only tokens[:t], which the swap
@@ -187,6 +183,8 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
                 choices[t + 1:] = positionwise_choices(draft, tokens, cfg.temperature,
                                                        cfg.state, start=t + 1)
             pending = [p for p in range(t + 1, len(tokens)) if choices[p] != tokens[p]]
+        # Recorded after the suffix pass, whose first draft row is this record's.
+        records.append(_record(task.task_id, before, t, choices[t], important, draft, target))
     return MiningResult(task_id=task.task_id, records=records,
                         reference_tokens=reference, final_tokens=tokens,
                         reference_answer=alpha, prompt_len=prompt_len,
@@ -198,8 +196,9 @@ def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),
     """Baseline labeling: test each mismatch in isolation, never adopting."""
     tokens, alpha, choices = _reference(task, draft, target, cfg, target_generate)
     prompt_len = len(task.prompt.tokens)
-    records = [_label(task, tokens, t, choices[t], alpha, draft, target, cfg,
-                      target_generate)[1]
+    records = [_record(task.task_id, tokens, t, choices[t],
+                       _label(task, tokens, t, choices[t], alpha, target, cfg,
+                              target_generate)[1], draft, target)
                for t in range(prompt_len, len(tokens)) if choices[t] != tokens[t]]
     return MiningResult(task_id=task.task_id, records=records,
                         reference_tokens=tokens, final_tokens=tokens,

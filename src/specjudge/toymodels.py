@@ -33,13 +33,15 @@ class NGramModel(LanguageModel):
     `counts` maps each seen context to its index in `distributions`, the
     distinct (token, count) item tuples in first-seen order; index 0 is the
     empty one of every unseen context.  Each has one read-only logits row,
-    with its entropy and top-1, computed once when the counts are set.
+    with its entropy, top-1 and argmax, computed once when the counts are set.
     """
 
     def __init__(self, vocab: Vocab, order: int, smoothing: float, seed: int = 0,
                  name: str = "ngram"):
         if order < 1:
             raise DataError("order must be >= 1")
+        if seed < 0:
+            raise DataError("seed must be >= 0")
         if not 0 < smoothing < math.inf:
             raise DataError("smoothing must be finite and > 0")
         self.vocab = vocab
@@ -68,6 +70,7 @@ class NGramModel(LanguageModel):
             self._logits[i] = logits = np.log(probs)
             self._summary[i] = -(probs * logits).sum(), logits.max()
         self._logits.flags.writeable = False
+        self._top = self._logits.argmax(axis=1).tolist()  # lowest id on ties, as argmax_token
 
     def next_logits(self, context):
         w = self.order - 1
@@ -79,6 +82,17 @@ class NGramModel(LanguageModel):
         emb = self.embedding.take(key, 0).sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
         i = self.counts.get(key, 0)
         return self._logits[i], np.concatenate([emb, self._summary[i]])
+
+    def sample(self, context, n, temperature=0.0, key=None):
+        """Greedy choices read each row's argmax from `_top`; sampled ones take the default."""
+        if key is not None:
+            return super().sample(context, n, temperature, key)
+        w, get, top, eos = self.order - 1, self.counts.get, self._top, self.vocab.eos_id
+        context, out, t = tuple(context), [], None
+        while len(out) < n and t != eos:
+            out.append(t := top[get(context[-w:] if w > 0 else (), 0)])
+            context += (t,)
+        return out, None
 
     def _logit_rows(self, tokens, start):
         w, get = self.order - 1, self.counts.get
@@ -134,8 +148,8 @@ class PerturbedModel(LanguageModel):
     offset applied at the token this model would pick, which tells a
     downstream classifier how hard the perturbation pushed its choice.
 
-    `sample` keeps the perturbation rows of its last window, and
-    `next_logits_hidden` serves that window's prefixes from them.
+    `sample`, and a `_logit_rows` pass of two or more rows, keep the rows they
+    drew as the last window, and `next_logits_hidden` serves its prefixes from them.
     """
 
     def __init__(self, base: LanguageModel, spec: PerturbSpec, name: str = "draft"):
@@ -243,7 +257,10 @@ class PerturbedModel(LanguageModel):
         return self._delta(context)
 
     def _logit_rows(self, tokens, start):
-        return self.base._logit_rows(tokens, start) + self._delta(tokens, start)
+        delta = self._delta(tokens, start)
+        if delta.ndim == 2:  # two or more rows at σ > 0: row i was drawn at tokens[:start + 1 + i]
+            self._window = (tokens[:start + 1], tokens[start + 1:], [delta])
+        return self.base._logit_rows(tokens, start) + delta
 
 
 def make_draft(target: LanguageModel, spec: PerturbSpec, name: str = "draft") -> PerturbedModel:

@@ -494,6 +494,7 @@ def test_missing_required_argument_exits_one():
     ("ngram:order=3", "ngram model spec needs corpus="),
     ("ngram:corpus={corpus},order=x", "bad model spec value order='x'"),
     ("ngram:corpus={corpus},smoothing=lots", "bad model spec value smoothing="),
+    ("ngram:corpus={corpus},seed=-1", "seed must be >= 0"),
     ("perturb:sigma=0.3", "perturb model spec needs base="),
     ("perturb:base={target},sigma=high", "bad model spec value sigma="),
     ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),

@@ -200,6 +200,50 @@ def test_suffix_recompute_equals_full_recompute(pipeline, monkeypatch, cfg):
 
 @pytest.mark.parametrize("cfg", [MiningConfig(),
                                  MiningConfig(temperature=0.3, state=RandomState(0))])
+def test_adopted_record_reads_its_draft_row_from_the_suffix_pass(pipeline, monkeypatch, cfg):
+    """An adopted swap is recorded after the suffix pass that starts at its draft
+    token, so its record draws no perturbation row; an important record, an adopted
+    one with no suffix, and every naive record draw exactly one."""
+    tasks = [gen_arithmetic_task(2000 + i, 2 + i % 2, pipeline.vocab) for i in range(16)]
+    events, deltas = [], []
+    draw, suffix, record = pipeline.draft._delta, mining.positionwise_choices, mining._record
+
+    def counted_draw(*args):
+        deltas.append(args)
+        return draw(*args)
+
+    def logged_suffix(model, tokens, temperature=0.0, state=None, start=0):
+        events.append(("suffix", start))
+        return suffix(model, tokens, temperature, state, start)
+
+    def logged_record(task_id, tokens, t, draft_token, important, draft, target):
+        deltas.clear()
+        rec = record(task_id, tokens, t, draft_token, important, draft, target)
+        events.append(("record", t, important, len(deltas)))
+        return rec
+
+    monkeypatch.setattr(pipeline.draft, "_delta", counted_draw)
+    monkeypatch.setattr(mining, "positionwise_choices", logged_suffix)
+    monkeypatch.setattr(mining, "_record", logged_record)
+    for miner in (mine_important, mine_naive):
+        events.clear()
+        for task in tasks:
+            try:
+                miner(task, pipeline.draft, pipeline.target, cfg)
+            except TaskSkippedError:
+                continue
+        # (important, after its own suffix pass, draws) per record
+        records = [(e[2], events[i - 1] == ("suffix", e[1] + 1), e[3])
+                   for i, e in enumerate(events) if e[0] == "record"]
+        if miner is mine_important:
+            assert {r[:2] for r in records} >= {(True, False), (False, True)}
+            assert all(n == (0 if suffixed else 1) for _, suffixed, n in records)
+        else:
+            assert records and all(n == 1 for *_, n in records)
+
+
+@pytest.mark.parametrize("cfg", [MiningConfig(),
+                                 MiningConfig(temperature=0.3, state=RandomState(0))])
 def test_both_miners_label_the_first_mismatch_alike(pipeline, cfg):
     """Before any swap is adopted, both miners run the same labeling step."""
     compared = 0

@@ -166,6 +166,7 @@ def test_ngram_validations():
 @pytest.mark.parametrize("build, message", [
     (lambda v: NGramModel(v, order=2, smoothing=float("nan")), "smoothing must be finite"),
     (lambda v: NGramModel(v, order=2, smoothing=float("inf")), "smoothing must be finite"),
+    (lambda v: NGramModel(v, order=2, smoothing=0.5, seed=-1), "seed must be >= 0"),
     (lambda v: PerturbSpec(noise_scale=float("nan")), "noise_scale must be finite"),
     (lambda v: PerturbSpec(noise_scale=float("inf")), "noise_scale must be finite"),
     (lambda v: PerturbSpec(noise_scale=-float("inf")), "noise_scale must be finite"),
@@ -175,8 +176,8 @@ def test_ngram_validations():
      "bias token id -1 outside 0..3"),
     (lambda v: make_draft(ScriptedModel(v, {}), PerturbSpec(bias_tokens={7: 1.0})),
      "bias token id 7 outside 0..3"),
-], ids=["smoothing-nan", "smoothing-inf", "sigma-nan", "sigma-inf", "sigma-neg-inf",
-        "bias-nan", "bias-neg-inf", "bias-id-negative", "bias-id-past-vocab"])
+], ids=["smoothing-nan", "smoothing-inf", "seed-negative", "sigma-nan", "sigma-inf",
+        "sigma-neg-inf", "bias-nan", "bias-neg-inf", "bias-id-negative", "bias-id-past-vocab"])
 def test_non_finite_or_out_of_range_parameters_are_data_errors(build, message):
     with pytest.raises(DataError, match=message):
         build(small_vocab())
@@ -219,26 +220,34 @@ def test_perturbed_model_noise_is_context_keyed():
     assert np.any(d4 != d1)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(sigma=st.sampled_from([0.0, 0.3, 3.0, 100.0]), temperature=st.sampled_from([0.0, 0.5]),
        n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
        lines=st.lists(st.integers(0, 199), min_size=2, max_size=2, unique=True),
-       cut=st.floats(0, 1))
+       cut=st.floats(0, 1), via=st.sampled_from(["sample", "forward_logits"]))
 def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, temperature,
-                                                               n, seed, lines, cut):
+                                                               n, seed, lines, cut, via):
     """A draft serves the perturbation rows its last window drew, bit for bit the
     rows a fresh draft draws: at each prefix of that window, not at its end or off
-    it, not from its caller's mutated list, and not once a second window replaced it."""
+    it, not from its caller's mutated list, and not once a second window replaced it.
+    A window is a `sample` call or a `forward_logits` pass over the rest of a corpus
+    line; the pass leaves the last window in place when it draws one row or σ is 0."""
     vocab, target = pipeline.vocab, pipeline.target
     spec = PerturbSpec(noise_scale=sigma, bias_tokens={vocab.token_to_id["Then"]: 1.4},
                        seed=seed)
     draft, fresh = make_draft(target, spec), make_draft(target, spec)
-    contexts = [tuple(pipeline.corpus[i][:1 + int(cut * (len(pipeline.corpus[i]) - 1))])
-                for i in lines]
+    full = [tuple(pipeline.corpus[i]) for i in lines]
+    contexts = [line[:1 + int(cut * (len(line) - 1))] for line in full]
 
-    def window(context):
-        key = gumbel_key(RandomState(seed), context) if temperature else None
-        return draft.sample(context, n, temperature, key)[0]
+    def window(i):
+        context = contexts[i]
+        if via == "sample":
+            key = gumbel_key(RandomState(seed), context) if temperature else None
+            return draft.sample(context, n, temperature, key)[0]
+        last = draft._window
+        draft.forward_logits(full[i], start=len(context) - 1)
+        assert (draft._window is last) == (sigma == 0 or context == full[i])
+        return list(full[i][len(context):])
 
     def prefixes(context, out):
         return [context + tuple(out[:i]) for i in range(len(out) + 1)]
@@ -247,15 +256,16 @@ def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, t
         return all(same_bits(got, want) for got, want in
                    zip(draft.next_logits_hidden(context), fresh.next_logits_hidden(context)))
 
-    out = window(contexts[0])
+    out = window(0)
     first = prefixes(contexts[0], out)
     off = [p[:-1] + ((p[-1] + 1) % vocab.size,) for p in first[1:]] + [contexts[0][:-1]]
-    out[0] = (out[0] + 1) % vocab.size  # the caller's list is its own
-    out.append(out[0])
+    if out:
+        out[0] = (out[0] + 1) % vocab.size  # the caller's list is its own
+        out.append(out[0])
     for context in [*first, *off, *prefixes(contexts[0], out)]:
         if context:
             assert same_as_fresh(context)
-    second = window(contexts[1])
+    second = window(1)
     for context in [*prefixes(contexts[1], second), *first]:
         assert same_as_fresh(context)
 
