@@ -99,7 +99,8 @@ class MiningResult:
 
 
 def context_fingerprint(tokens) -> str:
-    return hashlib.sha256(json.dumps(list(tokens)).encode()).hexdigest()[:16]
+    text = "[" + ", ".join(map(str, tokens)) + "]"  # json.dumps(list(tokens)) for ints
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _record(task_id, tokens, t, draft_token, important, draft, target) -> MismatchRecord:

@@ -56,10 +56,10 @@ _FNV_PRIME_POW = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 # Kernel constants as 0-d arrays: as operands they skip the scalar
 # conversion that a Python int or float costs on every numpy call.
 _PRIME_POW_U64 = tuple(np.array(p, dtype=np.uint64) for p in _FNV_PRIME_POW)
-(_BYTE, _EIGHT, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31, _SM_GAMMA, _SM_MUL1,
- _SM_MUL2) = (np.array(c, dtype=np.uint64) for c in (
-    0xFF, 8, 11, 27, 30, 31, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_HALF, _TWO_POW_53 = np.array(0.5), np.array(float(1 << 53))
+(_ONE, _BYTE, _EIGHT, _SHIFT10, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31, _SM_GAMMA,
+ _SM_MUL1, _SM_MUL2) = (np.array(c, dtype=np.uint64) for c in (  # 11: the tests' reference
+    1, 0xFF, 8, 10, 11, 27, 30, 31, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_TWO_POW_MINUS_54, _BELOW_ONE = np.array(2.0 ** -54), np.array(1 - 2.0 ** -53)
 
 
 def _fnv_feed(h: int, value: int) -> int:
@@ -124,18 +124,18 @@ def _fnv_feed_vec(h, values, nbytes: int) -> np.ndarray:
 
 
 def _unit_uniform_vec(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 of each uint64 key mapped into (0, 1) strictly.
-
-    The top 53 bits are offset by half an ulp of the 53-bit grid, so
-    neither 0 nor 1 can come out.  The keys are scrambled in place.
+    """SplitMix64 of each uint64 key mapped into (0, 1]: (a + 1/2) / 2^53 of its
+    top 53 bits a, computed as ((z >> 10) | 1) * 2^-54 and rounded once.  Only
+    a = 2^53 - 1 rounds to 1; 0 cannot come out.  The keys are scrambled in place.
     """
     z += _SM_GAMMA
     for shift, mul in ((_SHIFT30, _SM_MUL1), (_SHIFT27, _SM_MUL2)):
         z ^= z >> shift
         z *= mul
     z ^= z >> _SHIFT31
-    z >>= _SHIFT11
-    return (z.astype(np.float64) + _HALF) / _TWO_POW_53
+    z >>= _SHIFT10
+    z |= _ONE
+    return np.multiply(z, _TWO_POW_MINUS_54)  # casts to float64, rounding to nearest
 
 
 def gumbel_key(state: RandomState | None, context) -> int:
@@ -153,12 +153,13 @@ def gumbel_noise(key, n: int) -> np.ndarray:
 
     Entry i is -ln(-ln(u_i)) with u_i drawn from a counter generator
     seeded by feeding i into the key (see gumbel_key).  One key gives an
-    (n,) vector, an array of m keys an (m, n) array.
+    (n,) vector, an array of m keys an (m, n) array.  A u_i of 1 becomes the
+    largest float64 below 1, so every entry is finite.
     """
     keys = np.asarray(key, dtype=np.uint64)
     keys = keys[:, None] if keys.ndim else keys  # one key stays 0-d, numpy's fast path
     g = _unit_uniform_vec(_fnv_feed_vec(keys, *_ids_and_width(n)))
-    np.negative(np.log(g, out=g), out=g)
+    np.negative(np.log(np.minimum(g, _BELOW_ONE, out=g), out=g), out=g)
     return np.negative(np.log(g, out=g), out=g)  # -log(-log u), in place
 
 
@@ -222,13 +223,15 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     """The model's choice at positions start..len-1 of `tokens`.
 
     Entry j is what the model would emit after tokens[0..start+j-1], from
-    one forward over those rows and, when sampled, one noise draw keyed by
-    one running hash.  Position 0 has no context, so its choice is -1.
+    one forward over those rows of tokens[:-1] and, when sampled, one noise
+    draw keyed by one running hash.  Position 0 has no context: its choice is -1.
     """
     tokens = tuple(tokens)
     first = max(start, 1)
-    # The last row predicts past the end; it is computed, not read.
-    logits = model.forward_logits(tokens, start=first - 1)[:-1]
+    if first >= len(tokens):
+        model._check_tokens(tokens)
+        return [-1] * (first - start)
+    logits = model.forward_logits(tokens[:-1], start=first - 1)
     if temperature == 0:
         choices = logits.argmax(axis=1)
     else:

@@ -185,20 +185,30 @@ def gen_arithmetic_task(seed: int, num_steps: int, vocab: Vocab | None = None,
     return task_from_chain(chain, vocab, f"arith-{seed}-{num_steps}", seed)
 
 
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def extract_answer(tokens, vocab: Vocab) -> int | None:
     """Parse the integer after the last "final answer is" marker in token ids.
 
     Missing marker, missing operand, or a non-integer operand all yield
-    None, the missing answer.
+    None, the missing answer.  An id outside 0..V-1 is a DataError.
     """
-    words = [vocab.id_to_text[t] for t in tokens]
-    marker = ("final", "answer", "is")
-    for i in range(len(words) - 3, -1, -1):
-        if tuple(words[i : i + 3]) == marker:
-            try:
-                return int(words[i + 3])
-            except (IndexError, ValueError):
-                return None
+    found = vocab.__dict__.get("_answer_ids")  # built once per vocab, as token_to_id is
+    if found is None:  # the marker's ids (None if absent) and each id's int() or None
+        found = (tuple(map(vocab.token_to_id.get, ("final", "answer", "is"))),
+                 list(map(_int_or_none, vocab.id_to_text)))
+        object.__setattr__(vocab, "_answer_ids", found)
+    (first, second, third), values = found
+    if len(tokens) and not 0 <= min(tokens) <= max(tokens) < len(values):
+        raise DataError(f"token ids must be in 0..{len(values) - 1}")
+    for i in range(len(tokens) - 3, -1, -1):
+        if tokens[i] == first and tokens[i + 1] == second and tokens[i + 2] == third:
+            return values[tokens[i + 3]] if i + 3 < len(tokens) else None
     return None
 
 

@@ -139,6 +139,8 @@ class PerturbSpec:
             raise DataError("noise_scale must be finite and >= 0")
         if not all(math.isfinite(off) for off in self.bias_tokens.values()):
             raise DataError("bias offsets must be finite")
+        if not 0 <= self.seed < 1 << 64:  # the noise keys hash it as 64 bits
+            raise DataError("seed must be in 0..2**64-1")
 
 
 class PerturbedModel(LanguageModel):
@@ -148,8 +150,8 @@ class PerturbedModel(LanguageModel):
     offset applied at the token this model would pick, which tells a
     downstream classifier how hard the perturbation pushed its choice.
 
-    `sample`, and a `_logit_rows` pass of two or more rows, keep the rows they
-    drew as the last window, and `next_logits_hidden` serves its prefixes from them.
+    `sample`, and a `_logit_rows` pass at σ > 0, keep the rows they drew as the
+    last window, and `next_logits_hidden` serves its prefixes from them.
     """
 
     def __init__(self, base: LanguageModel, spec: PerturbSpec, name: str = "draft"):
@@ -163,9 +165,8 @@ class PerturbedModel(LanguageModel):
             if not 0 <= tok < self.vocab.size:
                 raise DataError(f"bias token id {tok} outside 0..{self.vocab.size - 1}")
             self._bias[tok] += off
-        ids, self._id_bytes = _ids_and_width(self.vocab.size)
-        self._ids = np.array((ids, ids))  # (2, V): one row per Box-Muller stream
-        self._streams = np.indices(self._ids.shape, dtype=np.uint64)[0]
+        self._ids, self._id_bytes = _ids_and_width(self.vocab.size)
+        self._streams = np.arange(2, dtype=np.uint64)[:, None]  # one per Box-Muller stream
         self._sigma = np.array(float(spec.noise_scale))
         self._window = ((), (), ())  # the last window's context, choices and kept rows per run
 
@@ -176,7 +177,7 @@ class PerturbedModel(LanguageModel):
             return self._bias
         keys, ids, streams = np.asarray(keys, dtype=np.uint64), self._ids, self._streams
         if keys.ndim:  # rows go between the stream axis and the id axis
-            keys, ids, streams = keys[:, None], ids[:, None], streams[:, None]
+            keys, streams = keys[:, None], streams[:, None]
         u = _unit_uniform_vec(_fnv_feed_vec(_fnv_feed_vec(keys, ids, self._id_bytes), streams, 1))
         u1, u2 = u[0], u[1]
         z = np.sqrt(np.multiply(np.log(u1, out=u1), _MINUS_TWO, out=u1), out=u1)
@@ -249,7 +250,7 @@ class PerturbedModel(LanguageModel):
         """`_delta(context)`, the row the last window drew at `context` if it drew one."""
         ctx, out, kept = self._window  # read once: the next window swaps the whole tuple
         i = len(context) - len(ctx)  # row i was drawn at the window's context + i choices
-        if 0 <= i < len(out) and context[:len(ctx)] == ctx and context[len(ctx):] == out[:i]:
+        if 0 <= i <= len(out) and context[:len(ctx)] == ctx and context[len(ctx):] == out[:i]:
             for rows in kept:
                 if i < len(rows):
                     return rows[i]
@@ -258,8 +259,8 @@ class PerturbedModel(LanguageModel):
 
     def _logit_rows(self, tokens, start):
         delta = self._delta(tokens, start)
-        if delta.ndim == 2:  # two or more rows at σ > 0: row i was drawn at tokens[:start + 1 + i]
-            self._window = (tokens[:start + 1], tokens[start + 1:], [delta])
+        if self.spec.noise_scale:  # σ > 0: row i was drawn at tokens[:start + 1 + i]
+            self._window = (tokens[:start + 1], tokens[start + 1:], [np.atleast_2d(delta)])
         return self.base._logit_rows(tokens, start) + delta
 
 

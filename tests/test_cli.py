@@ -498,6 +498,7 @@ def test_missing_required_argument_exits_one():
     ("perturb:sigma=0.3", "perturb model spec needs base="),
     ("perturb:base={target},sigma=high", "bad model spec value sigma="),
     ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),
+    ("perturb:base={target},seed=-1", "seed must be in 0..2**64-1"),
     ("trace:side=draft", "trace model spec needs path="),
     ("trace:path={corpus},side=bogus", "side must be draft or target, got 'bogus'"),
 ])

@@ -444,24 +444,34 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
     calls = dict.fromkeys(("draft_hidden", "target_hidden", "draft_forward",
                            "target_forward", "delta", "judged"), 0)
     rows = []
+    sides = {id(draft): "draft", id(target): "target"}
 
-    def count(name, fn):
+    def count(cls, attr, name):
+        """Count the pipeline models' calls of `cls.attr`, patched on the class: undoing
+        a patch on an instance would leave the old bound method in its `vars()`."""
+        fn = getattr(cls, attr)
+
+        def spy(self, *args, **kwargs):
+            out = fn(self, *args, **kwargs)
+            if id(self) in sides:
+                calls[name.format(sides[id(self)])] += 1
+                if attr == "forward_parallel":
+                    rows.append(len(out.logits))
+            return out
+        monkeypatch.setattr(cls, attr, spy)
+
+    for cls in {type(draft), type(target)}:
+        count(cls, "next_logits_hidden", "{}_hidden")
+    count(LanguageModel, "forward_parallel", "{}_forward")
+    count(type(draft), "_delta", "delta")
+
+    def tally(name, fn):
         def spy(*args, **kwargs):
             calls[name] += 1
-            out = fn(*args, **kwargs)
-            if name.endswith("_forward"):
-                rows.append(len(out.logits))
-            return out
+            return fn(*args, **kwargs)
         return spy
 
-    for side, model in (("draft", draft), ("target", target)):
-        monkeypatch.setattr(model, "next_logits_hidden",
-                            count(f"{side}_hidden", model.next_logits_hidden))
-        monkeypatch.setattr(model, "forward_parallel",
-                            count(f"{side}_forward", model.forward_parallel))
-    monkeypatch.setattr(draft, "_delta", count("delta", draft._delta))
-    monkeypatch.setattr(engine, "predict_importance",
-                        count("judged", engine.predict_importance))
+    monkeypatch.setattr(engine, "predict_importance", tally("judged", engine.predict_importance))
     tasks = eval_tasks[:10]
     for policy in (LosslessPolicy(), TopKPolicy(2)):
         for task in tasks:
@@ -476,7 +486,7 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
                      "target_forward": 0, "delta": 0, "judged": n}
 
     calls.update(dict.fromkeys(calls, 0), records=0)
-    monkeypatch.setattr(mining, "_record", count("records", mining._record))
+    monkeypatch.setattr(mining, "_record", tally("records", mining._record))
     records = mining.mine_important(gen_arithmetic_task(2000, 2, pipeline.vocab),
                                     draft, target, mining.MiningConfig(
                                         config.temperature, config.state)).records
@@ -485,6 +495,9 @@ def test_only_the_judge_computes_draft_hidden_rows(pipeline, judged, eval_tasks,
     assert {k: calls[k] for k in ("draft_hidden", "target_hidden", "draft_forward",
                                   "target_forward")} == {
         "draft_hidden": n, "target_hidden": n, "draft_forward": n, "target_forward": 0}
+    monkeypatch.undo()
+    for model in (draft, target):
+        assert not {"next_logits_hidden", "forward_parallel", "_delta"} & vars(model).keys()
 
 
 PROPERTY_VOCAB = Vocab(("a", "b", "</s>"), eos_id=2)

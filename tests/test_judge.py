@@ -16,7 +16,7 @@ from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
                              expected_feature_dim,
                              grid_search_C, load_judge, predict_importance,
                              roc_auc, save_judge, split_by_task, train_logreg)
-from specjudge.lm import DataError
+from specjudge.lm import DataError, LanguageModel
 from specjudge.toymodels import train_ngram
 
 
@@ -375,8 +375,13 @@ def test_decode_features_ask_only_the_model_they_read(pipeline, monkeypatch,
     never runs the target's: the draft wraps it, so its row leads the draft's."""
     draft, target = pipeline.draft, pipeline.target
     unread = draft if model_source == "target" else target
-    monkeypatch.setattr(unread, "forward_parallel",
-                        lambda *a, **k: pytest.fail("unread model evaluated"))
+    forward = LanguageModel.forward_parallel
+
+    def spy(self, *args, **kwargs):  # on the class: `unread` is a session model
+        if self is unread:
+            pytest.fail("unread model evaluated")
+        return forward(self, *args, **kwargs)
+    monkeypatch.setattr(LanguageModel, "forward_parallel", spy)
     cfg, tokens = FeatureConfig(model_source=model_source), (1, 2, 3, 4)
     got = decode_features(cfg, draft, target, tokens[:-1], tokens[-1])
     np.testing.assert_array_equal(got, np.concatenate(
@@ -388,12 +393,13 @@ def test_decode_features_of_an_independent_draft_read_both_models(pipeline, monk
     """A draft that does not wrap the target (an order-3 n-gram, no `base`) has
     its own row and the target's read, each from one 1-row forward."""
     draft, target = train_ngram(pipeline.vocab, pipeline.corpus, 3, 0.2, seed=1), pipeline.target
-    read = []
-    for model in (draft, target):
-        def spy(tokens, start=0, fn=model.forward_parallel, model=model):
-            read.append((model, len(tokens) - start))
-            return fn(tokens, start)
-        monkeypatch.setattr(model, "forward_parallel", spy)
+    read, forward = [], LanguageModel.forward_parallel
+
+    def spy(self, tokens, start=0):  # on the class: the target is a session model
+        if self is draft or self is target:
+            read.append((self, len(tokens) - start))
+        return forward(self, tokens, start)
+    monkeypatch.setattr(LanguageModel, "forward_parallel", spy)
     tokens = (1, 2, 3, 4)
     got = decode_features(FeatureConfig(), draft, target, tokens[:-1], tokens[-1])
     assert read == [(draft, 1), (target, 1)]

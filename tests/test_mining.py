@@ -1,10 +1,12 @@
 """Important-token mining: labels, adoption, budgets, and serialization."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import script_line
 from specjudge import mining, sampling
@@ -16,7 +18,7 @@ from specjudge.mining import (MiningBudgetError, MiningConfig, MismatchRecord,
                               mine_important, mine_naive)
 from specjudge.sampling import RandomState, rollout
 from specjudge.tasks import Task, extract_answer, gen_arithmetic_task
-from specjudge.toymodels import PerturbSpec, ScriptedModel, make_draft
+from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, make_draft
 
 
 def pipeline_task(pipeline):
@@ -206,11 +208,12 @@ def test_adopted_record_reads_its_draft_row_from_the_suffix_pass(pipeline, monke
     one with no suffix, and every naive record draw exactly one."""
     tasks = [gen_arithmetic_task(2000 + i, 2 + i % 2, pipeline.vocab) for i in range(16)]
     events, deltas = [], []
-    draw, suffix, record = pipeline.draft._delta, mining.positionwise_choices, mining._record
+    draw, suffix, record = PerturbedModel._delta, mining.positionwise_choices, mining._record
 
-    def counted_draw(*args):
-        deltas.append(args)
-        return draw(*args)
+    def counted_draw(self, *args):  # on the class: the draft is a session model
+        if self is pipeline.draft:
+            deltas.append(args)
+        return draw(self, *args)
 
     def logged_suffix(model, tokens, temperature=0.0, state=None, start=0):
         events.append(("suffix", start))
@@ -222,7 +225,7 @@ def test_adopted_record_reads_its_draft_row_from_the_suffix_pass(pipeline, monke
         events.append(("record", t, important, len(deltas)))
         return rec
 
-    monkeypatch.setattr(pipeline.draft, "_delta", counted_draw)
+    monkeypatch.setattr(PerturbedModel, "_delta", counted_draw)
     monkeypatch.setattr(mining, "positionwise_choices", logged_suffix)
     monkeypatch.setattr(mining, "_record", logged_record)
     for miner in (mine_important, mine_naive):
@@ -240,6 +243,37 @@ def test_adopted_record_reads_its_draft_row_from_the_suffix_pass(pipeline, monke
             assert all(n == (0 if suffixed else 1) for _, suffixed, n in records)
         else:
             assert records and all(n == 1 for *_, n in records)
+
+
+def test_fixture_mining_draws_one_perturbation_row_per_row_it_reads(pipeline, monkeypatch):
+    """Mining tasks 2000..2199 draws each draft row it reads once: every suffix
+    pass reads all its rows, and a record right after its suffix pass reads that
+    pass's first row, even a pass of one row."""
+    draft = make_draft(pipeline.target, pipeline.draft.spec)  # no window left by other tests
+    noise, drawn = PerturbedModel._noise, []
+
+    def counted(self, keys):
+        if self is draft:
+            drawn.append(np.size(keys))
+        return noise(self, keys)
+
+    monkeypatch.setattr(PerturbedModel, "_noise", counted)
+    records = []
+    for i in range(200):
+        try:
+            records += mine_important(gen_arithmetic_task(2000 + i, 2 + i % 2, pipeline.vocab),
+                                      draft, pipeline.target).records
+        except TaskSkippedError:
+            continue
+    assert len(records) == 491
+    assert (len(drawn), sum(drawn)) == (691, 5977)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 200), st.integers(-(2**70), 2**70)), max_size=40))
+def test_context_fingerprint_is_the_json_digest(tokens):
+    want = hashlib.sha256(json.dumps(tokens).encode()).hexdigest()[:16]
+    assert context_fingerprint(tuple(tokens)) == want
 
 
 @pytest.mark.parametrize("cfg", [MiningConfig(),

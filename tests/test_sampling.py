@@ -177,6 +177,44 @@ def test_perturbation_equals_allocating_reference(n, sigma, seed, data):
         assert same_bits(model._delta(tokens, start), reference_delta(model, tokens, start))
 
 
+def unxorshift(y, shift):
+    """The x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def key_with_top_uniform(i):
+    """A Gumbel key whose SplitMix64 output at id i (< 256) has all 53 top bits set:
+    the mix, the SplitMix64 increment and the one-byte FNV feed, each inverted."""
+    def inverse(c):
+        return pow(int(c), -1, 1 << 64)
+    z = unxorshift(MASK64, 31)
+    z = unxorshift(z * inverse(sampling._SM_MUL2) & MASK64, 27)
+    z = unxorshift(z * inverse(sampling._SM_MUL1) & MASK64, 30)
+    fed = (z - int(sampling._SM_GAMMA)) & MASK64
+    return (fed * inverse(sampling._FNV_PRIME_POW[8]) & MASK64) ^ i
+
+
+@pytest.mark.parametrize("i", [0, 5, 116])
+def test_gumbel_noise_is_finite_where_the_uniform_rounds_to_one(i):
+    """(2^53 - 1 + 0.5) / 2^53 rounds to 1, and -log(-log 1) is +inf: that entry
+    becomes the value at the largest float64 below 1, and no other entry moves."""
+    n, key = 117, key_with_top_uniform(i)
+    fed = _fnv_feed_vec(np.array([key], dtype=np.uint64), np.arange(n, dtype=np.uint64), 1)
+    assert reference_unit_uniform(fed)[i] == 1.0  # the key hits the rounding case
+    with np.errstate(divide="ignore"):
+        want = reference_gumbel_noise(key, n)
+    assert want[i] == np.inf
+    for got in (gumbel_noise(key, n), gumbel_noise(np.array([7, key], dtype=np.uint64), n)[1]):
+        assert np.isfinite(got).all()
+        assert got[i] == -math.log(-math.log(1 - 2.0**-53))
+        assert same_bits(np.delete(got, i), np.delete(want, i))
+    logits = np.zeros(n)
+    assert gumbel_max(logits, gumbel_noise(key, n), 1.0) == i
+
+
 def test_random_state_validates_64_bits():
     RandomState(0)
     RandomState(2**64 - 1)
@@ -272,7 +310,9 @@ def per_prefix_choices(model, tokens, temperature, state):
                    for i in range(1, len(tokens))]
 
 
-def test_positionwise_choices_match_per_prefix_sampling(pipeline):
+def test_positionwise_choices_match_per_prefix_sampling(pipeline, monkeypatch):
+    """At every start, past the end too, and one perturbation row drawn per choice
+    the draft returns: the row after the last token is never drawn."""
     v = Vocab(("p", "a", "b", "</s>"), eos_id=3)
     scripted = ScriptedModel(v, {(0,): 1, (0, 1): 2, (0, 2): 1})
     cases = [(scripted, (0, 2, 1, 3), 0.0), (scripted, (0, 2, 1, 3), 0.7)]
@@ -281,10 +321,21 @@ def test_positionwise_choices_match_per_prefix_sampling(pipeline):
     seq = prompt + tuple(rollout(pipeline.draft, prompt, 24, 0.2, RandomState(5)))
     for model in (pipeline.target, pipeline.draft):
         cases += [(model, seq, 0.0), (model, seq, 0.2)]
+    noise, drawn = PerturbedModel._noise, []
+
+    def counted(self, keys):
+        drawn.append(np.size(keys))
+        return noise(self, keys)
+
+    monkeypatch.setattr(PerturbedModel, "_noise", counted)
     state = RandomState(11)
     for model, tokens, temp in cases:
         st = None if temp == 0 else state
         expect = per_prefix_choices(model, tokens, temp, st)
-        for start in range(len(tokens) + 1):
-            assert positionwise_choices(model, tokens, temp, st, start=start) \
-                == expect[start:]
+        for start in range(len(tokens) + 2):
+            drawn.clear()
+            got = positionwise_choices(model, tokens, temp, st, start=start)
+            assert got == expect[start:]
+            assert sum(drawn) == (len(got) - (start == 0) if model is pipeline.draft else 0)
+    with pytest.raises(DataError):
+        positionwise_choices(scripted, ())

@@ -5,10 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge import tasks as tasks_mod
 from specjudge.cli import main
-from specjudge.lm import DataError
+from specjudge.lm import DataError, Vocab
 from specjudge.tasks import (Chain, CONNECTIVES, answers_equivalent,
                              build_vocab, count_chains, enumerate_chains,
                              extract_answer, gen_arithmetic_task, gen_corpus,
@@ -100,6 +101,44 @@ def test_extract_answer_uses_last_marker():
     assert answer("final answer is Now") is None
     assert answer("Start with 7 .") is None
     assert answer("") is None
+
+
+def text_answer(tokens, vocab):
+    """The parse `extract_answer` replaced: decode every id, then scan the words."""
+    words = [vocab.id_to_text[t] for t in tokens]
+    for i in range(len(words) - 3, -1, -1):
+        if tuple(words[i : i + 3]) == ("final", "answer", "is"):
+            try:
+                return int(words[i + 3])
+            except (IndexError, ValueError):
+                return None
+    return None
+
+
+# The task vocab; one whose texts int() reads in odd ways; one with no marker.
+ANSWER_VOCABS = [build_vocab(), build_vocab(3),
+                 Vocab(("final", "answer", "is", "+7", "-2", "1_0", "\u0663", "0x1", "3.0",
+                        "Now", "</s>"), eos_id=10),
+                 Vocab(("a", "1", "</s>"), eos_id=2)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_extract_answer_by_id_equals_the_text_parse(data):
+    """Any ids in 0..V-1, with a marker near the end followed by no operand, a
+    numeral or another word; an id outside 0..V-1 anywhere is a DataError."""
+    vocab = data.draw(st.sampled_from(ANSWER_VOCABS))
+    ids = st.integers(0, vocab.size - 1)
+    tokens = data.draw(st.lists(ids, max_size=20))
+    if "final" in vocab.token_to_id and data.draw(st.booleans()):
+        tokens += [vocab.token_to_id[w] for w in ("final", "answer", "is")]
+        tokens += data.draw(st.lists(ids, max_size=3))
+    assert extract_answer(tokens, vocab) == text_answer(tokens, vocab)
+    assert extract_answer(tuple(tokens), vocab) == text_answer(tokens, vocab)
+    bad = data.draw(st.one_of(st.integers(-(2**64), -1), st.integers(vocab.size, 2**64)))
+    at = data.draw(st.integers(0, len(tokens)))
+    with pytest.raises(DataError, match="token ids must be in"):
+        extract_answer(tokens[:at] + [bad] + tokens[at:], vocab)
 
 
 def test_answers_equivalent_rules():

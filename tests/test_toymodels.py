@@ -172,12 +172,15 @@ def test_ngram_validations():
     (lambda v: PerturbSpec(noise_scale=-float("inf")), "noise_scale must be finite"),
     (lambda v: PerturbSpec(bias_tokens={2: float("nan")}), "bias offsets must be finite"),
     (lambda v: PerturbSpec(bias_tokens={2: -float("inf")}), "bias offsets must be finite"),
+    (lambda v: PerturbSpec(seed=-1), r"seed must be in 0\.\.2\*\*64-1"),
+    (lambda v: PerturbSpec(seed=2**64), r"seed must be in 0\.\.2\*\*64-1"),
     (lambda v: make_draft(ScriptedModel(v, {}), PerturbSpec(bias_tokens={-1: 1.0})),
      "bias token id -1 outside 0..3"),
     (lambda v: make_draft(ScriptedModel(v, {}), PerturbSpec(bias_tokens={7: 1.0})),
      "bias token id 7 outside 0..3"),
 ], ids=["smoothing-nan", "smoothing-inf", "seed-negative", "sigma-nan", "sigma-inf",
-        "sigma-neg-inf", "bias-nan", "bias-neg-inf", "bias-id-negative", "bias-id-past-vocab"])
+        "sigma-neg-inf", "bias-nan", "bias-neg-inf", "perturb-seed-negative",
+        "perturb-seed-past-64-bits", "bias-id-negative", "bias-id-past-vocab"])
 def test_non_finite_or_out_of_range_parameters_are_data_errors(build, message):
     with pytest.raises(DataError, match=message):
         build(small_vocab())
@@ -228,10 +231,11 @@ def test_perturbed_model_noise_is_context_keyed():
 def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, temperature,
                                                                n, seed, lines, cut, via):
     """A draft serves the perturbation rows its last window drew, bit for bit the
-    rows a fresh draft draws: at each prefix of that window, not at its end or off
-    it, not from its caller's mutated list, and not once a second window replaced it.
-    A window is a `sample` call or a `forward_logits` pass over the rest of a corpus
-    line; the pass leaves the last window in place when it draws one row or σ is 0."""
+    rows a fresh draft draws, and draws any other row afresh: at each prefix of that
+    window, off it, after its caller mutated its list, and once a second window
+    replaced it.  A window is a `sample` call, with no row after its last choice, or
+    a `forward_logits` pass over the rest of a corpus line, with a row at the whole
+    line too; the pass leaves the last window in place only when σ is 0."""
     vocab, target = pipeline.vocab, pipeline.target
     spec = PerturbSpec(noise_scale=sigma, bias_tokens={vocab.token_to_id["Then"]: 1.4},
                        seed=seed)
@@ -246,7 +250,7 @@ def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, t
             return draft.sample(context, n, temperature, key)[0]
         last = draft._window
         draft.forward_logits(full[i], start=len(context) - 1)
-        assert (draft._window is last) == (sigma == 0 or context == full[i])
+        assert (draft._window is last) == (sigma == 0)
         return list(full[i][len(context):])
 
     def prefixes(context, out):
