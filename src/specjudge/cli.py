@@ -24,7 +24,7 @@ from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
                      accepted_per_cycle)
 from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
                     grid_search_C, build_examples, load_judge, save_judge)
-from .lm import DataError, TokenSequence
+from .lm import DataError, TokenSequence, reading
 from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                      dataset_fingerprint, export_dataset, load_dataset,
                      mine_important, mine_naive)
@@ -44,13 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_corpus_lines(path: str, vocab) -> list[list[int]]:
-    try:
+    with reading(path, "corpus file"):
         with open(path) as f:
             lines = [vocab.encode(line) for line in f if line.strip()]
-    except OSError as e:
-        raise DataError(f"cannot read corpus {path}: {e}") from e
-    if not lines:
-        raise DataError(f"empty corpus {path}")
+        if not lines:
+            raise ValueError("no non-blank line")
     return lines
 
 
@@ -73,8 +71,8 @@ def _spec_value(spec: dict, key: str, cast=str, default=None):
             raise DataError(f"{spec.get('kind')} model spec needs {key}=...")
         return default
     try:
-        return cast(spec[key])
-    except (TypeError, ValueError) as e:
+        return cast(str(spec[key]))  # a JSON value parses as the inline text would
+    except ValueError as e:
         raise DataError(f"bad model spec value {key}={spec[key]!r}: {e}") from e
 
 
@@ -91,20 +89,20 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
         chain += (os.path.realpath(spec_path),)
         if chain[-1] in chain[:-1]:
             raise DataError("model spec names itself as a base: " + " -> ".join(chain))
-        try:
+        with reading(spec_path, "model spec"):
             with open(spec_path) as f:
                 spec = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read model spec {spec_path}: {e}") from e
-        if not isinstance(spec, dict):
-            raise DataError(f"model spec {spec_path} is not a JSON object")
+            if not isinstance(spec, dict):
+                raise ValueError("the spec is not a JSON object")
         root = os.path.dirname(spec_path)
     else:
         spec = _parse_inline_spec(spec_text)
     kind = spec.get("kind")
     if kind == "ngram":
         path = os.path.join(root, _spec_value(spec, "corpus"))
-        key = (os.path.realpath(path), _spec_value(spec, "order", int, 16),
+        with reading(path, "corpus file"):  # a NUL in the path is a ValueError
+            real = os.path.realpath(path)
+        key = (real, _spec_value(spec, "order", int, 16),
                _spec_value(spec, "smoothing", float, 0.2), _spec_value(spec, "seed", int, 0),
                _spec_value(spec, "name", str, "ngram"))
         if key not in ngrams:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, json_int
+from .lm import DataError, json_int, json_str, reading
 
 C_GRID = tuple(10.0 ** -i for i in range(0, 8))  # 1e0 .. 1e-7
 
@@ -311,7 +311,7 @@ def save_judge(path: str, judge: JudgeModel) -> None:
 
 
 def load_judge(path: str) -> JudgeModel:
-    try:
+    with reading(path, "judge file"):
         with open(path) as f:
             obj = json.load(f)
         layout = obj["feature_config"]
@@ -328,12 +328,8 @@ def load_judge(path: str) -> JudgeModel:
         return JudgeModel(weights=weights, bias=bias,
                           feature_config=cfg, C=float(obj["C"]),
                           threshold=float(obj["threshold"]),
-                          dataset_hash=obj.get("dataset_hash", ""),
+                          dataset_hash=json_str(obj.get("dataset_hash", ""), "dataset_hash"),
                           seed=json_int(obj.get("seed", 0), "seed"))
-    except OSError as e:
-        raise DataError(f"cannot read judge file {path}: {e}") from e
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-        raise DataError(f"bad judge file {path}: {e}") from e
 
 
 def expected_feature_dim(cfg: FeatureConfig, draft, target) -> int:

@@ -12,6 +12,8 @@ primitive.
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +23,41 @@ class DataError(Exception):
     """Malformed input data (bad tokens, bad files, bad shapes)."""
 
 
+@contextmanager
+def reading(path: str, what: str):
+    """The input boundary: wrap only the reading and parsing of the `what` at
+    `path`, so that a file that cannot be read, or a malformed one (undecodable
+    bytes, a field of the wrong type or value, no data), is one DataError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+    except (DataError, KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError, RecursionError) as e:
+        raise DataError(f"bad {what} {path}: {e}") from e
+
+
+def json_lines(path: str) -> list:
+    """The JSON value of each non-blank line of `path`; a file with none is an error."""
+    with open(path) as f:
+        values = [json.loads(line) for line in f if line.strip()]
+    if not values:
+        raise ValueError("no JSON lines")
+    return values
+
+
 def json_int(value, name: str) -> int:
     """`value` if it is a JSON integer: a float or bool would be truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def json_str(value, name: str) -> str:
+    """`value` if it is a JSON string: any other value would be carried on as is."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .judge import FeatureConfig, hidden_rows
-from .lm import DataError, json_int
+from .lm import DataError, json_int, json_lines, json_str, reading
 from .sampling import RandomState, positionwise_choices, rollout
 from .tasks import Task, answers_equivalent, extract_answer
 
@@ -229,28 +229,19 @@ def _json_vector(row: dict, key: str) -> np.ndarray:
 
 def load_dataset(path: str) -> list[MismatchRecord]:
     records = []
-    try:
-        with open(path) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if not isinstance(row["important"], bool):
-                    raise ValueError(f"important must be true or false, "
-                                     f"got {row['important']!r}")
-                records.append(MismatchRecord(
-                    task_id=row["task_id"], position=json_int(row["position"], "position"),
-                    target_token=json_int(row["target_token"], "target_token"),
-                    draft_token=json_int(row["draft_token"], "draft_token"),
-                    important=row["important"],
-                    context_hash=row["context_hash"],
-                    **{key: _json_vector(row, key) for key in _HIDDEN_FIELDS}))
-    except OSError as e:
-        raise DataError(f"cannot read dataset file {path}: {e}") from e
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-        raise DataError(f"bad dataset file {path}: {e}") from e
-    if not records:
-        raise DataError(f"no records in {path}")
+    with reading(path, "dataset file"):
+        for row in json_lines(path):
+            if not isinstance(row["important"], bool):
+                raise ValueError(f"important must be true or false, "
+                                 f"got {row['important']!r}")
+            records.append(MismatchRecord(
+                task_id=json_str(row["task_id"], "task_id"),
+                position=json_int(row["position"], "position"),
+                target_token=json_int(row["target_token"], "target_token"),
+                draft_token=json_int(row["draft_token"], "draft_token"),
+                important=row["important"],
+                context_hash=json_str(row["context_hash"], "context_hash"),
+                **{key: _json_vector(row, key) for key in _HIDDEN_FIELDS}))
     return records
 
 

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .lm import DataError, TokenSequence, Vocab, json_int
+from .lm import DataError, TokenSequence, Vocab, json_int, json_lines, json_str, reading
 
 CONNECTIVES = ("Now", "Then", "Next")
 CONNECTIVE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -252,27 +252,13 @@ def save_tasks(path: str, tasks, vocab: Vocab) -> None:
 
 def load_tasks(path: str, vocab: Vocab) -> list:
     tasks = []
-    try:
-        f = open(path)
-    except OSError as e:
-        raise DataError(f"cannot read tasks file {path}: {e}") from e
-    with f:
-        for line in f:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                ids = tuple(vocab.encode(row["prompt"]))
-                oracle = (None if row["oracle"] is None
-                          else json_int(row["oracle"], "oracle"))
-                tasks.append(Task(task_id=row["task_id"],
-                                  prompt=TokenSequence(ids, len(ids)),
-                                  oracle_answer=oracle,
-                                  max_response_len=json_int(row["max_response_len"],
-                                                            "max_response_len"),
-                                  seed=json_int(row["seed"], "seed")))
-            except (KeyError, ValueError, TypeError) as e:
-                raise DataError(f"bad task record in {path}: {e}") from e
-    if not tasks:
-        raise DataError(f"no tasks in {path}")
+    with reading(path, "tasks file"):
+        for row in json_lines(path):
+            ids = tuple(vocab.encode(json_str(row["prompt"], "prompt")))
+            oracle = None if row["oracle"] is None else json_int(row["oracle"], "oracle")
+            tasks.append(Task(task_id=json_str(row["task_id"], "task_id"),
+                              prompt=TokenSequence(ids, len(ids)), oracle_answer=oracle,
+                              max_response_len=json_int(row["max_response_len"],
+                                                        "max_response_len"),
+                              seed=json_int(row["seed"], "seed")))
     return tasks

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, LmOutput, TokenSequence, json_int
+from .lm import (DataError, LanguageModel, LmOutput, TokenSequence, json_int, json_lines,
+                 reading)
 
 SIDES = ("draft", "target")
 
@@ -110,9 +111,8 @@ def save_trace(path: str, trace: Trace) -> None:
 
 
 def load_trace(path: str) -> Trace:
-    try:
-        with open(path) as f:
-            head, *sides = [json.loads(line) for line in f if line.strip()]
+    with reading(path, "trace file"):
+        head, *sides = json_lines(path)
         tokens = tuple(json_int(t, "token") for t in head["tokens"])
         prompt_len = json_int(head["prompt_len"], "prompt_len")
         if not 1 <= prompt_len < len(tokens):
@@ -130,7 +130,3 @@ def load_trace(path: str) -> Trace:
             rows[s["side"]] = out
         return Trace(tokens=tokens, prompt_len=prompt_len,
                      names={s["side"]: str(s["name"]) for s in sides}, rows=rows)
-    except OSError as e:
-        raise DataError(f"cannot read trace file {path}: {e}") from e
-    except (AttributeError, KeyError, ValueError, TypeError) as e:
-        raise DataError(f"bad trace file {path}: {e}") from e

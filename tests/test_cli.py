@@ -1,6 +1,8 @@
 """End-to-end command-line workflows against temporary files."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specjudge import cli, remote
 from specjudge.cli import main, resolve_model
@@ -378,23 +381,45 @@ def test_train_judge_max_iters_is_a_usage_error(tmp_path, mined, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("loader", ["dataset", "judge", "tasks", "trace"])
-def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader):
-    missing = str(tmp_path / f"missing-{loader}")
+UNDECODABLE = b"\xff\xfe\x80 not UTF-8\n"
+
+
+@pytest.mark.parametrize("loader, content", [
+    ("dataset", None), ("judge", None), ("tasks", None), ("trace", None),
+    ("corpus", None), ("model spec", None),
+    ("dataset", b""), ("tasks", b"\n  \n"), ("model spec", b"{not JSON\n"),
+    ("judge", b"[" * 10 ** 5), ("tasks", UNDECODABLE), ("corpus", UNDECODABLE),
+    ("model spec", UNDECODABLE),
+], ids=["dataset", "judge", "tasks", "trace", "corpus", "spec", "dataset-empty",
+        "tasks-blank", "spec-not-json", "judge-nested-too-deep", "tasks-undecodable",
+        "corpus-undecodable", "spec-undecodable"])
+def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader, content):
+    """A file that cannot be opened is `cannot read`; one whose bytes are not UTF-8,
+    are not JSON or hold no data at all is `bad`: one line naming the file either way."""
+    path = str(tmp_path / f"input-{loader.replace(' ', '-')}.json")  # .json: a spec file
+    if content is not None:
+        Path(path).write_bytes(content)
+    elif loader == "model spec":  # a missing .json is read as an inline spec
+        os.mkdir(path)
     out = str(tmp_path / "never.out")
     args = {
-        "dataset": ["train-judge", "--dataset", missing, "--out", out],
+        "dataset": ["train-judge", "--dataset", path, "--out", out],
         "judge": ["decode", *model_args(workdir), "--policy", "judge",
-                  "--judge", missing, "--out", out],
-        "tasks": ["decode", *model_args(workdir)[:-1], missing, "--out", out],
+                  "--judge", path, "--out", out],
+        "tasks": ["decode", *model_args(workdir)[:-1], path, "--out", out],
         "trace": ["decode", *model_args(workdir), "--target-model",
-                  f"trace:path={missing}", "--out", out],
+                  f"trace:path={path}", "--out", out],
+        "corpus": ["decode", *model_args(workdir), "--target-model",
+                   f"ngram:corpus={path}", "--out", out],
+        "model spec": ["decode", *model_args(workdir), "--draft-model", path,
+                       "--out", out],
     }[loader]
     assert main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"data error: cannot read {loader}")
-    assert missing in err[0]
+    verdict = "cannot read" if content is None else "bad"
+    what = loader if loader == "model spec" else f"{loader} file"
+    assert err[0].startswith(f"data error: {verdict} {what} {path}: ")
     assert not os.path.exists(out)
 
 
@@ -433,9 +458,24 @@ def _set_first_token(value):
     ("judge", _set("feature_config", {}), "retrain it with train-judge"),
     ("trace", _set_first_token(1.9), "token must be an integer, got 1.9"),
     ("trace", _set("prompt_len", 2.6), "prompt_len must be an integer, got 2.6"),
+    # a string field holding another type would fail far from the file, or not at all
+    ("tasks", _set("prompt", 5), "prompt must be a string, got 5"),
+    ("tasks", _set("task_id", 7), "task_id must be a string, got 7"),
+    ("dataset", _set("task_id", [1, 2]), "task_id must be a string, got [1, 2]"),
+    ("dataset", _set("task_id", None), "task_id must be a string, got None"),
+    ("dataset", _set("context_hash", 12), "context_hash must be a string, got 12"),
+    ("judge", _set("dataset_hash", False), "dataset_hash must be a string, got False"),
+    ("judge", _set("bias", 10 ** 400), "int too large to convert to float"),
+    # a value its record refuses names the file too
+    ("tasks", _set("prompt", "Start zed"), "unknown token 'zed'"),
+    ("tasks", _set("max_response_len", 0), "max_response_len must be >= 1"),
+    ("judge", _set("threshold", 1.0), "threshold must lie strictly inside (0, 1)"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
         "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
-        "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float"])
+        "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float",
+        "prompt-int", "task-id-int", "task-id-list", "task-id-null", "context-hash-int",
+        "dataset-hash-bool", "bias-past-float", "prompt-unknown-token",
+        "max-response-len-zero", "threshold-one"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
     """Loaders refuse a value they would otherwise coerce, or crash on later."""
@@ -444,6 +484,9 @@ def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys,
     if loader == "dataset":
         export_dataset(str(path), mined.records[:2])
         argv = ["train-judge", "--dataset", str(path), "--out", str(out)]
+    elif loader == "tasks":
+        shutil.copy(workdir / "tasks.jsonl", path)
+        argv = ["decode", *model_args(workdir)[:-1], str(path), "--out", str(out)]
     elif loader == "judge":
         save_judge(str(path), JudgeModel(weights=np.zeros(37), bias=0.0,
                                          feature_config=FeatureConfig(), C=1.0))
@@ -465,6 +508,76 @@ def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys,
     assert len(err) == 1
     assert err[0].startswith(f"data error: bad {loader} file") and message in err[0]
     assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(workdir, tmp_path_factory, mined):
+    """A valid file for each reader with the command that reads it, which runs; one
+    task keeps each run short."""
+    root = tmp_path_factory.mktemp("valid")
+    tasks, dataset, judge, trace = (root / name for name in (
+        "tasks.jsonl", "dataset.jsonl", "judge.json", "task.trace"))
+    tasks.write_text((workdir / "tasks.jsonl").read_text().splitlines(keepends=True)[0])
+    for name in ("draft.json", "target.json"):
+        shutil.copy(workdir / name, root / name)
+    models = ["--max-value", "9", "--draft-model", str(root / "draft.json"),
+              "--target-model", str(root / "target.json"), "--tasks", str(tasks)]
+    export_dataset(str(dataset), mined.records)
+    save_judge(str(judge), JudgeModel(weights=np.zeros(37), bias=0.0,
+                                      feature_config=FeatureConfig(), C=1.0))
+    assert main(["record-trace", *models, "--out", str(trace)]) == 0
+    out = str(root / "out")
+    inputs = {
+        "tasks": (tasks, ["decode", *models, "--out", out]),
+        "dataset": (dataset, ["train-judge", "--dataset", str(dataset), "--out", out]),
+        "judge": (judge, ["decode", *models, "--policy", "judge", "--judge", str(judge),
+                          "--out", out]),
+        "trace": (trace, ["decode", *models, "--target-model", f"trace:path={trace}",
+                          "--draft-model", f"trace:path={trace},side=target",
+                          "--out", out]),
+        "target spec": (root / "target.json", ["decode", *models, "--out", out]),
+        "draft spec": (root / "draft.json", ["decode", *models, "--out", out]),
+    }
+    for _, argv in inputs.values():
+        assert main(argv) == 0
+    os.remove(out)
+    return inputs
+
+
+@pytest.mark.parametrize("reader", ["tasks", "dataset", "judge", "trace", "target spec",
+                                    "draft spec"])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_any_value_in_an_input_field_runs_or_is_one_data_error(valid_inputs, reader, data):
+    """A valid input file with one top-level field of one line (the whole object of a
+    .json file) set to any JSON value runs, or ends in one data error line: it never
+    raises."""
+    path, argv = valid_inputs[reader]
+    text = path.read_text()
+    lines = [text] if path.suffix == ".json" else text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    row = json.loads(lines[i])
+    row[data.draw(st.sampled_from(sorted(row)), label="field")] = data.draw(JSON_VALUES)
+    lines[i] = json.dumps(row)
+    out, err = Path(argv[-1]), io.StringIO()
+    try:
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        path.write_text(text)
+    if rc == 2:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("data error: ") and not out.exists()
+    else:
+        assert rc == 0
+    out.unlink(missing_ok=True)
 
 
 def test_old_format_trace_is_a_data_error(workdir, tmp_path, capsys):
@@ -538,6 +651,14 @@ def test_non_finite_model_parameter_is_one_data_error(workdir, tmp_path, capsys,
     ([1, 2], "is not a JSON object"),
     ({"kind": "perturb", "base": "target.json", "bias": ["Then"]},
      "bias must map tokens to offsets"),
+    # a JSON value parses as its inline text would: no integer field truncates
+    ({"kind": "perturb", "base": "target.json", "seed": 3.7},
+     "bad model spec value seed=3.7"),
+    ({"kind": "perturb", "base": "target.json", "seed": True},
+     "bad model spec value seed=True"),
+    ({"kind": "perturb", "base": "target.json", "seed": 1e20},
+     "bad model spec value seed=1e+20"),
+    ({"kind": "ngram", "corpus": "corpus\0.txt"}, "embedded null byte"),
 ])
 def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
                                              message):

@@ -182,7 +182,7 @@ def test_save_load_tasks_round_trip(tmp_path, vocab):
                        ("max_response_len", 20.7), ("max_response_len", False),
                        ("seed", 1.5)):
         path.write_text(json.dumps({**row, key: value}) + "\n")
-        with pytest.raises(DataError, match="bad task record"):
+        with pytest.raises(DataError, match="bad tasks file"):
             load_tasks(str(path), vocab)
 
 
