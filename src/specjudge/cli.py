@@ -1,9 +1,11 @@
 """Command-line interface for the full pipeline.
 
 Subcommands: gen-tasks, gen-corpus, mine, train-judge, decode, bench,
-record-trace.  Every command takes --seed, resolves models from spec
-strings or JSON files, and writes a manifest of its resolved
-configuration next to its output.  The list flags (--num-steps, --topk,
+record-trace.  Every command takes --seed and resolves models from spec
+strings or JSON files (a `*.json` spec with no `=` is always a file).  Each
+`cmd_*` writes its --out and returns the summary it prints; `main` then
+writes the manifest, OUT.manifest.json, of the command and every parsed
+option, and prints that summary.  The list flags (--num-steps, --topk,
 --threshold, --policy) take non-empty comma lists.  Exit codes: 0
 success, 1 usage (a malformed list included), 2 data error (an unwritable
 --out or a --temperature too small to sample included), 3 remote error.
@@ -24,7 +26,7 @@ from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
                      accepted_per_cycle)
 from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
                     grid_search_C, build_examples, load_judge, save_judge)
-from .lm import DataError, TokenSequence, reading
+from .lm import DataError, TokenSequence, reading, write_json_lines
 from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                      dataset_fingerprint, export_dataset, load_dataset,
                      mine_important, mine_naive)
@@ -85,15 +87,15 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
     `root`; the values a spec file holds, against the file's own directory."""
     ngrams = {} if ngrams is None else ngrams
     spec_path = os.path.join(root, spec_text)
-    if os.path.exists(spec_path) and spec_text.endswith(".json"):
-        chain += (os.path.realpath(spec_path),)
-        if chain[-1] in chain[:-1]:
-            raise DataError("model spec names itself as a base: " + " -> ".join(chain))
-        with reading(spec_path, "model spec"):
+    if spec_text.endswith(".json") and "=" not in spec_text:
+        with reading(spec_path, "model spec"):  # a NUL in the path is a ValueError
+            chain += (os.path.realpath(spec_path),)
             with open(spec_path) as f:
                 spec = json.load(f)
             if not isinstance(spec, dict):
                 raise ValueError("the spec is not a JSON object")
+        if chain[-1] in chain[:-1]:
+            raise DataError("model spec names itself as a base: " + " -> ".join(chain))
         root = os.path.dirname(spec_path)
     else:
         spec = _parse_inline_spec(spec_text)
@@ -135,17 +137,12 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
     raise DataError(f"unknown model kind {kind!r}")
 
 
-def _write_manifest(out_path: str, command: str, options: dict) -> None:
-    manifest = {"command": command,
-                "options": {k: v for k, v in sorted(options.items())}}
-    with open(out_path + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+def _write_manifest(args) -> None:
+    """OUT.manifest.json: the command and every option it was run with."""
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    with open(args.out + ".manifest.json", "w") as f:
+        json.dump({"command": args.command, "options": options}, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def _manifest_options(args, skip=("func", "command")) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and not k.startswith("_")}
 
 
 def _comma_list(cast):
@@ -212,7 +209,7 @@ def _policies(args, draft, target):
     return policies
 
 
-def cmd_gen_tasks(args) -> int:
+def cmd_gen_tasks(args) -> str:
     if args.count < 1:
         raise DataError("--count must be >= 1")
     vocab = build_vocab(args.max_value)
@@ -221,12 +218,10 @@ def cmd_gen_tasks(args) -> int:
                                  args.max_value)
              for i in range(args.count)]
     save_tasks(args.out, tasks, vocab)
-    _write_manifest(args.out, "gen-tasks", _manifest_options(args))
-    print(f"wrote {len(tasks)} tasks to {args.out}")
-    return 0
+    return f"wrote {len(tasks)} tasks to {args.out}\n"
 
 
-def cmd_gen_corpus(args) -> int:
+def cmd_gen_corpus(args) -> str:
     if args.variants < 1:
         raise DataError("--variants must be >= 1")
     vocab = build_vocab(args.max_value)
@@ -236,12 +231,10 @@ def cmd_gen_corpus(args) -> int:
     with open(args.out, "w") as f:
         for ids in lines:
             f.write(vocab.decode(ids) + "\n")
-    _write_manifest(args.out, "gen-corpus", _manifest_options(args))
-    print(f"wrote {len(lines)} sequences to {args.out}")
-    return 0
+    return f"wrote {len(lines)} sequences to {args.out}\n"
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> str:
     vocab, target, draft, tasks = _models_and_tasks(args)
     cfg = _mining_config(args)
     generate = None
@@ -268,15 +261,13 @@ def cmd_mine(args) -> int:
     if not records:
         raise DataError("mining produced no records")
     export_dataset(args.out, records)
-    _write_manifest(args.out, "mine", _manifest_options(args))
     frac = sum(r.important for r in records) / len(records)
-    print(f"wrote {len(records)} records to {args.out} "
-          f"(important fraction {frac:.3f}, {skipped} tasks skipped, "
-          f"{over_cap} over the rollback cap)")
-    return 0
+    return (f"wrote {len(records)} records to {args.out} "
+            f"(important fraction {frac:.3f}, {skipped} tasks skipped, "
+            f"{over_cap} over the rollback cap)\n")
 
 
-def cmd_train_judge(args) -> int:
+def cmd_train_judge(args) -> str:
     records = load_dataset(args.dataset)
     cfg = FeatureConfig(model_source=args.model_source)
     result = grid_search_C(build_examples(records, cfg), split_seed=args.seed)
@@ -286,13 +277,11 @@ def cmd_train_judge(args) -> int:
     judge.dataset_hash = dataset_fingerprint(records)
     judge.seed = args.seed
     save_judge(args.out, judge)
-    _write_manifest(args.out, "train-judge", _manifest_options(args))
-    print(f"wrote judge to {args.out} (C={judge.C:g}, "
-          f"val AUC={result.val_auc:.4f}, threshold={judge.threshold:.6g})")
-    return 0
+    return (f"wrote judge to {args.out} (C={judge.C:g}, "
+            f"val AUC={result.val_auc:.4f}, threshold={judge.threshold:.6g})\n")
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> str:
     vocab, target, draft, tasks = _models_and_tasks(args)
     policies = _policies(args, draft, target)
     if len(policies) != 1:
@@ -302,22 +291,19 @@ def cmd_decode(args) -> int:
     for task in tasks:
         result, answer, correct = bench_mod.decode_task(
             task, draft, target, policies[0], config)
-        rows.append(json.dumps({
+        rows.append({
             "task_id": task.task_id,
             "response": vocab.decode(result.response),
             "answer": answer,
             "correct": correct,
             "cycles": len(result.cycles),
             "accepted_per_cycle": accepted_per_cycle(result.cycles),
-        }) + "\n")
-    with open(args.out, "w") as f:
-        f.writelines(rows)
-    _write_manifest(args.out, "decode", _manifest_options(args))
-    print(f"decoded {len(tasks)} tasks to {args.out}")
-    return 0
+        })
+    write_json_lines(args.out, rows)
+    return f"decoded {len(tasks)} tasks to {args.out}\n"
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     _, target, draft, tasks = _models_and_tasks(args)
     policies = _policies(args, draft, target)
     rows = bench_mod.run_benchmark(tasks, draft, target, policies,
@@ -325,12 +311,10 @@ def cmd_bench(args) -> int:
     report = bench_mod.emit_report(rows, fmt=args.format)
     with open(args.out, "w") as f:
         f.write(report)
-    _write_manifest(args.out, "bench", _manifest_options(args))
-    print(report, end="")
-    return 0
+    return report
 
 
-def cmd_record_trace(args) -> int:
+def cmd_record_trace(args) -> str:
     _, target, draft, tasks = _models_and_tasks(args)
     if not 0 <= args.task_index < len(tasks):
         raise DataError(f"task index {args.task_index} out of range")
@@ -339,9 +323,7 @@ def cmd_record_trace(args) -> int:
                        args.temperature, _random_state(args))
     seq = TokenSequence(task.prompt.tokens + tuple(response), len(task.prompt.tokens))
     save_trace(args.out, record_trace(draft, target, seq))
-    _write_manifest(args.out, "record-trace", _manifest_options(args))
-    print(f"recorded {len(seq.response)} positions to {args.out}")
-    return 0
+    return f"recorded {len(seq.response)} positions to {args.out}\n"
 
 
 def _add_common(p, model_flags=True):
@@ -433,7 +415,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="ignore"):  # an overflow is checked, as a ScoreError, not warned
-            return args.func(args)
+            summary = args.func(args)
+        _write_manifest(args)
+        print(summary, end="")
+        return 0
     except RemoteError as e:
         print(f"remote error: {e}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, json_int, json_str, reading
+from .lm import DataError, json_float, json_int, json_str, json_vector, reading
 
 C_GRID = tuple(10.0 ** -i for i in range(0, 8))  # 1e0 .. 1e-7
 
@@ -319,15 +319,12 @@ def load_judge(path: str) -> JudgeModel:
             raise ValueError(f"trained for another feature layout (feature_config "
                              f"{layout!r}); retrain it with train-judge")
         cfg = FeatureConfig(**layout)
-        weights = np.array(obj["weights"], dtype=float)
-        bias = float(obj["bias"])
-        if weights.ndim != 1 or not np.all(np.isfinite(weights)) or not np.isfinite(bias):
-            raise DataError("judge weights must be a finite vector and its bias finite")
+        weights = json_vector(obj["weights"], "weights")
         if len(weights) != json_int(obj["feature_dim"], "feature_dim"):
             raise DataError("weight vector does not match feature_dim")
-        return JudgeModel(weights=weights, bias=bias,
-                          feature_config=cfg, C=float(obj["C"]),
-                          threshold=float(obj["threshold"]),
+        return JudgeModel(weights=weights, bias=json_float(obj["bias"], "bias"),
+                          feature_config=cfg, C=json_float(obj["C"], "C"),
+                          threshold=json_float(obj["threshold"], "threshold"),
                           dataset_hash=json_str(obj.get("dataset_hash", ""), "dataset_hash"),
                           seed=json_int(obj.get("seed", 0), "seed"))
 

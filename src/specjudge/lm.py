@@ -13,6 +13,7 @@ primitive.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -46,11 +47,33 @@ def json_lines(path: str) -> list:
     return values
 
 
+def write_json_lines(path: str, values) -> None:
+    """Write each of `values` as one JSON line of `path`: the format `json_lines` reads."""
+    with open(path, "w") as f:
+        f.writelines(json.dumps(value) + "\n" for value in values)
+
+
 def json_int(value, name: str) -> int:
     """`value` if it is a JSON integer: a float or bool would be truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def json_float(value, name: str) -> float:
+    """`value` as a float if it is a finite JSON number: a string or bool would be coerced."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def json_vector(value, name: str) -> np.ndarray:
+    """`value` as a float vector if it is a JSON list of finite numbers, no bool or string."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        vec = np.array(value, dtype=float)
+        if np.isfinite(vec).all():
+            return vec
+    raise ValueError(f"{name} must be a list of numbers, all finite")
 
 
 def json_str(value, name: str) -> str:

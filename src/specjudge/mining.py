@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .judge import FeatureConfig, hidden_rows
-from .lm import DataError, json_int, json_lines, json_str, reading
+from .lm import (DataError, json_int, json_lines, json_str, json_vector, reading,
+                 write_json_lines)
 from .sampling import RandomState, positionwise_choices, rollout
 from .tasks import Task, answers_equivalent, extract_answer
 
@@ -210,21 +211,12 @@ _HIDDEN_FIELDS = ("draft_hidden", "target_hidden")
 
 
 def export_dataset(path: str, records) -> None:
-    with open(path, "w") as f:
-        for r in records:
-            f.write(json.dumps({
-                "task_id": r.task_id, "position": r.position,
-                "target_token": r.target_token, "draft_token": r.draft_token,
-                "important": r.important, "context_hash": r.context_hash,
-                **{key: getattr(r, key).tolist() for key in _HIDDEN_FIELDS},
-            }) + "\n")
-
-
-def _json_vector(row: dict, key: str) -> np.ndarray:
-    vec = np.array(row[key], dtype=float)
-    if vec.ndim != 1:
-        raise ValueError(f"{key} must be a list of numbers")
-    return vec
+    write_json_lines(path, ({
+        "task_id": r.task_id, "position": r.position,
+        "target_token": r.target_token, "draft_token": r.draft_token,
+        "important": r.important, "context_hash": r.context_hash,
+        **{key: getattr(r, key).tolist() for key in _HIDDEN_FIELDS},
+    } for r in records))
 
 
 def load_dataset(path: str) -> list[MismatchRecord]:
@@ -241,7 +233,7 @@ def load_dataset(path: str) -> list[MismatchRecord]:
                 draft_token=json_int(row["draft_token"], "draft_token"),
                 important=row["important"],
                 context_hash=json_str(row["context_hash"], "context_hash"),
-                **{key: _json_vector(row, key) for key in _HIDDEN_FIELDS}))
+                **{key: json_vector(row[key], key) for key in _HIDDEN_FIELDS}))
     return records
 
 

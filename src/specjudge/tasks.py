@@ -11,11 +11,11 @@ chains reproduces the oracle exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
-from .lm import DataError, TokenSequence, Vocab, json_int, json_lines, json_str, reading
+from .lm import (DataError, TokenSequence, Vocab, json_int, json_lines, json_str, reading,
+                 write_json_lines)
 
 CONNECTIVES = ("Now", "Then", "Next")
 CONNECTIVE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -239,15 +239,13 @@ def gen_corpus(vocab: Vocab, num_steps_values=(2, 3), variants: int = 3,
 
 
 def save_tasks(path: str, tasks, vocab: Vocab) -> None:
-    with open(path, "w") as f:
-        for t in tasks:
-            f.write(json.dumps({
-                "task_id": t.task_id,
-                "prompt": vocab.decode(t.prompt.tokens),
-                "oracle": t.oracle_answer,
-                "seed": t.seed,
-                "max_response_len": t.max_response_len,
-            }) + "\n")
+    write_json_lines(path, ({
+        "task_id": t.task_id,
+        "prompt": vocab.decode(t.prompt.tokens),
+        "oracle": t.oracle_answer,
+        "seed": t.seed,
+        "max_response_len": t.max_response_len,
+    } for t in tasks))
 
 
 def load_tasks(path: str, vocab: Vocab) -> list:

@@ -16,13 +16,12 @@ its logits and hidden rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lm import (DataError, LanguageModel, LmOutput, TokenSequence, json_int, json_lines,
-                 reading)
+                 json_str, json_vector, reading, write_json_lines)
 
 SIDES = ("draft", "target")
 
@@ -58,8 +57,7 @@ class ReplayModel(LanguageModel):
     """Serves one side of a trace for prefixes of the recorded sequence.
 
     Any context that is not a recorded prefix (or extends past the
-    recorded horizon) raises TraceDivergenceError.  Rows interior to the
-    prompt were never recorded; forward_parallel fills them with zeros.
+    recorded horizon) raises TraceDivergenceError.
     """
 
     def __init__(self, trace: Trace, vocab, side: str):
@@ -87,27 +85,13 @@ class ReplayModel(LanguageModel):
         j = len(context) - self.trace.prompt_len
         return self.recorded.logits[j].copy(), self.recorded.hidden[j].copy()
 
-    def _rows(self, tokens, start):
-        offset = self.trace.prompt_len - 1  # the first recorded row
-        first = max(start, offset)
-        logits = np.zeros((len(tokens) - start, self.vocab.size))
-        hidden = np.zeros((len(tokens) - start, self.hidden_dim))
-        if first < len(tokens):
-            self._check_prefix(tokens)
-            rows = slice(first - offset, len(tokens) - offset)
-            logits[first - start:] = self.recorded.logits[rows]
-            hidden[first - start:] = self.recorded.hidden[rows]
-        return logits, hidden
-
 
 def save_trace(path: str, trace: Trace) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps({"tokens": list(trace.tokens),
-                            "prompt_len": trace.prompt_len}) + "\n")
-        for side in SIDES:
-            f.write(json.dumps({"side": side, "name": trace.names[side],
-                                "logits": trace.rows[side].logits.tolist(),
-                                "hidden": trace.rows[side].hidden.tolist()}) + "\n")
+    write_json_lines(path, [{"tokens": list(trace.tokens), "prompt_len": trace.prompt_len},
+                            *({"side": side, "name": trace.names[side],
+                               "logits": trace.rows[side].logits.tolist(),
+                               "hidden": trace.rows[side].hidden.tolist()}
+                              for side in SIDES)])
 
 
 def load_trace(path: str) -> Trace:
@@ -122,11 +106,11 @@ def load_trace(path: str) -> Trace:
         n_rows = len(tokens) - prompt_len + 1
         rows = {}
         for s in sides:
-            out = LmOutput(logits=np.array(s["logits"], dtype=float),
-                           hidden=np.array(s["hidden"], dtype=float))
+            out = LmOutput(**{key: np.array([json_vector(r, f"{key} row") for r in s[key]])
+                              for key in ("logits", "hidden")})
             if any(a.ndim != 2 or len(a) != n_rows for a in (out.logits, out.hidden)):
                 raise ValueError(f"{s['side']} logits and hidden must each be "
                                  f"{n_rows} rows (len(tokens) - prompt_len + 1)")
             rows[s["side"]] = out
         return Trace(tokens=tokens, prompt_len=prompt_len,
-                     names={s["side"]: str(s["name"]) for s in sides}, rows=rows)
+                     names={s["side"]: json_str(s["name"], "name") for s in sides}, rows=rows)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -381,26 +382,73 @@ def test_train_judge_max_iters_is_a_usage_error(tmp_path, mined, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra, summary, digest", [
+    ("gen-tasks", ["--max-value", "9", "--count", "3", "--num-steps", "2", "--seed", "5"],
+     "wrote 3 tasks to {out}\n",
+     "3d1bc0cb3fcf2dac6598ff8e521bdd7df37ce22c3697b8eeee1700109510dc41"),
+    ("gen-corpus", ["--max-value", "9", "--num-steps", "2", "--variants", "1"],
+     "wrote 50 sequences to {out}\n",
+     "52c2a7420a7d11c6eb9c5440567c7d605447241cbaa75a7dab6181c67daaa6ab"),
+    ("mine", ["--seed", "3"], "wrote 83 records to {out} (important fraction 0.422, "
+     "0 tasks skipped, 0 over the rollback cap)\n",
+     "f664ca107136454a0b67b5edd81c2a217901520609c8912f2498e6c610a76a08"),
+    ("train-judge", ["--seed", "1"],
+     "wrote judge to {out} (C=0.1, val AUC=0.9885, threshold=0.61807)\n",
+     "f8e6f796f562d385b5d3b17217b238f94333cb0caba8303ba3a75248fea19761"),
+    ("decode", ["--window", "8", "--policy", "topk", "--topk", "2"],
+     "decoded 12 tasks to {out}\n",
+     "dcf8ed65c01c89f8a239a4afef896ed0411a30ce2257b5e161b9cd650062dca2"),
+    ("bench", ["--window", "8", "--policy", "lossless,topk"], None,
+     "a7a2906d9a365a52716fd393e61dc805eda9b79c99f06ad93e3fa1110cc6f86c"),
+    ("bench", ["--policy", "lossless", "--format", "jsonl"], None,
+     "35cceea35abfa2725ad90956b5b5e3cf35b212b6149334d8298c025cf294378b"),
+    ("record-trace", ["--task-index", "2"], "recorded 14 positions to {out}\n",
+     "d4b953c2831d3a1a3f09372a971cf83a14242bc94e66b4daf4fd1205c0afbb2d"),
+], ids=["gen-tasks", "gen-corpus", "mine", "train-judge", "decode", "bench-csv",
+        "bench-jsonl", "record-trace"])
+def test_each_command_writes_its_output_then_manifest_and_summary(
+        workdir, tmp_path, capsys, mined, command, extra, summary, digest):
+    """Exit 0; stdout is the command's summary (bench's: its report, byte for byte); the
+    manifest names the command and every parsed option; the output's bytes are pinned."""
+    out = tmp_path / "out"
+    if command == "train-judge":
+        export_dataset(str(tmp_path / "mined.jsonl"), mined.records)
+        extra = ["--dataset", str(tmp_path / "mined.jsonl"), *extra]
+    elif command not in ("gen-tasks", "gen-corpus"):
+        extra = [*model_args(workdir), *extra]
+    argv = [command, *extra, "--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert stdout == (out.read_bytes() if summary is None else
+                      summary.format(out=out).encode())
+    options = vars(cli.build_parser().parse_args(argv))
+    del options["func"], options["command"]
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest == {"command": command, "options": options}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 UNDECODABLE = b"\xff\xfe\x80 not UTF-8\n"
 
 
 @pytest.mark.parametrize("loader, content", [
     ("dataset", None), ("judge", None), ("tasks", None), ("trace", None),
-    ("corpus", None), ("model spec", None),
+    ("corpus", None), ("model spec", None), ("model spec", "directory"),
     ("dataset", b""), ("tasks", b"\n  \n"), ("model spec", b"{not JSON\n"),
     ("judge", b"[" * 10 ** 5), ("tasks", UNDECODABLE), ("corpus", UNDECODABLE),
     ("model spec", UNDECODABLE),
-], ids=["dataset", "judge", "tasks", "trace", "corpus", "spec", "dataset-empty",
-        "tasks-blank", "spec-not-json", "judge-nested-too-deep", "tasks-undecodable",
-        "corpus-undecodable", "spec-undecodable"])
+], ids=["dataset", "judge", "tasks", "trace", "corpus", "spec", "spec-directory",
+        "dataset-empty", "tasks-blank", "spec-not-json", "judge-nested-too-deep",
+        "tasks-undecodable", "corpus-undecodable", "spec-undecodable"])
 def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader, content):
-    """A file that cannot be opened is `cannot read`; one whose bytes are not UTF-8,
-    are not JSON or hold no data at all is `bad`: one line naming the file either way."""
+    """A file that cannot be opened (missing, or a directory) is `cannot read`; one
+    whose bytes are not UTF-8, are not JSON or hold no data at all is `bad`: one line
+    naming the file either way.  A `*.json` spec with no `=` is a file even if missing."""
     path = str(tmp_path / f"input-{loader.replace(' ', '-')}.json")  # .json: a spec file
-    if content is not None:
-        Path(path).write_bytes(content)
-    elif loader == "model spec":  # a missing .json is read as an inline spec
+    if content == "directory":
         os.mkdir(path)
+    elif content is not None:
+        Path(path).write_bytes(content)
     out = str(tmp_path / "never.out")
     args = {
         "dataset": ["train-judge", "--dataset", path, "--out", out],
@@ -417,7 +465,7 @@ def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader
     assert main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    verdict = "cannot read" if content is None else "bad"
+    verdict = "bad" if isinstance(content, bytes) else "cannot read"
     what = loader if loader == "model spec" else f"{loader} file"
     assert err[0].startswith(f"data error: {verdict} {what} {path}: ")
     assert not os.path.exists(out)
@@ -432,6 +480,13 @@ def _set(key, value):
 def _set_feature_config(key, value):
     def edit(row):
         row["feature_config"][key] = value
+    return edit
+
+
+def _set_side(key, value):
+    """Set `key` of a trace's draft line, the line after its head."""
+    edit = _set(key, value)
+    edit.line = 1
     return edit
 
 
@@ -470,12 +525,28 @@ def _set_first_token(value):
     ("tasks", _set("prompt", "Start zed"), "unknown token 'zed'"),
     ("tasks", _set("max_response_len", 0), "max_response_len must be >= 1"),
     ("judge", _set("threshold", 1.0), "threshold must lie strictly inside (0, 1)"),
+    # a number field holding a string or bool would be coerced; one not finite is refused
+    ("judge", _set("threshold", "0.7"), "threshold must be a finite number, got '0.7'"),
+    ("judge", _set("bias", True), "bias must be a finite number, got True"),
+    ("judge", _set("C", "1e-3"), "C must be a finite number, got '1e-3'"),
+    ("judge", _set("weights", ["1", "2", True] + [0.0] * 34),
+     "weights must be a list of numbers"),
+    ("dataset", _set("draft_hidden", ["0.5", 1.0]), "draft_hidden must be a list of numbers"),
+    ("dataset", _set("target_hidden", [True, 0.5]), "target_hidden must be a list of numbers"),
+    ("trace", _set_side("logits", [["1", 2.0]]), "logits row must be a list of numbers"),
+    ("trace", _set_side("hidden", [[True]]), "hidden row must be a list of numbers"),
+    ("trace", _set_side("name", 5), "name must be a string, got 5"),
+    ("judge", _set("C", float("inf")), "C must be a finite number, got inf"),
+    ("dataset", _set("draft_hidden", [float("nan")]),
+     "draft_hidden must be a list of numbers, all finite"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
         "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
         "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float",
         "prompt-int", "task-id-int", "task-id-list", "task-id-null", "context-hash-int",
         "dataset-hash-bool", "bias-past-float", "prompt-unknown-token",
-        "max-response-len-zero", "threshold-one"])
+        "max-response-len-zero", "threshold-one", "threshold-string", "bias-bool",
+        "c-string", "weights-strings-and-bool", "hidden-string", "hidden-bool",
+        "trace-logits-string", "trace-hidden-bool", "trace-name-int", "c-inf", "hidden-nan"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
     """Loaders refuse a value they would otherwise coerce, or crash on later."""
@@ -496,12 +567,14 @@ def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys,
         assert main(["record-trace", *model_args(workdir), "--out", str(path)]) == 0
         argv = ["decode", *model_args(workdir), "--target-model",
                 f"trace:path={path}", "--out", str(out)]
-    first, *rest = path.read_text().splitlines(keepends=True)
+    lines = path.read_text().splitlines(keepends=True)
     if loader == "judge":  # one indented JSON object, not JSON lines
-        first, rest = path.read_text(), []
-    row = json.loads(first)
+        lines = [path.read_text()]
+    line = getattr(edit, "line", 0)
+    row = json.loads(lines[line])
     edit(row)
-    path.write_text(json.dumps(row) + "\n" + "".join(rest))
+    lines[line] = json.dumps(row) + "\n"
+    path.write_text("".join(lines))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()

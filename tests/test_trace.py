@@ -35,15 +35,21 @@ def test_full_width_replay_is_bit_exact(pipeline, recorded):
             assert np.array_equal(want_h, got_h), (rep.name, c)
 
 
-def test_replay_forward_parallel_zero_fills_the_prompt(pipeline, recorded):
+def test_replay_forward_parallel_serves_only_the_recorded_rows(pipeline, recorded):
+    """Rows before prompt_len - 1 were never recorded: asking for one is refused,
+    and every row from prompt_len - 1 on is the live model's, bit for bit."""
     _, seq, trace = recorded
     _, t_rep = trace.replay_models(pipeline.vocab)
-    live = pipeline.target.forward_parallel(seq.tokens)
-    rep = t_rep.forward_parallel(seq.tokens)
-    start = seq.prompt_len - 1
-    assert np.array_equal(rep.logits[:start], np.zeros_like(rep.logits[:start]))
-    assert np.array_equal(rep.logits[start:], live.logits[start:])
-    assert np.array_equal(rep.hidden[start:], live.hidden[start:])
+    first = seq.prompt_len - 1
+    for start in range(first):
+        with pytest.raises(TraceDivergenceError):
+            t_rep.forward_parallel(seq.tokens, start=start)
+    for start in (first, first + 1, len(seq.tokens) - 1):
+        live = pipeline.target.forward_parallel(seq.tokens, start=start)
+        rep = t_rep.forward_parallel(seq.tokens, start=start)
+        assert np.array_equal(rep.logits, live.logits)
+        assert np.array_equal(rep.hidden, live.hidden)
+        assert np.array_equal(t_rep.forward_logits(seq.tokens, start=start), live.logits)
 
 
 def test_greedy_replay_reproduces_the_recorded_response(pipeline, recorded):
