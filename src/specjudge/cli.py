@@ -238,9 +238,9 @@ def cmd_mine(args) -> str:
     vocab, target, draft, tasks = _models_and_tasks(args)
     cfg = _mining_config(args)
     generate = None
-    if args.remote_url:
-        if not args.remote_model:
-            raise DataError("--remote-url needs --remote-model")
+    if args.remote_url or args.remote_model:
+        if not (args.remote_url and args.remote_model):
+            raise DataError("--remote-url and --remote-model go together")
         endpoint = RemoteEndpoint(base_url=args.remote_url, model=args.remote_model,
                                   bearer_token=os.environ.get("SPECJUDGE_API_TOKEN"))
         generate = remote_generator(endpoint, vocab, temperature=args.temperature)

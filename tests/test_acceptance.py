@@ -256,8 +256,8 @@ def test_criterion_11_remote_mining_matches_local(pipeline, completions_server):
     # first request fails once to exercise the retry path, then the mock
     # replays the local target verbatim
     completions_server.script = [(500, {"error": "warmup"}), serve]
-    endpoint = RemoteEndpoint(completions_server.url, model="mock", backoff=0.0)
-    generate = remote_generator(endpoint, vocab)
+    endpoint = RemoteEndpoint(completions_server.url, model="mock")
+    generate = remote_generator(endpoint, vocab, sleep=lambda s: None)
 
     compared = 0
     for i in range(40):
@@ -280,12 +280,10 @@ def test_criterion_11_remote_mining_matches_local(pipeline, completions_server):
     assert len(completions_server.requests) >= 2  # includes the retried 500
 
     completions_server.script = [(503, {"error": "down"})]
-    flaky = RemoteEndpoint(completions_server.url, model="mock",
-                           max_retries=1, backoff=0.0)
     task = gen_arithmetic_task(30000, 2, vocab)
     with pytest.raises(RemoteError) as err:
         mine_important(task, pipeline.draft, pipeline.target,
-                       target_generate=remote_generator(flaky, vocab))
+                       target_generate=generate)
     assert err.value.status == 503
     with pytest.raises(DataError):
         remote_generator(endpoint, vocab, temperature=0.5)

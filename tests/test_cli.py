@@ -289,6 +289,16 @@ def test_bad_sampling_settings_are_one_data_error(workdir, tmp_path, capsys, com
     assert not (tmp_path / "never.out.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "decode"])
+def test_topk_zero_is_one_data_error(workdir, tmp_path, capsys, command):
+    out = tmp_path / "never.out"
+    assert main([command, *model_args(workdir), "--policy", "topk", "--topk", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: top-K needs k >= 1"]
+    assert not out.exists()
+    assert not (tmp_path / "never.out.manifest.json").exists()
+
+
 def test_bench_emits_sorted_report(workdir, capsys):
     out = workdir / "report.csv"
     rc = main(["bench", *model_args(workdir), "--policy", "lossless,topk",
@@ -436,10 +446,10 @@ UNDECODABLE = b"\xff\xfe\x80 not UTF-8\n"
     ("corpus", None), ("model spec", None), ("model spec", "directory"),
     ("dataset", b""), ("tasks", b"\n  \n"), ("model spec", b"{not JSON\n"),
     ("judge", b"[" * 10 ** 5), ("tasks", UNDECODABLE), ("corpus", UNDECODABLE),
-    ("model spec", UNDECODABLE),
+    ("model spec", UNDECODABLE), ("corpus", b"\n  \n"),
 ], ids=["dataset", "judge", "tasks", "trace", "corpus", "spec", "spec-directory",
         "dataset-empty", "tasks-blank", "spec-not-json", "judge-nested-too-deep",
-        "tasks-undecodable", "corpus-undecodable", "spec-undecodable"])
+        "tasks-undecodable", "corpus-undecodable", "spec-undecodable", "corpus-blank"])
 def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader, content):
     """A file that cannot be opened (missing, or a directory) is `cannot read`; one
     whose bytes are not UTF-8, are not JSON or hold no data at all is `bad`: one line
@@ -474,6 +484,12 @@ def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader
 def _set(key, value):
     def edit(row):
         row[key] = value
+    return edit
+
+
+def _copy(key, source):
+    def edit(row):
+        row[key] = row[source]
     return edit
 
 
@@ -539,6 +555,9 @@ def _set_first_token(value):
     ("judge", _set("C", float("inf")), "C must be a finite number, got inf"),
     ("dataset", _set("draft_hidden", [float("nan")]),
      "draft_hidden must be a list of numbers, all finite"),
+    ("dataset", _copy("draft_token", "target_token"),
+     "a mismatch record needs differing tokens"),
+    ("judge", _set("feature_dim", 5), "weight vector does not match feature_dim"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
         "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
         "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float",
@@ -546,7 +565,8 @@ def _set_first_token(value):
         "dataset-hash-bool", "bias-past-float", "prompt-unknown-token",
         "max-response-len-zero", "threshold-one", "threshold-string", "bias-bool",
         "c-string", "weights-strings-and-bool", "hidden-string", "hidden-bool",
-        "trace-logits-string", "trace-hidden-bool", "trace-name-int", "c-inf", "hidden-nan"])
+        "trace-logits-string", "trace-hidden-bool", "trace-name-int", "c-inf", "hidden-nan",
+        "tokens-equal", "feature-dim-off"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
     """Loaders refuse a value they would otherwise coerce, or crash on later."""
@@ -670,6 +690,20 @@ def test_old_format_trace_is_a_data_error(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trace_replayed_under_another_vocab_is_a_data_error(workdir, tmp_path, capsys):
+    trace = tmp_path / "task.trace"
+    assert main(["record-trace", *model_args(workdir), "--out", str(trace)]) == 0
+    out = tmp_path / "never.jsonl"
+    args = model_args(workdir)
+    args[args.index("--max-value") + 1] = "12"
+    args[args.index("--target-model") + 1] = f"trace:path={trace}"
+    capsys.readouterr()
+    assert main(["decode", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: vocab size does not match trace"]
+    assert not out.exists()
+
+
 def test_missing_required_argument_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["gen-tasks", "--count", "2"])  # no --out
@@ -685,6 +719,7 @@ def test_missing_required_argument_exits_one():
     ("perturb:base={target},sigma=high", "bad model spec value sigma="),
     ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),
     ("perturb:base={target},seed=-1", "seed must be in 0..2**64-1"),
+    ("perturb:base={target},bias=zed:1", "bias token 'zed' not in vocab"),
     ("trace:side=draft", "trace model spec needs path="),
     ("trace:path={corpus},side=bogus", "side must be draft or target, got 'bogus'"),
 ])
@@ -878,6 +913,43 @@ def test_remote_mining_failure_exits_three(workdir, completions_server,
     rc = main(["mine", *model_args(workdir), "--remote-url",
                completions_server.url, "--out", str(workdir / "never5.jsonl")])
     assert rc == 2  # --remote-url needs --remote-model
+
+
+@pytest.mark.parametrize("flags", [["--remote-url", "http://127.0.0.1:9"],
+                                   ["--remote-model", "toy"]], ids=["url", "model"])
+def test_remote_flags_go_together(workdir, tmp_path, capsys, flags):
+    out = tmp_path / "never.jsonl"
+    assert main(["mine", *model_args(workdir), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "data error: --remote-url and --remote-model go together"]
+    assert not out.exists()
+    assert not (tmp_path / "never.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, code, last_line", [
+    ("Now zed plus 3", 3, "remote error: completion text holds an unknown token 'zed'"),
+    ("", 2, "data error: mining produced no records"),
+], ids=["out-of-vocabulary", "empty"])
+def test_unusable_remote_completion_writes_nothing(workdir, tmp_path, completions_server,
+                                                   capsys, text, code, last_line):
+    """A word outside the vocabulary is a remote protocol error; an empty completion
+    skips every task, and mining with no record is a data error."""
+    completions_server.script = [(200, {"choices": [{"text": text}]})]
+    out = tmp_path / "never.jsonl"
+    assert main(["mine", *model_args(workdir), "--remote-url", completions_server.url,
+                 "--remote-model", "toy", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and err[-1] == last_line
+    if code == 2:
+        assert len(err) == 13 and all(line.startswith("skipped: ") for line in err[:-1])
+        assert "empty reference generation" in err[0]
+    else:
+        assert len(err) == 1
+    assert not out.exists()
+    assert not (tmp_path / "never.jsonl.manifest.json").exists()
 
 
 def _assert_help_ok(proc):
