@@ -74,6 +74,7 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
     tasks = list(tasks)
     if not tasks:
         raise DataError("no tasks to benchmark")
+    name, param = policy_label(policy)
     cycles = []
     correct = 0
     tokens = 0
@@ -88,7 +89,6 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
         correct += int(ok)
         cycles.extend(result.cycles)
         tokens += len(result.response)
-    name, param = policy_label(policy)
     apc = accepted_per_cycle(cycles) if cycles else 0.0
     return BenchRow(policy=name, param=param, accuracy=correct / len(tasks),
                     accepted_per_cycle=apc, cycles=len(cycles), tokens=tokens,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -173,9 +172,7 @@ def _models_and_tasks(args):
 
 
 def _random_state(args) -> RandomState | None:
-    """The sampling state of --seed, or None when --temperature is 0 (greedy)."""
-    if not 0 <= args.temperature < math.inf:
-        raise DataError("temperature must be finite and >= 0")
+    """The sampling state of --seed, or None unless --temperature is above 0."""
     return RandomState(args.seed) if args.temperature > 0 else None
 
 

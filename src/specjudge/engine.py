@@ -19,7 +19,7 @@ import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence
 from .judge import JudgeModel, check_judge_compatible, decode_features, predict_importance
-from .sampling import RandomState, autoregress, gumbel_max, seeded_choice
+from .sampling import RandomState, autoregress, check_sampling, gumbel_max, seeded_choice
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,7 @@ class EngineConfig:
             raise DataError("window must be >= 1")
         if self.max_tokens < 1:
             raise DataError("max_tokens must be >= 1")
-        if not (np.isfinite(self.temperature) and self.temperature >= 0):
-            raise DataError("temperature must be finite and >= 0")
-        if self.temperature > 0 and self.state is None:
-            raise DataError("sampled decoding needs a RandomState")
+        check_sampling(self.temperature, self.state)
 
 
 @dataclass
@@ -200,6 +197,8 @@ def spec_decode(prompt, draft: LanguageModel, target: LanguageModel,
     prompt = tuple(prompt)
     if not prompt:
         raise DataError("prompt must be non-empty")
+    if not isinstance(policy, Policy):
+        raise DataError(f"unknown policy {policy!r}")
     if draft.vocab.size != target.vocab.size or draft.vocab.eos_id != target.vocab.eos_id:
         raise DataError("draft and target vocabularies do not match")
     if isinstance(policy, JudgePolicy):

@@ -329,14 +329,10 @@ def load_judge(path: str) -> JudgeModel:
                           seed=json_int(obj.get("seed", 0), "seed"))
 
 
-def expected_feature_dim(cfg: FeatureConfig, draft, target) -> int:
-    return sum(model.hidden_dim for side, model in (("draft", draft), ("target", target))
-               if cfg.reads(side))
-
-
 def check_judge_compatible(judge: JudgeModel, draft, target) -> None:
     """Reject a judge whose feature layout cannot come from these models."""
-    want = expected_feature_dim(judge.feature_config, draft, target)
+    want = sum(model.hidden_dim for side, model in (("draft", draft), ("target", target))
+               if judge.feature_config.reads(side))
     if judge.feature_dim != want:
         raise DataError(
             f"judge expects {judge.feature_dim} features but models produce {want}")

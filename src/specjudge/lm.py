@@ -97,18 +97,11 @@ class Vocab:
             raise DataError("eos_id out of range")
         if len(set(self.id_to_text)) != len(self.id_to_text):
             raise DataError("duplicate token texts in vocab")
+        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_text)})
 
     @property
     def size(self) -> int:
         return len(self.id_to_text)
-
-    @property
-    def token_to_id(self) -> dict[str, int]:
-        mapping = self.__dict__.get("_token_to_id")
-        if mapping is None:
-            mapping = {t: i for i, t in enumerate(self.id_to_text)}
-            object.__setattr__(self, "_token_to_id", mapping)
-        return mapping
 
     def encode(self, text: str) -> list[int]:
         """Whitespace-tokenize `text`; unknown words are a data error."""
@@ -219,28 +212,20 @@ class LanguageModel:
 
         Row i holds the logits predicting position i+1 and the hidden
         state encoding tokens[0..i]; it is returned at index i - start.
+        One `next_logits_hidden` call per row: the judge asks for a single
+        row, where this loop beats a vectorized pass.
         """
         tokens = self._checked_rows(tokens, start)
-        logits, hidden = self._rows(tokens, start)
-        return LmOutput(logits=logits, hidden=hidden)
+        out = LmOutput(logits=np.empty((len(tokens) - start, self.vocab.size)),
+                       hidden=np.empty((len(tokens) - start, self.hidden_dim)))
+        for j in range(len(out.logits)):
+            out.logits[j], out.hidden[j] = self.next_logits_hidden(tokens[: start + j + 1])
+        return out
 
     def forward_logits(self, tokens, start: int = 0) -> np.ndarray:
         """The logits of `forward_parallel(tokens, start)`, without the hidden rows."""
         return self._logit_rows(self._checked_rows(tokens, start), start)
 
-    def _rows(self, tokens: tuple[int, ...], start: int):
-        """(logits, hidden) rows start..len-1 of validated `tokens`.
-
-        One `next_logits_hidden` call per row.  The judge asks for a
-        single row, where this loop beats a vectorized pass.
-        """
-        n = len(tokens) - start
-        logits = np.empty((n, self.vocab.size))
-        hidden = np.empty((n, self.hidden_dim))
-        for j in range(n):
-            logits[j], hidden[j] = self.next_logits_hidden(tokens[: start + j + 1])
-        return logits, hidden
-
     def _logit_rows(self, tokens: tuple[int, ...], start: int) -> np.ndarray:
-        """Logits rows start..len-1 of validated `tokens`, by default from `_rows`."""
-        return self._rows(tokens, start)[0]
+        """Logits rows start..len-1 of validated `tokens`, one `next_logits` per row."""
+        return np.array([self.next_logits(tokens[:i + 1]) for i in range(start, len(tokens))])

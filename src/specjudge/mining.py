@@ -22,19 +22,15 @@ import numpy as np
 from .judge import FeatureConfig, hidden_rows
 from .lm import (DataError, json_int, json_lines, json_str, json_vector, reading,
                  write_json_lines)
-from .sampling import RandomState, positionwise_choices, rollout
+from .sampling import RandomState, check_sampling, positionwise_choices, rollout
 from .tasks import Task, answers_equivalent, extract_answer
 
 
-class MiningError(DataError):
-    pass
-
-
-class TaskSkippedError(MiningError):
+class TaskSkippedError(DataError):
     """The reference generation produced no parseable answer."""
 
 
-class MiningBudgetError(MiningError):
+class MiningBudgetError(DataError):
     """Rollback cap exceeded; partial records attached."""
 
     def __init__(self, message: str, records: list):
@@ -56,10 +52,7 @@ class MiningConfig:
     max_rollbacks: int | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.temperature) and self.temperature >= 0):
-            raise DataError("temperature must be finite and >= 0")
-        if self.temperature > 0 and self.state is None:
-            raise DataError("sampled mining needs a RandomState")
+        check_sampling(self.temperature, self.state)
         if self.max_rollbacks is not None and self.max_rollbacks < 0:
             raise DataError("max_rollbacks must be >= 0")
 

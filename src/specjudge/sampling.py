@@ -138,13 +138,20 @@ def _unit_uniform_vec(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, _TWO_POW_MINUS_54)  # casts to float64, rounding to nearest
 
 
-def gumbel_key(state: RandomState | None, context) -> int:
+def check_sampling(temperature: float, state: RandomState | None) -> None:
+    """The one rule for a sampling setting: a finite temperature >= 0, where 0
+    is greedy and any other value samples under a RandomState."""
+    if not 0 <= temperature < np.inf:
+        raise DataError("temperature must be finite and >= 0")
+    if temperature != 0 and state is None:
+        raise DataError("sampling needs a RandomState")
+
+
+def gumbel_key(state: RandomState, context) -> int:
     """The Gumbel key of `context`: FNV-1a of (TAG_GUMBEL, seed, context ids).
 
     The key of `context + (t,)` is `_fnv_feed(key, t)`.
     """
-    if state is None:
-        raise ValueError("sampled mode requires a RandomState")
     return _prefix_hash(TAG_GUMBEL, state.seed, context)
 
 
@@ -191,6 +198,7 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
     marginal over seeds is softmax(logits, T): the softmax's
     log-normalizer is one constant per row and drops out of the argmax.
     """
+    check_sampling(temperature, state)
     if temperature == 0:
         return argmax_token(logits)
     g = gumbel_noise(gumbel_key(state, context), len(logits))
@@ -202,13 +210,14 @@ def autoregress(model, context, max_new: int, temperature: float = 0.0,
     """(tokens, Gumbel rows) of up to `max_new` seeded choices: `model.sample`
     after the context is validated once.
 
-    Stops after end-of-sequence.  A temperature not above 0 is greedy and
-    draws no Gumbel rows (None).  Otherwise row i of the (len, V) rows is the
-    one drawn at context + tokens[:i], keyed by one running Gumbel key.
+    Stops after end-of-sequence.  Temperature 0 is greedy and draws no Gumbel
+    rows (None).  Otherwise row i of the (len, V) rows is the one drawn at
+    context + tokens[:i], keyed by one running Gumbel key.
     """
+    check_sampling(temperature, state)
     tokens = tuple(context)
     model._check_tokens(tokens)
-    key = gumbel_key(state, tokens) if temperature > 0 else None
+    key = None if temperature == 0 else gumbel_key(state, tokens)
     return model.sample(tokens, max_new, temperature, key)
 
 
@@ -226,6 +235,7 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     one forward over those rows of tokens[:-1] and, when sampled, one noise
     draw keyed by one running hash.  Position 0 has no context: its choice is -1.
     """
+    check_sampling(temperature, state)
     tokens = tuple(tokens)
     first = max(start, 1)
     if first >= len(tokens):

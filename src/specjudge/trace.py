@@ -37,9 +37,6 @@ class Trace:
     names: dict[str, str]  # side -> recorded model's name
     rows: dict[str, LmOutput]  # side -> forward rows prompt_len-1 .. len-1
 
-    def replay_models(self, vocab) -> tuple["ReplayModel", "ReplayModel"]:
-        return ReplayModel(self, vocab, "draft"), ReplayModel(self, vocab, "target")
-
 
 def record_trace(draft: LanguageModel, target: LanguageModel,
                  seq: TokenSequence) -> Trace:

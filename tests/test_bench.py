@@ -1,14 +1,16 @@
 """Benchmark harness: aggregation, report formats, failure tolerance."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
 from specjudge.bench import (REPORT_COLUMNS, BenchRow, decode_task, emit_report,
                              policy_label, run_benchmark, run_policy)
-from specjudge.engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
-from specjudge.lm import DataError, TokenSequence
+from specjudge.engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
+                              spec_decode)
+from specjudge.lm import DataError, LanguageModel, TokenSequence
 from specjudge.sampling import rollout
 from specjudge.tasks import Task, answers_equivalent, extract_answer
 
@@ -90,6 +92,32 @@ def test_run_benchmark_sorts_rows(pipeline, eval_tasks, bench_config):
                          policies, bench_config)
     assert [(r.policy, r.param) for r in rows] \
         == [("lossless", ""), ("topk", "1"), ("topk", "4")]
+
+
+class Untouchable(LanguageModel):
+    """A model whose every step fails the test: nothing may be drafted or verified."""
+
+    hidden_dim = 1
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def _called(self, *args, **kwargs):
+        raise AssertionError("a model was called")
+
+    next_logits_hidden = next_logits = sample = _logit_rows = forward_parallel = _called
+
+
+@pytest.mark.parametrize("policy", ["judge", None, LosslessPolicy],
+                         ids=["name", "none", "class"])
+def test_unknown_policy_is_refused_before_any_model_call(pipeline, eval_tasks,
+                                                         bench_config, policy):
+    model = Untouchable(pipeline.vocab)
+    message = f"^unknown policy {re.escape(repr(policy))}$"
+    with pytest.raises(DataError, match=message):
+        spec_decode(eval_tasks[0].prompt.tokens, model, model, policy, bench_config)
+    with pytest.raises(DataError, match=message):
+        run_policy(eval_tasks[:3], model, model, policy, bench_config)
 
 
 def test_policy_label_rejects_unknown_policies():

@@ -12,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
                              JudgeModel, TrainingError, _grad, _loss,
                              build_examples, calibrate_threshold,
-                             check_judge_compatible, decode_features,
-                             expected_feature_dim,
-                             grid_search_C, load_judge, predict_importance,
+                             check_judge_compatible, decode_features, grid_search_C, load_judge, predict_importance,
                              roc_auc, save_judge, split_by_task, train_logreg)
 from specjudge.lm import DataError, LanguageModel
 from specjudge.toymodels import train_ngram
@@ -346,14 +344,20 @@ def test_save_load_judge_round_trip(tmp_path, judged):
 
 
 def test_feature_dims_and_compatibility(pipeline, judged):
-    cfg = FeatureConfig()
-    assert expected_feature_dim(cfg, pipeline.draft, pipeline.target) == 37
-    assert expected_feature_dim(FeatureConfig(model_source="draft"),
-                                pipeline.draft, pipeline.target) == 19
-    assert expected_feature_dim(FeatureConfig(model_source="target"),
-                                pipeline.draft, pipeline.target) == 18
+    """Each feature source fixes the width a compatible judge must have."""
+    widths = {"both": 37, "draft": 19, "target": 18}
+    for source, want in widths.items():
+        cfg = FeatureConfig(model_source=source)
+        for width in {*widths.values(), 36}:
+            judge = JudgeModel(weights=np.zeros(width), bias=0.0, feature_config=cfg, C=1.0)
+            if width == want:
+                check_judge_compatible(judge, pipeline.draft, pipeline.target)
+                continue
+            with pytest.raises(DataError, match=f"^judge expects {width} features but "
+                                                f"models produce {want}$"):
+                check_judge_compatible(judge, pipeline.draft, pipeline.target)
     check_judge_compatible(judged.judge, pipeline.draft, pipeline.target)
-    short = JudgeModel(weights=np.zeros(5), bias=0.0, feature_config=cfg, C=1.0)
+    short = JudgeModel(weights=np.zeros(5), bias=0.0, feature_config=FeatureConfig(), C=1.0)
     with pytest.raises(DataError):
         check_judge_compatible(short, pipeline.draft, pipeline.target)
     with pytest.raises(DataError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
 from specjudge.sampling import RandomState, _fnv_feed, gumbel_key, gumbel_max, gumbel_noise
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
-from specjudge.trace import record_trace
+from specjudge.trace import SIDES, ReplayModel, record_trace
 
 
 def small_vocab():
@@ -92,7 +92,7 @@ def _contract_models(tokens, order, prompt_len):
     pairs = [(model, 0) for model in models]
     if prompt_len < len(tokens):
         trace = record_trace(noisy, base, TokenSequence(tokens, prompt_len))
-        replays = trace.replay_models(v)
+        replays = tuple(ReplayModel(trace, v, side) for side in SIDES)
         replays += tuple(PerturbedModel(replay, draft.spec)
                          for draft in (noisy, missing) for replay in replays)
         pairs += [(replay, prompt_len - 1) for replay in replays]

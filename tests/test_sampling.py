@@ -1,6 +1,7 @@
 """Seed-conditioned sampling: FNV keys, Gumbel noise and seeded choices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specjudge import sampling
+from specjudge.engine import EngineConfig, LosslessPolicy, spec_decode
 from specjudge.lm import DataError, Vocab, argmax_token
+from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import (TAG_PERTURB, RandomState, _fnv_feed,
                                 _fnv_feed_vec, _prefix_hash, _running_keys,
                                 _unit_uniform_vec, gumbel_key, gumbel_max, gumbel_noise,
@@ -270,7 +273,7 @@ def test_gumbel_max_ties_and_bad_inputs():
 def test_seeded_choice_greedy_is_argmax():
     logits = np.array([0.1, 2.0, 2.0, -1.0])
     assert seeded_choice(logits, CTX, None, 0.0) == argmax_token(logits)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         seeded_choice(logits, CTX, None, 1.0)  # sampled mode needs a state
 
 
@@ -339,3 +342,53 @@ def test_positionwise_choices_match_per_prefix_sampling(pipeline, monkeypatch):
             assert sum(drawn) == (len(got) - (start == 0) if model is pipeline.draft else 0)
     with pytest.raises(DataError):
         positionwise_choices(scripted, ())
+
+
+def sampling_entries(pipeline):
+    """Every entry point that takes a (temperature, state) setting, each as
+    f(temperature, state) -> output, with the argmax output it must give greedy."""
+    task = gen_arithmetic_task(9000, 2, pipeline.vocab)
+    prompt, target, draft = task.prompt.tokens, pipeline.target, pipeline.draft
+    n = task.max_response_len
+    greedy = []
+    while len(greedy) < n and (not greedy or greedy[-1] != pipeline.vocab.eos_id):
+        greedy.append(argmax_token(target.next_logits(prompt + tuple(greedy))))
+    seq = prompt + tuple(greedy)
+    logits = np.array([0.1, 2.0, 2.0, -1.0])
+    return {
+        "EngineConfig": (lambda t, s: list(spec_decode(
+            prompt, draft, target, LosslessPolicy(),
+            EngineConfig(window=4, max_tokens=n, temperature=t, state=s)).response), greedy),
+        "MiningConfig": (lambda t, s: mine_important(
+            task, draft, target, MiningConfig(temperature=t, state=s)).reference_tokens, seq),
+        "rollout": (lambda t, s: rollout(target, prompt, n, t, s), greedy),
+        "positionwise_choices": (lambda t, s: positionwise_choices(draft, seq, t, s),
+                                 [-1] + [argmax_token(draft.next_logits(seq[:i]))
+                                         for i in range(1, len(seq))]),
+        "seeded_choice": (lambda t, s: seeded_choice(logits, CTX, s, t), 1),
+    }
+
+
+FINITE = "temperature must be finite and >= 0"
+
+
+@pytest.mark.parametrize("temperature, state, message", [
+    (math.nan, None, FINITE), (math.nan, RandomState(1), FINITE),
+    (math.inf, None, FINITE), (math.inf, RandomState(1), FINITE),
+    (-1.0, None, FINITE), (-1.0, RandomState(1), FINITE),
+    (0.5, None, "sampling needs a RandomState"),
+], ids=["nan", "nan-state", "inf", "inf-state", "negative", "negative-state", "no-state"])
+def test_every_entry_point_refuses_a_bad_setting_alike(pipeline, temperature, state,
+                                                       message):
+    """One rule decides every sampling setting, with one message per fault."""
+    for name, (entry, _) in sampling_entries(pipeline).items():
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            entry(temperature, state)
+            pytest.fail(f"{name} accepted the setting")
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.0])
+@pytest.mark.parametrize("state", [None, RandomState(1)])
+def test_every_entry_point_is_greedy_at_zero(pipeline, temperature, state):
+    for name, (entry, greedy) in sampling_entries(pipeline).items():
+        assert entry(temperature, state) == greedy, name

@@ -10,7 +10,7 @@ from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import rollout
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbSpec, make_draft
-from specjudge.trace import (ReplayModel, TraceDivergenceError, load_trace,
+from specjudge.trace import (SIDES, ReplayModel, TraceDivergenceError, load_trace,
                              record_trace, save_trace)
 
 
@@ -26,7 +26,7 @@ def recorded(pipeline):
 
 def test_full_width_replay_is_bit_exact(pipeline, recorded):
     _, seq, trace = recorded
-    d_rep, t_rep = trace.replay_models(pipeline.vocab)
+    d_rep, t_rep = (ReplayModel(trace, pipeline.vocab, side) for side in SIDES)
     for live, rep in ((pipeline.draft, d_rep), (pipeline.target, t_rep)):
         for c in range(seq.prompt_len, len(seq.tokens) + 1):
             want_l, want_h = live.next_logits_hidden(seq.tokens[:c])
@@ -39,7 +39,7 @@ def test_replay_forward_parallel_serves_only_the_recorded_rows(pipeline, recorde
     """Rows before prompt_len - 1 were never recorded: asking for one is refused,
     and every row from prompt_len - 1 on is the live model's, bit for bit."""
     _, seq, trace = recorded
-    _, t_rep = trace.replay_models(pipeline.vocab)
+    t_rep = ReplayModel(trace, pipeline.vocab, "target")
     first = seq.prompt_len - 1
     for start in range(first):
         with pytest.raises(TraceDivergenceError):
@@ -54,14 +54,14 @@ def test_replay_forward_parallel_serves_only_the_recorded_rows(pipeline, recorde
 
 def test_greedy_replay_reproduces_the_recorded_response(pipeline, recorded):
     _, seq, trace = recorded
-    _, t_rep = trace.replay_models(pipeline.vocab)
+    t_rep = ReplayModel(trace, pipeline.vocab, "target")
     replayed = rollout(t_rep, seq.prompt, len(seq.response))
     assert tuple(replayed) == seq.response
 
 
 def test_replay_refuses_divergent_contexts(pipeline, recorded):
     _, seq, trace = recorded
-    _, t_rep = trace.replay_models(pipeline.vocab)
+    t_rep = ReplayModel(trace, pipeline.vocab, "target")
     with pytest.raises(TraceDivergenceError):
         t_rep.next_logits_hidden(seq.tokens[: seq.prompt_len - 1])  # too short
     with pytest.raises(TraceDivergenceError):
@@ -74,7 +74,7 @@ def test_replay_refuses_divergent_contexts(pipeline, recorded):
 
 def test_replay_forward_parallel_refuses_divergent_sequences(pipeline, recorded):
     _, seq, trace = recorded
-    _, t_rep = trace.replay_models(pipeline.vocab)
+    t_rep = ReplayModel(trace, pipeline.vocab, "target")
     wrong = list(seq.tokens)
     wrong[seq.prompt_len + 1] = (wrong[seq.prompt_len + 1] + 1) % pipeline.vocab.size
     with pytest.raises(TraceDivergenceError):
@@ -85,7 +85,7 @@ def test_replay_forward_parallel_refuses_divergent_sequences(pipeline, recorded)
 
 def test_replay_serves_the_row_after_the_final_token(pipeline, recorded):
     _, seq, trace = recorded
-    d_rep, _ = trace.replay_models(pipeline.vocab)
+    d_rep = ReplayModel(trace, pipeline.vocab, "draft")
     want_l, want_h = pipeline.draft.next_logits_hidden(seq.tokens)
     got_l, got_h = d_rep.next_logits_hidden(seq.tokens)
     assert np.array_equal(want_l, got_l)
@@ -100,7 +100,7 @@ def test_zero_noise_mining_matches_between_live_and_replay(pipeline):
     response = rollout(pipeline.target, prompt, task.max_response_len)
     seq = TokenSequence(prompt + tuple(response), len(prompt))
     trace = record_trace(clone, pipeline.target, seq)
-    d_rep, t_rep = trace.replay_models(vocab)
+    d_rep, t_rep = (ReplayModel(trace, vocab, side) for side in SIDES)
 
     live = mine_important(task, clone, pipeline.target, MiningConfig())
     replayed = mine_important(task, d_rep, t_rep, MiningConfig())
