@@ -25,7 +25,7 @@ from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
                      accepted_per_cycle)
 from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
                     grid_search_C, build_examples, load_judge, save_judge)
-from .lm import DataError, TokenSequence, reading, write_json_lines
+from .lm import DataError, TokenSequence, reading, write_json, write_json_lines
 from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                      dataset_fingerprint, export_dataset, load_dataset,
                      mine_important, mine_naive)
@@ -138,10 +138,8 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
 
 def _write_manifest(args) -> None:
     """OUT.manifest.json: the command and every option it was run with."""
-    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    with open(args.out + ".manifest.json", "w") as f:
-        json.dump({"command": args.command, "options": options}, f, indent=1, sort_keys=True)
-        f.write("\n")
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    write_json(args.out + ".manifest.json", {"command": args.command, "options": options})
 
 
 def _comma_list(cast):

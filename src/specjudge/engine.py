@@ -19,7 +19,7 @@ import numpy as np
 
 from .lm import DataError, LanguageModel, TokenSequence
 from .judge import JudgeModel, check_judge_compatible, decode_features, predict_importance
-from .sampling import RandomState, autoregress, check_sampling, gumbel_max, seeded_choice
+from .sampling import RandomState, check_sampling, gumbel_max, seeded_choice
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def draft_window(draft: LanguageModel, context, width: int,
     """Draft up to `width` tokens autoregressively, stopping after EOS."""
     if width < 1:
         raise DataError("window width must be >= 1")
-    return DraftWindow(*autoregress(draft, context, width, config.temperature,
-                                    config.state))
+    return DraftWindow(*draft.sample(context, width, config.temperature, config.state))
 
 
 def _in_top_k(logits, token: int, k: int) -> bool:

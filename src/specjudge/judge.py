@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import DataError, json_float, json_int, json_str, json_vector, reading
+from .lm import DataError, json_float, json_int, json_str, json_vector, reading, write_json
 
 C_GRID = tuple(10.0 ** -i for i in range(0, 8))  # 1e0 .. 1e-7
 
 MODEL_SOURCES = ("draft", "target", "both")
 NEWTON_STEPS = 500  # a guard: the mined examples converge within 19
-
-
-class TrainingError(DataError):
-    pass
-
-
-class CalibrationError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -178,10 +170,10 @@ def train_logreg(examples: Examples, C: float) -> JudgeModel:
     carries the examples' feature config.
     """
     if C < 0:
-        raise TrainingError("C must be >= 0")
+        raise DataError("C must be >= 0")
     X, y = examples.X, examples.y
     if np.unique(y).size < 2:
-        raise TrainingError("training data has a single class")
+        raise DataError("training data has a single class")
     n, d = X.shape
     A = np.column_stack([X, np.ones(n)])  # the bias is the last coordinate
     ridge = np.diag(np.append(np.full(d, C), 0.0))
@@ -233,7 +225,7 @@ def split_by_task(examples: Examples, split_seed: int) -> tuple[Examples, Exampl
     """Deterministic 90/10 split on task ids, not individual rows."""
     ids = sorted(set(examples.task_ids.tolist()))
     if len(ids) < 2:
-        raise TrainingError("need at least 2 tasks for a task-level split")
+        raise DataError("need at least 2 tasks for a task-level split")
     random.Random(f"split:{split_seed}").shuffle(ids)
     is_val = np.isin(examples.task_ids, ids[:max(1, round(len(ids) * 0.1))])
     return examples.rows(~is_val), examples.rows(is_val)
@@ -256,7 +248,7 @@ def grid_search_C(examples: Examples, split_seed: int = 0) -> GridSearchResult:
     """
     train, val = split_by_task(examples, split_seed)
     if np.unique(val.y).size < 2:
-        raise TrainingError("validation split has a single class")
+        raise DataError("validation split has a single class")
     best = None
     aucs = {}
     for C in C_GRID:
@@ -279,35 +271,33 @@ def calibrate_threshold(judge: JudgeModel, validation: Examples,
     examples scoring >= tau.
     """
     if not 0.0 < target_recall <= 1.0:
-        raise CalibrationError("target_recall must be in (0, 1]")
+        raise DataError("target_recall must be in (0, 1]")
     scores = sorted((predict_importance(judge, x)
                      for x in validation.X[validation.y == 1.0]), reverse=True)
     if len(scores) < 10:
-        raise CalibrationError(
+        raise DataError(
             f"need >= 10 important validation examples, have {len(scores)}")
     k = int(np.ceil(target_recall * len(scores)))
     tau = scores[k - 1]
     tau = min(max(tau, 1e-12), 1.0 - 1e-12)
     achieved = sum(s >= tau for s in scores) / len(scores)
     if achieved < target_recall:
-        raise CalibrationError(
+        raise DataError(
             f"recall {achieved:.3f} below target {target_recall} at tau={tau}")
     return float(tau)
 
 
 def save_judge(path: str, judge: JudgeModel) -> None:
-    with open(path, "w") as f:
-        json.dump({
-            "feature_config": {"model_source": judge.feature_config.model_source},
-            "feature_dim": judge.feature_dim,
-            "weights": judge.weights.tolist(),
-            "bias": judge.bias,
-            "C": judge.C,
-            "threshold": judge.threshold,
-            "dataset_hash": judge.dataset_hash,
-            "seed": judge.seed,
-        }, f, indent=1)
-        f.write("\n")
+    write_json(path, {
+        "feature_config": {"model_source": judge.feature_config.model_source},
+        "feature_dim": judge.feature_dim,
+        "weights": judge.weights.tolist(),
+        "bias": judge.bias,
+        "C": judge.C,
+        "threshold": judge.threshold,
+        "dataset_hash": judge.dataset_hash,
+        "seed": judge.seed,
+    })
 
 
 def load_judge(path: str) -> JudgeModel:

@@ -53,6 +53,13 @@ def write_json_lines(path: str, values) -> None:
         f.writelines(json.dumps(value) + "\n" for value in values)
 
 
+def write_json(path: str, value) -> None:
+    """Write `value` to `path` as one JSON document, indented by 1, with a final newline."""
+    with open(path, "w") as f:
+        json.dump(value, f, indent=1)
+        f.write("\n")
+
+
 def json_int(value, name: str) -> int:
     """`value` if it is a JSON integer: a float or bool would be truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -159,7 +166,7 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    batched runs of choices `sample`, and with a vectorized pass `_logit_rows`.
+    batched runs of choices `_sample`, and with a vectorized pass `_logit_rows`.
     """
 
     name: str = "model"
@@ -173,13 +180,22 @@ class LanguageModel:
         """The logits of `next_logits_hidden(context)`, without the hidden state."""
         return self.next_logits_hidden(context)[0]
 
-    def sample(self, context: tuple[int, ...], n: int, temperature: float = 0.0,
-               key: int | None = None):
-        """(choices, Gumbel rows) of up to `n` choices after `context`, stopping after EOS:
-        argmax and no rows with no Gumbel `key`, else Gumbel-max at `temperature` and
-        (len, V) rows, row i drawn at `key` fed choices[:i].  One `next_logits` per choice."""
-        from . import sampling  # sampling imports this module
-        context, out, noise, eos, t = tuple(context), [], [], self.vocab.eos_id, None
+    def sample(self, context, n: int, temperature: float = 0.0,
+               state: sampling.RandomState | None = None):
+        """(choices, Gumbel rows) of up to `n` seeded choices after `context`, stopping
+        after EOS: greedy and no rows (None) at temperature 0, else (len, V) rows, row i
+        drawn at context + choices[:i].  The one checked way into a backend's `_sample`."""
+        sampling.check_sampling(temperature, state)
+        context = tuple(context)
+        self._check_tokens(context)
+        key = None if temperature == 0 else sampling.gumbel_key(state, context)
+        return self._sample(context, n, temperature, key)
+
+    def _sample(self, context: tuple[int, ...], n: int, temperature: float, key: int | None):
+        """`sample` of a validated `context`: argmax and no rows with no Gumbel `key`, else
+        Gumbel-max at `temperature` and (len, V) rows, row i drawn at `key` fed
+        choices[:i].  One `next_logits` per choice."""
+        out, noise, eos, t = [], [], self.vocab.eos_id, None
         while len(out) < n and t != eos:
             logits = self.next_logits(context)
             if key is None:
@@ -229,3 +245,7 @@ class LanguageModel:
     def _logit_rows(self, tokens: tuple[int, ...], start: int) -> np.ndarray:
         """Logits rows start..len-1 of validated `tokens`, one `next_logits` per row."""
         return np.array([self.next_logits(tokens[:i + 1]) for i in range(start, len(tokens))])
+
+
+# Bound here, at the end, not at the top: sampling imports names from this module.
+from . import sampling

@@ -159,10 +159,8 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
            else 4 * (len(reference) - prompt_len))
     pending = [p for p in range(prompt_len, len(tokens)) if choices[p] != tokens[p]]
     records: list[MismatchRecord] = []
-    rollbacks = 0
-    while pending:
-        rollbacks += 1
-        if rollbacks > cap:
+    while pending:  # each pass is one rollback and appends one record
+        if len(records) == cap:
             raise MiningBudgetError(
                 f"{task.task_id}: rollback cap {cap} exceeded", records)
         t, before = pending[0], tokens
@@ -183,7 +181,7 @@ def mine_important(task: Task, draft, target, cfg: MiningConfig = MiningConfig()
     return MiningResult(task_id=task.task_id, records=records,
                         reference_tokens=reference, final_tokens=tokens,
                         reference_answer=alpha, prompt_len=prompt_len,
-                        rollbacks=rollbacks)
+                        rollbacks=len(records))
 
 
 def mine_naive(task: Task, draft, target, cfg: MiningConfig = MiningConfig(),

@@ -15,8 +15,8 @@ The noise is keyed by a running FNV-1a hash of the prefix, fed one token
 per step, as a perturbed draft keys its own noise.  In a decode cycle each
 prefix's noise is drawn once, by the draft, and verification reuses the
 draft's rows; only the bonus row is drawn fresh.  Greedy choices draw none.
-`autoregress` leaves the choices to the model's `sample`: a perturbed draft
-guesses runs of them and draws each run's Gumbel rows in one call.
+Runs of choices are the model's `sample`: a perturbed draft guesses runs of
+them and draws each run's Gumbel rows in one call.
 """
 
 from __future__ import annotations
@@ -205,26 +205,10 @@ def seeded_choice(logits, context, state: RandomState | None, temperature: float
     return int(gumbel_max(logits, g, temperature))
 
 
-def autoregress(model, context, max_new: int, temperature: float = 0.0,
-                state: RandomState | None = None):
-    """(tokens, Gumbel rows) of up to `max_new` seeded choices: `model.sample`
-    after the context is validated once.
-
-    Stops after end-of-sequence.  Temperature 0 is greedy and draws no Gumbel
-    rows (None).  Otherwise row i of the (len, V) rows is the one drawn at
-    context + tokens[:i], keyed by one running Gumbel key.
-    """
-    check_sampling(temperature, state)
-    tokens = tuple(context)
-    model._check_tokens(tokens)
-    key = None if temperature == 0 else gumbel_key(state, tokens)
-    return model.sample(tokens, max_new, temperature, key)
-
-
 def rollout(model, context, max_new: int, temperature: float = 0.0,
             state: RandomState | None = None) -> list[int]:
     """Autoregress up to `max_new` tokens, stopping after end-of-sequence."""
-    return autoregress(model, context, max_new, temperature, state)[0]
+    return model.sample(context, max_new, temperature, state)[0]
 
 
 def positionwise_choices(model, tokens, temperature: float = 0.0,

@@ -59,12 +59,13 @@ class Chain:
         return self.values()[-1]
 
 
-def _legal_ops(value: int, max_value: int, final: bool) -> list[tuple[str, int]]:
+def _legal_ops(value: int, max_value: int, final: bool) -> list[tuple[str, int, int]]:
+    """(op, operand, next value) of every step allowed from `value`."""
     # A running value of max_value would strand the chain, so only the
     # final step may land there.
     cap = max_value if final else max_value - 1
-    ops = [("Add", k) for k in range(1, 10) if value + k <= cap]
-    ops += [("Multiply", k) for k in range(2, 10) if value * k <= cap]
+    ops = [("Add", k, value + k) for k in range(1, 10) if value + k <= cap]
+    ops += [("Multiply", k, value * k) for k in range(2, 10) if value * k <= cap]
     return ops
 
 
@@ -83,9 +84,8 @@ def sample_chain(rng: random.Random, num_steps: int, max_value: int = 99) -> Cha
             choices = _legal_ops(value, max_value, final=j == num_steps - 2)
             if not choices:
                 break
-            op, k = choices[rng.randrange(len(choices))]
+            op, k, value = choices[rng.randrange(len(choices))]
             ops.append((op, k))
-            value = value + k if op == "Add" else value * k
         else:
             return Chain(start, tuple(ops))
         if draw == 0 and count_chains(num_steps, max_value) == 0:
@@ -106,8 +106,7 @@ def count_chains(num_steps: int, max_value: int = 99) -> int:
     for j in range(num_steps - 1):
         grown: dict[int, int] = {}
         for value, n in counts.items():
-            for op, k in _legal_ops(value, max_value, final=j == num_steps - 2):
-                nxt = value + k if op == "Add" else value * k
+            for _, _, nxt in _legal_ops(value, max_value, final=j == num_steps - 2):
                 grown[nxt] = grown.get(nxt, 0) + n
         counts = grown
     return sum(counts.values())
@@ -117,16 +116,12 @@ def enumerate_chains(num_steps: int, max_value: int = 99) -> list[Chain]:
     """All feasible chains with the given step count, in a fixed order."""
     if not 2 <= num_steps <= 8:
         raise DataError("num_steps must be in 2..8")
-    partial = [(start, ()) for start in range(1, 10)]
+    partial = [(start, (), start) for start in range(1, 10)]  # (start, ops, value)
     for j in range(num_steps - 1):
         final = j == num_steps - 2
-        grown = []
-        for start, ops in partial:
-            value = Chain(start, ops).values()[-1]
-            for op, k in _legal_ops(value, max_value, final):
-                grown.append((start, ops + ((op, k),)))
-        partial = grown
-    return [Chain(start, ops) for start, ops in partial]
+        partial = [(start, ops + ((op, k),), nxt) for start, ops, value in partial
+                   for op, k, nxt in _legal_ops(value, max_value, final)]
+    return [Chain(start, ops) for start, ops, _ in partial]
 
 
 def prompt_words(chain: Chain) -> list[str]:

@@ -83,12 +83,12 @@ class NGramModel(LanguageModel):
         i = self.counts.get(key, 0)
         return self._logits[i], np.concatenate([emb, self._summary[i]])
 
-    def sample(self, context, n, temperature=0.0, key=None):
+    def _sample(self, context, n, temperature, key):
         """Greedy choices read each row's argmax from `_top`; sampled ones take the default."""
         if key is not None:
-            return super().sample(context, n, temperature, key)
+            return super()._sample(context, n, temperature, key)
         w, get, top, eos = self.order - 1, self.counts.get, self._top, self.vocab.eos_id
-        context, out, t = tuple(context), [], None
+        out, t = [], None
         while len(out) < n and t != eos:
             out.append(t := top[get(context[-w:] if w > 0 else (), 0)])
             context += (t,)
@@ -150,7 +150,7 @@ class PerturbedModel(LanguageModel):
     offset applied at the token this model would pick, which tells a
     downstream classifier how hard the perturbation pushed its choice.
 
-    `sample`, and a `_logit_rows` pass at σ > 0, keep the rows they drew as the
+    `_sample`, and a `_logit_rows` pass at σ > 0, keep the rows they drew as the
     last window, and `next_logits_hidden` serves its prefixes from them.
     """
 
@@ -194,7 +194,7 @@ class PerturbedModel(LanguageModel):
         rest = tokens[start + 1:]
         return self._noise(_running_keys(key, rest) if len(rest) else key)
 
-    def sample(self, context, n, temperature=0.0, key=None):
+    def _sample(self, context, n, temperature, key):
         """The stepwise choices and Gumbel rows, bit for bit.  The noise-free draft guesses
         a run and one noise draw (and one Gumbel draw, sampled) at the guessed prefixes
         checks it: guessed row j sits where the stepwise loop is once j choices match, and
@@ -234,7 +234,7 @@ class PerturbedModel(LanguageModel):
             if key is not None:
                 noise.append(gumbel[:j + 1])
                 key, run = _fnv_feed(int(keys[j]), choices[j]), 2 * (j + 1)
-        self._window = (tuple(context), tuple(out), kept)
+        self._window = (context, tuple(out), kept)
         return out, None if key is None else np.concatenate(
             noise or [np.empty((0, self.vocab.size))])
 

@@ -26,10 +26,6 @@ from .lm import (DataError, LanguageModel, LmOutput, TokenSequence, json_int, js
 SIDES = ("draft", "target")
 
 
-class TraceDivergenceError(DataError):
-    """A replayed model was queried off the recorded sequence."""
-
-
 @dataclass
 class Trace:
     tokens: tuple[int, ...]
@@ -54,7 +50,7 @@ class ReplayModel(LanguageModel):
     """Serves one side of a trace for prefixes of the recorded sequence.
 
     Any context that is not a recorded prefix (or extends past the
-    recorded horizon) raises TraceDivergenceError.
+    recorded horizon) is a DataError.
     """
 
     def __init__(self, trace: Trace, vocab, side: str):
@@ -72,9 +68,9 @@ class ReplayModel(LanguageModel):
         t = self.trace
         c = len(context)
         if c < t.prompt_len or c > len(t.tokens):
-            raise TraceDivergenceError(f"context length {c} outside recorded range")
+            raise DataError(f"context length {c} outside recorded range")
         if context != t.tokens[:c]:
-            raise TraceDivergenceError("context diverges from the recorded sequence")
+            raise DataError("context diverges from the recorded sequence")
 
     def next_logits_hidden(self, context):
         context = tuple(context)

@@ -262,7 +262,7 @@ def test_greedy_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monkey
     equals the stepwise choices, hashes its context once and draws at most 2n
     noise rows, in at most n calls."""
     draft = _missing_draft(chain_vocab)
-    expect = {n: LanguageModel.sample(draft, (0,), n)[0] for n in (1, 8, 64)}
+    expect = {n: LanguageModel._sample(draft, (0,), n, 0.0, None)[0] for n in (1, 8, 64)}
     counts = _counting_noise(monkeypatch, draft)
     for n, tokens in expect.items():
         for drawn in counts.values():
@@ -281,7 +281,7 @@ def test_sampled_draft_traffic_stays_linear_when_guesses_miss(chain_vocab, monke
     draft, config = _missing_draft(chain_vocab), EngineConfig(temperature=0.5,
                                                               state=RandomState(5))
     key = gumbel_key(config.state, (0,))
-    expect = {n: LanguageModel.sample(draft, (0,), n, 0.5, key) for n in (1, 8, 64)}
+    expect = {n: LanguageModel._sample(draft, (0,), n, 0.5, key) for n in (1, 8, 64)}
     counts = _counting_noise(monkeypatch, draft)
     for n, (tokens, noise) in expect.items():
         for drawn in counts.values():
@@ -310,7 +310,7 @@ def test_draft_traffic_stays_linear(sigma, seed, n, temperature):
                                              seed=seed))
     config = EngineConfig(temperature=temperature, state=RandomState(seed))
     key = gumbel_key(config.state, (0,)) if temperature else None
-    tokens, noise = LanguageModel.sample(draft, (0,), n, temperature, key)  # stepwise
+    tokens, noise = LanguageModel._sample(draft, (0,), n, temperature, key)  # stepwise
     with pytest.MonkeyPatch.context() as monkeypatch:
         counts = _counting_noise(monkeypatch, draft)
         window = draft_window(draft, (0,), n, config)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.judge import (C_GRID, CalibrationError, Examples, FeatureConfig,
-                             JudgeModel, TrainingError, _grad, _loss,
+from specjudge.judge import (C_GRID, Examples, FeatureConfig,
+                             JudgeModel, _grad, _loss,
                              build_examples, calibrate_threshold,
                              check_judge_compatible, decode_features, grid_search_C, load_judge, predict_importance,
                              roc_auc, save_judge, split_by_task, train_logreg)
@@ -164,7 +164,7 @@ def test_training_is_bit_reproducible():
 
 def test_single_class_training_rejected():
     examples = make_examples([[0.0], [1.0]], [True, True])
-    with pytest.raises(TrainingError):
+    with pytest.raises(DataError, match="^training data has a single class$"):
         train_logreg(examples, C=1.0)
 
 
@@ -292,7 +292,7 @@ def test_calibrate_threshold_hand_enumeration():
 
 def test_calibrate_threshold_requires_ten_importants():
     judge = identity_judge()
-    with pytest.raises(CalibrationError):
+    with pytest.raises(DataError, match="^need >= 10 important validation examples, have 4$"):
         calibrate_threshold(judge, scored_examples([0.9, 0.8, 0.7, 0.2], [1] * 4))
 
 
@@ -309,7 +309,7 @@ def test_calibrate_threshold_unreachable_recall():
     judge = JudgeModel(weights=np.array([-2000.0]), bias=0.0,
                        feature_config=FeatureConfig(), C=1.0)
     examples = make_examples(np.ones((12, 1)), [1] * 12)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(DataError, match=r"^recall 0\.000 below target 0\.9 at tau=1e-12$"):
         calibrate_threshold(judge, examples, target_recall=0.9)
 
 

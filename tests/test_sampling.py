@@ -10,14 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 from specjudge import sampling
 from specjudge.engine import EngineConfig, LosslessPolicy, spec_decode
-from specjudge.lm import DataError, Vocab, argmax_token
+from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
 from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import (TAG_PERTURB, RandomState, _fnv_feed,
                                 _fnv_feed_vec, _prefix_hash, _running_keys,
                                 _unit_uniform_vec, gumbel_key, gumbel_max, gumbel_noise,
                                 positionwise_choices, rollout, seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
-from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel
+from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, make_draft
+from specjudge.trace import ReplayModel, record_trace
 
 CTX = (3, 1, 4)
 MASK64 = 2**64 - 1
@@ -344,18 +345,36 @@ def test_positionwise_choices_match_per_prefix_sampling(pipeline, monkeypatch):
         positionwise_choices(scripted, ())
 
 
+def stepwise_greedy(model, context, n):
+    """Up to n argmax choices after `context`, one `next_logits` each, stopping after EOS."""
+    out = []
+    while len(out) < n and out[-1:] != [model.vocab.eos_id]:
+        out.append(argmax_token(model.next_logits(context + tuple(out))))
+    return out
+
+
 def sampling_entries(pipeline):
     """Every entry point that takes a (temperature, state) setting, each as
     f(temperature, state) -> output, with the argmax output it must give greedy."""
-    task = gen_arithmetic_task(9000, 2, pipeline.vocab)
+    vocab = pipeline.vocab
+    task = gen_arithmetic_task(9000, 2, vocab)
     prompt, target, draft = task.prompt.tokens, pipeline.target, pipeline.draft
     n = task.max_response_len
-    greedy = []
-    while len(greedy) < n and (not greedy or greedy[-1] != pipeline.vocab.eos_id):
-        greedy.append(argmax_token(target.next_logits(prompt + tuple(greedy))))
+    greedy = stepwise_greedy(target, prompt, n)
     seq = prompt + tuple(greedy)
     logits = np.array([0.1, 2.0, 2.0, -1.0])
-    return {
+    then = {vocab.token_to_id["Then"]: 1.4}
+    models = {  # every model's `sample`: each backend's hook, and the default's
+        "ngram": target, "draft": draft,
+        "draft-sigma0": make_draft(target, PerturbSpec(bias_tokens=then)),
+        "scripted": ScriptedModel(vocab, {prompt: 5}),
+        "replay": ReplayModel(record_trace(draft, target, TokenSequence(seq, len(prompt))),
+                              vocab, "target"),
+    }
+    entries = {f"sample:{name}": (lambda t, s, model=model: model.sample(prompt, n, t, s)[0],
+                                  stepwise_greedy(model, prompt, n))
+               for name, model in models.items()}
+    return entries | {
         "EngineConfig": (lambda t, s: list(spec_decode(
             prompt, draft, target, LosslessPolicy(),
             EngineConfig(window=4, max_tokens=n, temperature=t, state=s)).response), greedy),

@@ -247,7 +247,7 @@ def test_window_rows_equal_rows_of_a_draft_that_never_sampled(pipeline, sigma, t
         context = contexts[i]
         if via == "sample":
             key = gumbel_key(RandomState(seed), context) if temperature else None
-            return draft.sample(context, n, temperature, key)[0]
+            return draft._sample(context, n, temperature, key)[0]
         last = draft._window
         draft.forward_logits(full[i], start=len(context) - 1)
         assert (draft._window is last) == (sigma == 0)

@@ -10,8 +10,11 @@ from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import rollout
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbSpec, make_draft
-from specjudge.trace import (SIDES, ReplayModel, TraceDivergenceError, load_trace,
+from specjudge.trace import (SIDES, ReplayModel, load_trace,
                              record_trace, save_trace)
+
+OUTSIDE = "context length {} outside recorded range"
+DIVERGES = "context diverges from the recorded sequence"
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +45,7 @@ def test_replay_forward_parallel_serves_only_the_recorded_rows(pipeline, recorde
     t_rep = ReplayModel(trace, pipeline.vocab, "target")
     first = seq.prompt_len - 1
     for start in range(first):
-        with pytest.raises(TraceDivergenceError):
+        with pytest.raises(DataError, match=f"^{OUTSIDE.format(start + 1)}$"):
             t_rep.forward_parallel(seq.tokens, start=start)
     for start in (first, first + 1, len(seq.tokens) - 1):
         live = pipeline.target.forward_parallel(seq.tokens, start=start)
@@ -62,13 +65,13 @@ def test_greedy_replay_reproduces_the_recorded_response(pipeline, recorded):
 def test_replay_refuses_divergent_contexts(pipeline, recorded):
     _, seq, trace = recorded
     t_rep = ReplayModel(trace, pipeline.vocab, "target")
-    with pytest.raises(TraceDivergenceError):
+    with pytest.raises(DataError, match=f"^{OUTSIDE.format(seq.prompt_len - 1)}$"):
         t_rep.next_logits_hidden(seq.tokens[: seq.prompt_len - 1])  # too short
-    with pytest.raises(TraceDivergenceError):
+    with pytest.raises(DataError, match=f"^{OUTSIDE.format(len(seq.tokens) + 1)}$"):
         t_rep.next_logits_hidden(seq.tokens + (0,))  # past the horizon
     wrong = list(seq.tokens[: seq.prompt_len + 2])
     wrong[-1] = (wrong[-1] + 1) % pipeline.vocab.size
-    with pytest.raises(TraceDivergenceError):
+    with pytest.raises(DataError, match=f"^{DIVERGES}$"):
         t_rep.next_logits_hidden(tuple(wrong))
 
 
@@ -77,10 +80,10 @@ def test_replay_forward_parallel_refuses_divergent_sequences(pipeline, recorded)
     t_rep = ReplayModel(trace, pipeline.vocab, "target")
     wrong = list(seq.tokens)
     wrong[seq.prompt_len + 1] = (wrong[seq.prompt_len + 1] + 1) % pipeline.vocab.size
-    with pytest.raises(TraceDivergenceError):
+    with pytest.raises(DataError, match=f"^{DIVERGES}$"):
         t_rep.forward_parallel(tuple(wrong), start=seq.prompt_len - 1)
-    with pytest.raises(TraceDivergenceError):
-        t_rep.forward_parallel(seq.tokens + (0,))  # past the horizon
+    with pytest.raises(DataError, match=f"^{OUTSIDE.format(len(seq.tokens) + 1)}$"):
+        t_rep.forward_parallel(seq.tokens + (0,), start=seq.prompt_len - 1)  # past the horizon
 
 
 def test_replay_serves_the_row_after_the_final_token(pipeline, recorded):
