@@ -223,11 +223,11 @@ def gen_corpus(vocab: Vocab, num_steps_values=(2, 3), variants: int = 3,
     lines = []
     for num_steps in num_steps_values:
         for chain in enumerate_chains(num_steps, max_value):
+            prompt = vocab.encode(" ".join(prompt_words(chain)))
             for _ in range(variants):
                 conns = rng.choices(CONNECTIVES, weights=CONNECTIVE_WEIGHTS,
                                     k=len(chain.ops))
-                words = prompt_words(chain) + response_words(chain, conns)
-                lines.append(vocab.encode(" ".join(words)))
+                lines.append(prompt + vocab.encode(" ".join(response_words(chain, conns))))
     if not lines:
         raise DataError(f"no feasible chain within max_value {max_value}")
     return lines

@@ -1,5 +1,6 @@
 """Toy backends: add-k n-gram, perturbed draft, scripted lookup models."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -114,6 +115,46 @@ def test_ngram_rows_match_add_k_reference_bit_for_bit(corpus, order, data):
     want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
                      for i in range(start, len(tokens))])
     assert same_bits(model.forward_logits(tokens, start), want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=16), min_size=1,
+                max_size=4),
+       st.sampled_from([1, 3, 16]), st.data())
+def test_repeated_lines_count_as_often_as_they_occur(lines, order, data):
+    """Lines repeated and interleaved by drawn indices, so one line's copies are
+    counted once with their multiplicity; a one-shot generator trains the same model."""
+    picks = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=12))
+    corpus = [lines[i] for i in picks]
+    model = train_ngram(small_vocab(), corpus, order=order, smoothing=0.5, seed=1)
+    counts = reference_counts(corpus, order)
+    expect = reference_items(counts)
+    assert interned_items(model) == expect
+    assert model.distributions == list(dict.fromkeys([()] + [tuple(c) for _, c in expect]))
+    for seq in lines:
+        for context in (tuple(seq[:i]) for i in range(1, len(seq) + 1)):
+            logits, hidden = reference_row(model, counts, context)
+            got_logits, got_hidden = model.next_logits_hidden(context)
+            assert same_bits(got_logits, logits) and same_bits(got_hidden, hidden), context
+    once = train_ngram(small_vocab(), (line for line in corpus), order=order,
+                       smoothing=0.5, seed=1)
+    assert interned_items(once) == expect
+    assert once.distributions == model.distributions
+    assert same_bits(once._logits, model._logits) and same_bits(once._summary, model._summary)
+
+
+def test_training_peak_stays_near_the_retained_model(pipeline):
+    """Training the conftest target holds no dict per context: its tracemalloc peak
+    is at most 1.5x what the trained model keeps (2.34x when it built one)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = train_ngram(pipeline.vocab, pipeline.corpus, order=16, smoothing=0.2)
+        retained, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(model.counts) == 97023
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 def test_ngram_rows_are_read_only_and_forward_logits_is_fresh():
