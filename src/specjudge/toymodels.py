@@ -30,12 +30,13 @@ class NGramModel(LanguageModel):
     state is the mean embedding of the context window plus the entropy and
     top-1 log-probability of the next-token distribution.
 
-    `counts` maps each seen context to its index in `distributions`, the
-    distinct (token, count) item tuples in first-seen order; index 0 is the
-    empty one of every unseen context.  Each has one read-only logits row,
-    with its entropy, top-1 and argmax, computed once when the counts are set.
-    `train_ngram` counts through interned states, never a dict per context: on
-    the order-16 fixture its tracemalloc peak is 1.3x the 22 MB the model keeps.
+    `counts` maps each seen context, its ids packed as fixed-width little-endian
+    bytes (one byte each up to 256 ids, else the fewest that fit), to its index in
+    `distributions`, the distinct (token, count) item tuples in first-seen order;
+    index 0 is the empty one of every unseen context.  Each has one read-only
+    logits row, with its entropy, top-1 and argmax, computed once when the counts
+    are set.  Packed keys are a third the size of tuples: on the order-16 fixture
+    the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
     """
 
     def __init__(self, vocab: Vocab, order: int, smoothing: float, seed: int = 0,
@@ -53,17 +54,20 @@ class NGramModel(LanguageModel):
         self.name = name
         self.hidden_dim = EMBED_DIM + 2
         self.embedding = np.random.default_rng(seed).standard_normal((vocab.size, EMBED_DIM))
+        self._width = width = _ids_and_width(vocab.size)[1]  # bytes per packed id
+        self._pack = bytes if width == 1 else (
+            lambda ids: b"".join(t.to_bytes(width, "little") for t in ids))
         self._set_counts({}, [()])
 
-    def _set_counts(self, counts: dict[tuple[int, ...], int], states: list[tuple]) -> None:
-        """Take `counts`, each context's id in `states` (interned item tuples, `states[0]`
-        the empty one), renumber the states it reaches densely in first-seen order, and
-        build one row per state."""
+    def _set_counts(self, counts: dict[bytes, int], states: list[tuple]) -> None:
+        """Take `counts`, each packed context's id in `states` (interned flat
+        (token, count, token, count, ...) tuples, `states[0]` the empty one), renumber
+        the states it reaches densely in first-seen order, and build one row per state."""
         index = {0: 0}
         for key, s in counts.items():  # in place: a second dict adds 5 MB to the fixture's peak
             counts[key] = index.setdefault(s, len(index))
         self.counts = counts
-        self.distributions = [states[s] for s in index]
+        self.distributions = [tuple(zip(states[s][::2], states[s][1::2])) for s in index]
         k, size = self.smoothing, self.vocab.size
         self._logits = np.empty((len(index), size))
         self._summary = np.empty((len(index), 2))  # the entropy and top-1 hidden columns
@@ -79,41 +83,45 @@ class NGramModel(LanguageModel):
 
     def next_logits(self, context):
         w = self.order - 1
-        return self._logits[self.counts.get(tuple(context[-w:]) if w > 0 else (), 0)]
+        return self._logits[self.counts.get(self._pack(context[-w:] if w > 0 else ()), 0)]
 
     def next_logits_hidden(self, context):
         w = self.order - 1
-        key = tuple(context[-w:]) if w > 0 else ()  # the window; () at order 1
-        emb = self.embedding.take(key, 0).sum(axis=0) / len(key) if key else np.zeros(EMBED_DIM)
-        i = self.counts.get(key, 0)
+        ids = context[-w:] if w > 0 else ()  # the window; () at order 1
+        emb = self.embedding.take(ids, 0).sum(axis=0) / len(ids) if ids else np.zeros(EMBED_DIM)
+        i = self.counts.get(self._pack(ids), 0)
         return self._logits[i], np.concatenate([emb, self._summary[i]])
 
     def _sample(self, context, n, temperature, key):
-        """Greedy choices read each row's argmax from `_top`; sampled ones take the default."""
+        """Greedy choices read each row's argmax from `_top`, keyed by one packed
+        window extended per choice; sampled ones take the default."""
         if key is not None:
             return super()._sample(context, n, temperature, key)
         w, get, top, eos = self.order - 1, self.counts.get, self._top, self.vocab.eos_id
+        pack, span = self._pack, w * self._width
+        window = pack(context[-w:] if w > 0 else ())
         out, t = [], None
         while len(out) < n and t != eos:
-            out.append(t := top[get(context[-w:] if w > 0 else (), 0)])
-            context += (t,)
+            out.append(t := top[get(window[-span:] if span else b"", 0)])
+            window += pack((t,))
         return out, None
 
     def _logit_rows(self, tokens, start):
-        w, get = self.order - 1, self.counts.get
-        return self._logits[[get(tokens[max(0, end - w):end] if w > 0 else (), 0)
-                             for end in range(start + 1, len(tokens) + 1)]]
+        get, width, packed = self.counts.get, self._width, self._pack(tokens)
+        span = (self.order - 1) * width  # row i's key: the last span bytes through token i
+        ends = range((start + 1) * width, (len(tokens) + 1) * width, width)
+        return self._logits[[get(packed[max(0, end - span):end], 0) for end in ends]]
 
 
 def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
                 name: str = "ngram") -> NGramModel:
     """Count-train an NGramModel on an iterable of token sequences.
 
-    Each distinct line is counted once with its multiplicity, in first-seen order.
-    A context holds the id of its interned (token, count) item tuple, moved on by a
-    memoised step (state, token, multiplicity) -> state that bumps the token's count
-    in place or appends it, so keys and items keep their first-seen order and no
-    dict per context is built."""
+    Each distinct line is packed and counted once with its multiplicity, in first-seen
+    order, and released once counted.  A context holds the id of its interned flat
+    (token, count, ...) state, moved on by a step memo keyed by one int for (state,
+    token, multiplicity) that bumps the token's count in place or appends it, so keys
+    and items keep their first-seen order and no dict per context is built."""
     model = NGramModel(vocab, order, smoothing, seed=seed, name=name)
     lines = {}
     for seq in corpus:
@@ -122,20 +130,26 @@ def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 
         lines[tokens] = lines.get(tokens, 0) + 1
     if not lines:
         raise DataError("empty training corpus")
-    counts, steps, ids, states, w = {}, {}, {(): 0}, [()], order - 1
-    for tokens, m in lines.items():
+    size, most, width = vocab.size, max(lines.values()), model._width  # m - 1 < most
+    counts, steps, ids, states, span = {}, {}, {(): 0}, [()], (order - 1) * width
+    lines = list(lines.items())[::-1]  # popped in first-seen order
+    while lines:
+        tokens, m = lines.pop()
+        packed = model._pack(tokens)
         for i in range(1, len(tokens)):
-            key, tok = tokens[i - w:i] if i > w else tokens[:i], tokens[i]  # last w tokens; () at w=0
-            step = counts.get(key, 0), tok, m
-            s = steps.get(step)
-            if s is None:
-                items = states[step[0]]
-                j = next((j for j, (t, _) in enumerate(items) if t == tok), len(items))
-                items = items[:j] + ((tok, m + (items[j][1] if j < len(items) else 0)),) + items[j + 1:]
-                s = steps[step] = ids.setdefault(items, len(ids))
-                if s == len(states):
+            end, tok = i * width, tokens[i]
+            key = packed[max(0, end - span):end]  # the last order-1 ids; b"" at order 1
+            s = counts.get(key, 0)
+            step = (s * size + tok) * most + m - 1
+            t = steps.get(step)
+            if t is None:
+                items = states[s]
+                j = next((j for j in range(0, len(items), 2) if items[j] == tok), len(items))
+                items = items[:j] + (tok, m + sum(items[j + 1:j + 2])) + items[j + 2:]
+                t = steps[step] = ids.setdefault(items, len(ids))
+                if t == len(states):
                     states.append(items)
-            counts[key] = s
+            counts[key] = t
     model._set_counts(counts, states)
     return model
 

@@ -203,6 +203,28 @@ def test_decode_reports_per_task_results(workdir):
         assert row["accepted_per_cycle"] >= 1.0
 
 
+def test_decode_on_a_vocabulary_past_one_byte_per_id(tmp_path):
+    """Max value 300 makes 318 ids, two bytes per packed id: decoding with an
+    n-gram target on that corpus exits 0, and lossless equals target-only rollouts."""
+    corpus, tasks, out = (tmp_path / name for name in ("corpus.txt", "tasks.jsonl", "out.jsonl"))
+    assert main(["gen-corpus", "--max-value", "300", "--num-steps", "2", "--variants", "1",
+                 "--out", str(corpus)]) == 0
+    assert main(["gen-tasks", "--max-value", "300", "--count", "6", "--num-steps", "2",
+                 "--out", str(tasks)]) == 0
+    target = f"ngram:corpus={corpus},order=16,smoothing=0.2"
+    draft = tmp_path / "draft.json"
+    draft.write_text(json.dumps({"kind": "perturb", "base": target, "sigma": 0.6,
+                                 "bias": {"Then": 1.4}, "seed": 7}))
+    assert main(["decode", "--max-value", "300", "--target-model", target,
+                 "--draft-model", str(draft), "--tasks", str(tasks), "--out", str(out)]) == 0
+    vocab = build_vocab(300)
+    assert vocab.size == 318
+    model = resolve_model(target, vocab)
+    want = [vocab.decode(rollout(model, task.prompt.tokens, task.max_response_len))
+            for task in load_tasks(str(tasks), vocab)]
+    assert [json.loads(line)["response"] for line in out.read_text().splitlines()] == want
+
+
 def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
     """A trace covers one task; decoding three from it fails on the first
     other one, and the tasks decoded before it are not written either."""

@@ -41,7 +41,7 @@ def reference_counts(corpus, order):
 
 def interned_items(model):
     """Each context with its interned (token, count) items, in insertion order."""
-    return [(k, list(model.distributions[i])) for k, i in model.counts.items()]
+    return [(tuple(k), list(model.distributions[i])) for k, i in model.counts.items()]
 
 
 def reference_items(counts):
@@ -155,6 +155,83 @@ def test_training_peak_stays_near_the_retained_model(pipeline):
         tracemalloc.stop()
     assert len(model.counts) == 97023
     assert peak <= 1.5 * retained, (peak, retained)
+
+
+def test_trained_fixture_model_keeps_at_most_12_mb(pipeline):
+    """Packed context keys keep the conftest target small: tracemalloc reads what
+    the trained model keeps at about 11.0 MB (19.7 MB with a tuple per context)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = train_ngram(pipeline.vocab, pipeline.corpus, order=16, smoothing=0.2)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(model.counts) == 97023
+    assert retained <= 12e6, retained
+
+
+@pytest.mark.parametrize("size, width", [(4, 1), (256, 1), (257, 2), (318, 2)])
+def test_keys_pack_each_id_little_endian_in_the_fewest_bytes_that_fit(size, width):
+    vocab = Vocab(tuple(f"w{i}" for i in range(size)), eos_id=size - 1)
+    model = train_ngram(vocab, [[0, size - 1, 1]], order=3, smoothing=0.5)
+    first, last = (0).to_bytes(width, "little"), (size - 1).to_bytes(width, "little")
+    assert list(model.counts) == [first, first + last]
+
+
+def unpacked(key, width):
+    """The ids of a packed key, read back as `width`-byte little-endian numbers."""
+    return tuple(int.from_bytes(key[i:i + width], "little") for i in range(0, len(key), width))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.lists(st.sampled_from([0, 1, 255, 256, 317]), min_size=1, max_size=20),
+                min_size=1, max_size=5),
+       st.sampled_from([1, 3, 16]), st.data())
+def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, data):
+    """318 ids, as `build_vocab(300)`, pack two bytes each: the keys read back as the
+    reference contexts in order, and every row (seen, unseen as ids 2 and 316 never
+    occur, and past the window), pass and greedy run match the add-k reference bit
+    for bit."""
+    vocab = Vocab(tuple(f"w{i}" for i in range(317)) + ("</s>",), eos_id=317)
+    model = train_ngram(vocab, corpus, order=order, smoothing=0.3, seed=2)
+    counts = reference_counts(corpus, order)
+    expect = reference_items(counts)
+    assert [(unpacked(k, 2), list(model.distributions[i]))
+            for k, i in model.counts.items()] == expect
+    assert model.distributions == list(dict.fromkeys([()] + [tuple(c) for _, c in expect]))
+    seq = tuple(data.draw(st.sampled_from(corpus)))
+    tokens = (2,) * 16 + seq + (316,) + seq
+    for end in range(1, len(tokens) + 1):
+        logits, hidden = reference_row(model, counts, tokens[:end])
+        got_logits, got_hidden = model.next_logits_hidden(tokens[:end])
+        assert same_bits(model.next_logits(tokens[:end]), logits), tokens[:end]
+        assert same_bits(got_logits, logits) and same_bits(got_hidden, hidden), tokens[:end]
+    start = data.draw(st.integers(0, len(tokens) - 1))
+    want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
+                     for i in range(start, len(tokens))])
+    assert same_bits(model.forward_logits(tokens, start), want)
+    context, greedy = tokens[:start + 1], []
+    while len(greedy) < 8 and greedy[-1:] != [317]:
+        greedy.append(int(reference_row(model, counts, context + tuple(greedy))[0].argmax()))
+    assert model.sample(context, 8) == (greedy, None)
+
+
+@pytest.mark.parametrize("bad", [-1, 117, 256])
+@pytest.mark.parametrize("call", [
+    lambda model, tokens: model.sample(tokens, 4),
+    lambda model, tokens: model.sample(tokens, 4, 0.7, RandomState(1)),
+    lambda model, tokens: model.forward_logits(tokens),
+    lambda model, tokens: model.forward_parallel(tokens),
+], ids=["sample-greedy", "sample-sampled", "forward_logits", "forward_parallel"])
+@pytest.mark.parametrize("side", ["target", "draft"])
+def test_ids_outside_the_fixture_vocab_stay_data_errors(pipeline, side, call, bad):
+    """Ids that one byte cannot hold (-1, 256) or the vocab does not (117) are refused
+    before any key is packed."""
+    assert pipeline.vocab.size == 117
+    tokens = (pipeline.vocab.token_to_id["Start"], bad, 3)
+    with pytest.raises(DataError, match=rf"^token id {bad} out of range for vocab size 117$"):
+        call(getattr(pipeline, side), tokens)
 
 
 def test_ngram_rows_are_read_only_and_forward_logits_is_fresh():
