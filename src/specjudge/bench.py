@@ -1,9 +1,10 @@
 """Benchmark harness: accuracy versus tokens accepted per target pass.
 
-Each row decodes a task set under one policy and reports final-answer
-accuracy against the oracle plus the mean number of tokens emitted per
-target forward pass.  Rows over several judge thresholds or top-K values
-map the accuracy/speed frontier.
+`decode_task` turns one task into a `TaskOutcome`, a decode stopped by a
+DataError included.  Each row aggregates the outcomes of a task set under
+one policy: final-answer accuracy against the oracle and the mean number of
+tokens emitted per target forward pass.  Rows over several judge thresholds
+or top-K values map the accuracy/speed frontier.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .engine import (DecodeResult, EngineConfig, JudgePolicy, LosslessPolicy,
-                     TopKPolicy, accepted_per_cycle, spec_decode)
+from .engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy, spec_decode
 from .lm import DataError
 from .tasks import Task, answers_equivalent, extract_answer
 
@@ -37,6 +37,18 @@ class BenchRow:
     seed: int
     failures: int = 0  # tasks whose decode raised; counted as incorrect
     drafted: int = 0  # draft tokens proposed over the decoded tasks
+    outcomes: tuple = field(default=(), repr=False, compare=False)  # per task, in order
+
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    task_id: str
+    response: tuple[int, ...]
+    answer: int | None
+    correct: bool
+    cycles: int  # target passes
+    drafted: int  # draft tokens proposed
+    error: str | None = None  # text of the DataError that stopped it; no response then
 
 
 def policy_label(policy) -> tuple[str, str]:
@@ -50,24 +62,30 @@ def policy_label(policy) -> tuple[str, str]:
 
 
 def decode_task(task: Task, draft, target, policy,
-                config: EngineConfig) -> tuple[DecodeResult, int | None, bool]:
+                config: EngineConfig) -> TaskOutcome:
     """Decode one task and grade its final answer against the oracle.
 
     The response budget is the smaller of `config.max_tokens` and the
-    task's own limit.  Returns the decode result, the extracted answer and
-    whether it matches the oracle; a bad task raises DataError.
+    task's own limit.  A DataError (a bad prompt, a malformed window)
+    becomes an outcome with an empty response and the error's text; any
+    other exception propagates.
     """
-    config = replace(config, max_tokens=min(config.max_tokens, task.max_response_len))
-    result = spec_decode(task.prompt.tokens, draft, target, policy, config)
-    answer = extract_answer(result.response, target.vocab)
-    return result, answer, answers_equivalent(answer, task.oracle_answer)
+    try:
+        config = replace(config, max_tokens=min(config.max_tokens, task.max_response_len))
+        result = spec_decode(task.prompt.tokens, draft, target, policy, config)
+        answer = extract_answer(result.response, target.vocab)
+    except DataError as e:
+        return TaskOutcome(task.task_id, (), None, False, 0, 0, str(e))
+    return TaskOutcome(task.task_id, result.response, answer,
+                       answers_equivalent(answer, task.oracle_answer),
+                       len(result.cycles), sum(c.drafted for c in result.cycles))
 
 
 def run_policy(tasks, draft, target, policy, config: EngineConfig,
                seed: int = 0) -> BenchRow:
     """Decode every task under one policy and aggregate a report row.
 
-    A task whose decode raises DataError is reported on stderr, counted as
+    A failed task (see `decode_task`) is reported on stderr, counted as
     incorrect, and tallied in the row's failure count; the run continues.
     Any other exception ends the run: a bug, or a too small temperature.
     """
@@ -75,25 +93,20 @@ def run_policy(tasks, draft, target, policy, config: EngineConfig,
     if not tasks:
         raise DataError("no tasks to benchmark")
     name, param = policy_label(policy)
-    cycles = []
-    correct = 0
-    tokens = 0
-    failures = 0
+    outcomes = []
     for task in tasks:
-        try:
-            result, _, ok = decode_task(task, draft, target, policy, config)
-        except DataError as e:
-            failures += 1
-            print(f"decode failed, task {task.task_id}: {e}", file=sys.stderr)
-            continue
-        correct += int(ok)
-        cycles.extend(result.cycles)
-        tokens += len(result.response)
-    apc = accepted_per_cycle(cycles) if cycles else 0.0
-    return BenchRow(policy=name, param=param, accuracy=correct / len(tasks),
-                    accepted_per_cycle=apc, cycles=len(cycles), tokens=tokens,
-                    seed=seed, failures=failures,
-                    drafted=sum(c.drafted for c in cycles))
+        outcome = decode_task(task, draft, target, policy, config)
+        if outcome.error is not None:
+            print(f"decode failed, task {task.task_id}: {outcome.error}", file=sys.stderr)
+        outcomes.append(outcome)
+    tokens = sum(len(o.response) for o in outcomes)
+    cycles = sum(o.cycles for o in outcomes)
+    return BenchRow(policy=name, param=param,
+                    accuracy=sum(o.correct for o in outcomes) / len(tasks),
+                    accepted_per_cycle=tokens / cycles if cycles else 0.0,
+                    cycles=cycles, tokens=tokens, seed=seed,
+                    failures=sum(o.error is not None for o in outcomes),
+                    drafted=sum(o.drafted for o in outcomes), outcomes=tuple(outcomes))
 
 
 def _row_order(row: BenchRow):

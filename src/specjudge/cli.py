@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
-                     accepted_per_cycle)
+from .engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
 from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
                     grid_search_C, build_examples, load_judge, save_judge)
 from .lm import DataError, TokenSequence, reading, write_json, write_json_lines
@@ -284,15 +283,16 @@ def cmd_decode(args) -> str:
     config = _engine_config(args)
     rows = []  # written only once every task has decoded
     for task in tasks:
-        result, answer, correct = bench_mod.decode_task(
-            task, draft, target, policies[0], config)
+        outcome = bench_mod.decode_task(task, draft, target, policies[0], config)
+        if outcome.error is not None:  # the first failed task ends the command
+            raise DataError(outcome.error)
         rows.append({
-            "task_id": task.task_id,
-            "response": vocab.decode(result.response),
-            "answer": answer,
-            "correct": correct,
-            "cycles": len(result.cycles),
-            "accepted_per_cycle": accepted_per_cycle(result.cycles),
+            "task_id": outcome.task_id,
+            "response": vocab.decode(outcome.response),
+            "answer": outcome.answer,
+            "correct": outcome.correct,
+            "cycles": outcome.cycles,
+            "accepted_per_cycle": len(outcome.response) / outcome.cycles,
         })
     write_json_lines(args.out, rows)
     return f"decoded {len(tasks)} tasks to {args.out}\n"

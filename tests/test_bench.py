@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from specjudge.bench import (REPORT_COLUMNS, BenchRow, decode_task, emit_report,
-                             policy_label, run_benchmark, run_policy)
+from specjudge.bench import (REPORT_COLUMNS, BenchRow, emit_report, policy_label,
+                             run_benchmark, run_policy)
 from specjudge.engine import (EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy,
-                              spec_decode)
+                              accepted_per_cycle, spec_decode)
 from specjudge.lm import DataError, LanguageModel, TokenSequence
 from specjudge.sampling import rollout
 from specjudge.tasks import Task, answers_equivalent, extract_answer
@@ -160,15 +160,51 @@ def test_jsonl_report_carries_every_column():
     assert first["drafted"] == rows[0].drafted
 
 
+def direct_decode(task, pipeline, policy, config):
+    """`spec_decode` of one task at the per-task budget `run_policy` decodes it with."""
+    config = replace(config, max_tokens=min(config.max_tokens, task.max_response_len))
+    return spec_decode(task.prompt.tokens, pipeline.draft, pipeline.target, policy, config)
+
+
 def test_drafted_sums_the_cycle_stats(pipeline, eval_tasks, bench_config):
     tasks = eval_tasks[:6]
     for policy in (LosslessPolicy(), TopKPolicy(k=2)):
         row = run_policy(tasks, pipeline.draft, pipeline.target, policy,
                          bench_config)
         cycles = [c for task in tasks
-                  for c in decode_task(task, pipeline.draft, pipeline.target,
-                                       policy, bench_config)[0].cycles]
+                  for c in direct_decode(task, pipeline, policy, bench_config).cycles]
+        assert row.cycles == len(cycles)
         assert row.drafted == sum(c.drafted for c in cycles) > row.cycles
+
+
+@pytest.mark.parametrize("make_policy", [
+    lambda judge: LosslessPolicy(), lambda judge: TopKPolicy(k=2), JudgePolicy],
+    ids=["lossless", "topk2", "judge"])
+def test_outcomes_are_the_direct_decodes_in_task_order(pipeline, judged, eval_tasks,
+                                                       bench_config, make_policy, capsys):
+    policy = make_policy(judged.judge)
+    bad = Task(task_id="broken", prompt=TokenSequence((), 0),
+               oracle_answer=None, max_response_len=8, seed=0)
+    tasks = list(eval_tasks) + [bad]
+    row = run_policy(tasks, pipeline.draft, pipeline.target, policy, bench_config)
+    assert [o.task_id for o in row.outcomes] == [t.task_id for t in tasks]
+    cycles = []
+    for task, outcome in zip(eval_tasks, row.outcomes):
+        result = direct_decode(task, pipeline, policy, bench_config)
+        answer = extract_answer(result.response, pipeline.vocab)
+        assert (outcome.response, outcome.answer, outcome.cycles, outcome.drafted,
+                outcome.error) == (result.response, answer, len(result.cycles),
+                                   sum(c.drafted for c in result.cycles), None)
+        assert outcome.correct == answers_equivalent(answer, task.oracle_answer)
+        cycles += result.cycles
+    assert row.accepted_per_cycle == accepted_per_cycle(cycles)
+    with pytest.raises(DataError) as raised:
+        direct_decode(bad, pipeline, policy, bench_config)
+    broken = row.outcomes[-1]
+    assert broken.response == () and broken.correct is False
+    assert broken.error == str(raised.value)
+    assert row.failures == 1
+    assert f"decode failed, task broken: {raised.value}" in capsys.readouterr().err
 
 
 def test_failures_reach_jsonl_and_leave_the_csv_unchanged():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge import cli, remote
+from specjudge import bench, cli, remote
 from specjudge.cli import main, resolve_model
 from specjudge.judge import FeatureConfig, JudgeModel, load_judge, save_judge
 from specjudge.lm import DataError
@@ -225,9 +225,9 @@ def test_decode_on_a_vocabulary_past_one_byte_per_id(tmp_path):
     assert [json.loads(line)["response"] for line in out.read_text().splitlines()] == want
 
 
-def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
-    """A trace covers one task; decoding three from it fails on the first
-    other one, and the tasks decoded before it are not written either."""
+def one_trace_three_tasks(workdir, tmp_path):
+    """Model args over tasks 1..3 whose target replays a trace of task 1 and
+    whose draft is the traced target, so task 1 decodes and the others fail."""
     trace = tmp_path / "task1.trace"
     assert main(["record-trace", *model_args(workdir), "--task-index", "1",
                  "--out", str(trace)]) == 0
@@ -235,8 +235,16 @@ def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
     three.write_text("".join((workdir / "tasks.jsonl").read_text()
                              .splitlines(keepends=True)[1:4]))
     args = model_args(workdir)
+    args[args.index("--draft-model") + 1] = str(workdir / "target.json")
     args[args.index("--target-model") + 1] = f"trace:path={trace}"
     args[args.index("--tasks") + 1] = str(three)
+    return args
+
+
+def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
+    """A trace covers one task; decoding three from it fails on the first
+    other one, and the tasks decoded before it are not written either."""
+    args = one_trace_three_tasks(workdir, tmp_path)
     out = tmp_path / "never.jsonl"
     capsys.readouterr()
     assert main(["decode", *args, "--out", str(out)]) == 2
@@ -244,6 +252,47 @@ def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
     assert err.startswith("data error: context") and "recorded" in err
     assert not out.exists()
     assert not (tmp_path / "never.jsonl.manifest.json").exists()
+
+
+def test_decode_and_bench_share_one_failure_rule(workdir, tmp_path, capsys, monkeypatch):
+    """bench counts each failed task and goes on; decode stops at the first,
+    with the same message, and decodes nothing after it."""
+    args = one_trace_three_tasks(workdir, tmp_path)
+    calls = []
+    real = bench.spec_decode
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(bench, "spec_decode", counting)
+    capsys.readouterr()
+    report = tmp_path / "report.jsonl"
+    assert main(["bench", *args, "--format", "jsonl", "--out", str(report)]) == 0
+    failed = capsys.readouterr().err.splitlines()
+    assert len(calls) == 3
+    (row,) = [json.loads(line) for line in report.read_text().splitlines()]
+    assert row["failures"] == len(failed) == 2
+    first_id = json.loads((tmp_path / "three.jsonl").read_text().splitlines()[1])["task_id"]
+    prefix = f"decode failed, task {first_id}: "
+    assert failed[0].startswith(prefix)
+    calls.clear()
+    assert main(["decode", *args, "--out", str(tmp_path / "never.jsonl")]) == 2
+    assert capsys.readouterr().err.splitlines() \
+        == ["data error: " + failed[0][len(prefix):]]
+    assert len(calls) == 2
+
+
+def test_decode_rows_agree_with_the_bench_row(workdir, tmp_path):
+    policy = ["--policy", "topk", "--topk", "2", "--window", "8"]
+    decoded, report = tmp_path / "decoded.jsonl", tmp_path / "report.jsonl"
+    assert main(["decode", *model_args(workdir), *policy, "--out", str(decoded)]) == 0
+    assert main(["bench", *model_args(workdir), *policy, "--format", "jsonl",
+                 "--out", str(report)]) == 0
+    rows = [json.loads(line) for line in decoded.read_text().splitlines()]
+    (row,) = [json.loads(line) for line in report.read_text().splitlines()]
+    assert sum(r["correct"] for r in rows) / len(rows) == row["accuracy"]
+    assert sum(r["cycles"] for r in rows) == row["cycles"]
 
 
 def test_decode_rejects_multiple_policies(workdir):
