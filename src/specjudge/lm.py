@@ -6,8 +6,8 @@ the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
 paths: `next_logits` per step, `sample` for the runs of choices of drafting
 and rollouts, and `forward_logits` for the many rows of verification and
-mining, which backends may vectorize.  Tests hold each bit-equal to the
-primitive.
+mining, which backends may vectorize in the hooks `_sample`, `_guess` and
+`_logit_rows`.  Tests hold each bit-equal to the primitive.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    batched runs of choices `_sample`, and with a vectorized pass `_logit_rows`.
+    batched runs of choices `_sample` and `_guess`, and with a vectorized pass
+    `_logit_rows`.  The steps and hooks check no ids: they take contexts that
+    `sample`, `forward_parallel` or `forward_logits` checked.
     """
 
     name: str = "model"
@@ -207,6 +209,21 @@ class LanguageModel:
             context += (t,)
             out.append(t)
         return out, None if key is None else np.array(noise).reshape(len(out), self.vocab.size)
+
+    def _guess(self, context: tuple[int, ...], n: int, bias: np.ndarray):
+        """(rows, choices): up to `n` choices argmax(row + bias) after `context` to EOS,
+        and their (len, V) unbiased `next_logits` rows, row i at context + choices[:i].
+        A DataError (a replay refusing a prefix) raises on the first row, else ends the run."""
+        rows, out = [], []
+        while len(out) < n and out[-1:] != [self.vocab.eos_id]:
+            try:
+                rows.append(self.next_logits((*context, *out)))
+            except DataError:
+                if not rows:
+                    raise
+                break
+            out.append(int((rows[-1] + bias).argmax()))
+        return np.array(rows).reshape(len(out), self.vocab.size), out
 
     def _check_tokens(self, tokens):
         if len(tokens) == 0:

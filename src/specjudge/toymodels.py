@@ -34,9 +34,9 @@ class NGramModel(LanguageModel):
     bytes (one byte each up to 256 ids, else the fewest that fit), to its index in
     `distributions`, the distinct (token, count) item tuples in first-seen order;
     index 0 is the empty one of every unseen context.  Each has one read-only
-    logits row, with its entropy, top-1 and argmax, computed once when the counts
-    are set.  Packed keys are a third the size of tuples: on the order-16 fixture
-    the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
+    logits row, with its entropy and top-1, and an argmax table per guessed bias
+    (`_top` at zero).  Packed keys are a third the size of tuples: on the order-16
+    fixture the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
     """
 
     def __init__(self, vocab: Vocab, order: int, smoothing: float, seed: int = 0,
@@ -80,6 +80,7 @@ class NGramModel(LanguageModel):
             self._summary[i] = -(probs * logits).sum(), logits.max()
         self._logits.flags.writeable = False
         self._top = self._logits.argmax(axis=1).tolist()  # lowest id on ties, as argmax_token
+        self._tops = {np.zeros(size).tobytes(): self._top}  # per bias: new rows drop them
 
     def next_logits(self, context):
         w = self.order - 1
@@ -92,19 +93,30 @@ class NGramModel(LanguageModel):
         i = self.counts.get(self._pack(ids), 0)
         return self._logits[i], np.concatenate([emb, self._summary[i]])
 
-    def _sample(self, context, n, temperature, key):
-        """Greedy choices read each row's argmax from `_top`, keyed by one packed
-        window extended per choice; sampled ones take the default."""
-        if key is not None:
-            return super()._sample(context, n, temperature, key)
-        w, get, top, eos = self.order - 1, self.counts.get, self._top, self.vocab.eos_id
+    def _walk(self, context, n: int, top: list[int]):
+        """(row ids, choices): up to `n` choices top[row id] after `context`, to EOS."""
+        w, get, eos = self.order - 1, self.counts.get, self.vocab.eos_id
         pack, span = self._pack, w * self._width
         window = pack(context[-w:] if w > 0 else ())
-        out, t = [], None
+        states, out, t = [], [], None
         while len(out) < n and t != eos:
-            out.append(t := top[get(window[-span:] if span else b"", 0)])
+            states.append(s := get(window[-span:] if span else b"", 0))
+            out.append(t := top[s])
             window += pack((t,))
-        return out, None
+        return states, out
+
+    def _sample(self, context, n, temperature, key):
+        """Greedy choices walk `_top`; sampled ones take the default."""
+        if key is not None:
+            return super()._sample(context, n, temperature, key)
+        return self._walk(context, n, self._top)[1], None
+
+    def _guess(self, context, n, bias):
+        """The walk of each row's argmax(row + bias), built once per bias, and one gather."""
+        if (top := self._tops.get(key := bias.tobytes())) is None:
+            top = self._tops[key] = (self._logits + bias).argmax(axis=1).tolist()
+        states, out = self._walk(context, n, top)
+        return self._logits[states], out
 
     def _logit_rows(self, tokens, start):
         get, width, packed = self.counts.get, self._width, self._pack(tokens)
@@ -182,8 +194,8 @@ class PerturbedModel(LanguageModel):
     offset applied at the token this model would pick, which tells a
     downstream classifier how hard the perturbation pushed its choice.
 
-    `_sample`, and a `_logit_rows` pass at σ > 0, keep the rows they drew as the
-    last window, and `next_logits_hidden` serves its prefixes from them.
+    `_sample` (whose runs the base's `_guess` drafts) and a `_logit_rows` pass at
+    σ > 0 keep their rows as the last window, which `next_logits_hidden` reads.
     """
 
     def __init__(self, base: LanguageModel, spec: PerturbSpec, name: str = "draft"):
@@ -238,19 +250,10 @@ class PerturbedModel(LanguageModel):
         out, noise, kept, eos, spare = [], [], [], self.vocab.eos_id, n  # rows it may yet waste
         run = n if key is None else 4
         while len(out) < n and out[-1:] != [eos]:
-            prefix, rows, guess = (*context, *out), [], []
             limit = min(run, spare + 1, n - len(out))
-            while len(guess) < limit and guess[-1:] != [eos]:
-                try:
-                    rows.append(self.base.next_logits(prefix))
-                except DataError:  # a replay rejects a guessed prefix; a run that reaches it raises
-                    if not rows:
-                        raise
-                    break
-                guess.append(int((rows[-1] + self._bias).argmax()))
-                prefix += (guess[-1],)
+            rows, guess = self.base._guess((*context, *out), limit, self._bias)
             pkeys = _running_keys(pkey, guess[:-1])
-            scores = np.array(rows) + (delta := self._noise(pkeys))
+            scores = rows + (delta := self._noise(pkeys))
             if key is None:
                 choices = scores.argmax(axis=1).tolist()
             else:  # gumbel_noise is looked up at call time, where tracing wraps it

@@ -238,6 +238,30 @@ def _counting_noise(monkeypatch, draft):
     return counts
 
 
+@pytest.mark.parametrize("config", [EngineConfig(window=8),
+                                    EngineConfig(temperature=0.2, state=RandomState(1))])
+def test_the_draft_guesses_each_run_in_one_base_call(pipeline, eval_tasks, monkeypatch, config):
+    """Greedy W=8 and sampled W=64 decodes of the conftest pair: the draft's base takes
+    one `_guess` per `_noise` call and no n-gram step, which the benchmark's draft
+    time would otherwise pay once per guessed token."""
+    draft = PerturbedModel(pipeline.target, pipeline.draft.spec)  # patched, unlike the shared one
+    counts, guessed, steps = _counting_noise(monkeypatch, draft), [], []
+    guess, step = toymodels.NGramModel._guess, toymodels.NGramModel.next_logits
+
+    def counting_guess(*args):  # the length of each guessed run
+        rows, choices = guess(*args)
+        guessed.append(len(choices))
+        return rows, choices
+
+    monkeypatch.setattr(toymodels.NGramModel, "_guess", counting_guess)
+    monkeypatch.setattr(toymodels.NGramModel, "next_logits",
+                        lambda self, ctx: steps.append(ctx) or step(self, ctx))
+    for task in eval_tasks[:4]:
+        spec_decode(task.prompt.tokens, draft, pipeline.target, LosslessPolicy(), config)
+    assert steps == [] and len(guessed) > 4
+    assert guessed == counts["perturb"]  # each run's noise rows sit at its guessed prefixes
+
+
 def test_sampled_runs_double_while_guesses_hold(chain_vocab, monkeypatch):
     """A sampled run guesses 4 rows at first, then up to twice as many rows as
     the last run kept; here every guess holds, so the runs double until the

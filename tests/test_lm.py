@@ -206,6 +206,65 @@ def test_a_rejected_one_row_run_fails_as_stepping_does():
     assert outcomes == {False, True}
 
 
+def _stepwise_guess(model, context, n, bias):
+    """Up to n choices argmax(row + bias), one `next_logits` row each, stopping after
+    EOS or before a refused row past the first, and the bytes of their unbiased rows."""
+    out, rows = [], []
+    while len(out) < n and out[-1:] != [model.vocab.eos_id]:
+        try:
+            rows.append(model.next_logits(context + tuple(out)))
+        except DataError:
+            if not rows:
+                raise
+            break
+        out.append(argmax_token(rows[-1] + bias))
+    return out, np.array(rows).tobytes()
+
+
+def _guessed(model, context, n, bias):
+    rows, out = model._guess(context, n, bias)
+    assert rows.shape == (len(out), model.vocab.size)
+    return out, rows.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**contract_args, drawn=st.lists(st.sampled_from([0.0, 0.7, -0.3, 40.0]),
+                                       min_size=8, max_size=8))
+def test_guess_matches_stepwise_biased_argmax(tokens, order, prompt_len, drawn):
+    """`_guess` from every prefix, for every budget, at zero bias and at a drawn one,
+    equals a stepwise argmax(row + bias) loop over `next_logits`: the same choices and
+    the same row bytes.  Equal offsets keep the exact ties of the n-gram's unseen
+    tokens, and an offset of 40 ties a scripted row's -40 with its 0.  A replay's
+    refused first row fails as stepping does."""
+    models = _contract_models(tokens, order, prompt_len)
+    for bias in (np.zeros(8), np.array(drawn)):
+        for model, first in models:
+            for k in range(first + 1, len(tokens) + 1):
+                for n in range(len(tokens) + 3):
+                    expect = _outcome(_stepwise_guess, model, tokens[:k], n, bias)
+                    assert _outcome(_guessed, model, tokens[:k], n, bias) == expect, \
+                        (model.name, k, n)
+
+
+def test_a_refused_row_ends_a_guessed_run_past_its_first():
+    """The default `_guess` raises the DataError of a refused first row and ends a run
+    before a refused later row; an offset of 40 on token 5 ties it with each scripted
+    choice (the lower id wins), and one of 41 steers every run into the refusal."""
+    v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
+    model = _Refusing(v, {(0,): 1, (0, 1): 5, (0, 1, 5): 2, (0, 3): 6}, default_token=0)
+    for offset in (0.0, 40.0, 41.0):
+        bias = np.zeros(8)
+        bias[5] = offset
+        for context in ((0,), (0, 1), (0, 3), (0, 1, 5)):
+            for n in range(6):
+                expect = _outcome(_stepwise_guess, model, context, n, bias)
+                assert _outcome(_guessed, model, context, n, bias) == expect, (offset, context, n)
+    assert model._guess((0,), 5, np.zeros(8))[1] == [1, 5]
+    assert model._guess((0,), 5, bias)[1] == [5]
+    with pytest.raises(DataError, match="refused context"):
+        model._guess((0, 1, 5), 1, np.zeros(8))
+
+
 def test_forward_rows_ignore_later_tokens():
     model = tiny_model()
     a = model.forward_parallel((0, 1, 2, 1))
@@ -215,12 +274,20 @@ def test_forward_rows_ignore_later_tokens():
 
 
 def test_token_range_checked():
+    """Every checked entry of the n-gram and of a noisy draft over it refuses an id
+    outside the vocab and an empty context, and a forward a start outside the tokens:
+    the per-step methods and hooks behind them check no ids."""
     model = tiny_model()
-    for forward in (model.forward_parallel, model.forward_logits):
-        with pytest.raises(DataError):
-            forward((0, 9))
-        for start in (-1, 2):
-            with pytest.raises(DataError):
-                forward((0, 1), start)
-        with pytest.raises(DataError):
-            forward(())
+    draft = PerturbedModel(model, PerturbSpec(noise_scale=0.5, bias_tokens={1: 0.4}, seed=2))
+    for m in (model, draft):
+        for forward in (m.forward_parallel, m.forward_logits):
+            for bad in ((0, 9), (0, -1), ()):
+                with pytest.raises(DataError):
+                    forward(bad)
+            for start in (-1, 2):
+                with pytest.raises(DataError):
+                    forward((0, 1), start)
+        for temperature, state in ((0.0, None), (0.5, RandomState(1))):
+            for bad in ((0, 9), (-1, 0), ()):
+                with pytest.raises(DataError):
+                    m.sample(bad, 3, temperature, state)

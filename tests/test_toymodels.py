@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.lm import DataError, Vocab
+from specjudge.lm import DataError, LanguageModel, Vocab
 from specjudge.sampling import RandomState, gumbel_key, positionwise_choices, rollout
 from specjudge.toymodels import (EMBED_DIM, NGramModel, PerturbSpec,
                                  ScriptedModel, make_draft, train_ngram)
@@ -191,8 +191,8 @@ def unpacked(key, width):
 def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, data):
     """318 ids, as `build_vocab(300)`, pack two bytes each: the keys read back as the
     reference contexts in order, and every row (seen, unseen as ids 2 and 316 never
-    occur, and past the window), pass and greedy run match the add-k reference bit
-    for bit."""
+    occur, and past the window), pass, greedy run and guessed run with a bias match
+    the add-k reference bit for bit."""
     vocab = Vocab(tuple(f"w{i}" for i in range(317)) + ("</s>",), eos_id=317)
     model = train_ngram(vocab, corpus, order=order, smoothing=0.3, seed=2)
     counts = reference_counts(corpus, order)
@@ -215,6 +215,27 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
     while len(greedy) < 8 and greedy[-1:] != [317]:
         greedy.append(int(reference_row(model, counts, context + tuple(greedy))[0].argmax()))
     assert model.sample(context, 8) == (greedy, None)
+    bias = np.zeros(318)
+    bias[[2, 256, 316]] = data.draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]),
+                                             min_size=3, max_size=3))
+    guess, rows = [], []
+    while len(guess) < 8 and guess[-1:] != [317]:
+        rows.append(reference_row(model, counts, context + tuple(guess))[0])
+        guess.append(int((rows[-1] + bias).argmax()))
+    got_rows, got = model._guess(context, 8, bias)
+    assert got == guess and same_bits(got_rows, np.array(rows))
+
+
+def test_new_counts_drop_the_guessed_argmax_tables():
+    """A bias's argmax table is derived from the rows, so new counts drop it: after
+    `_set_counts` the cached bias guesses along the new rows, as the default loop does."""
+    model = train_ngram(small_vocab(), [[0, 1, 1, 3], [0, 1, 2, 3]], order=2, smoothing=0.5)
+    bias = np.array([0.0, 0.0, 0.2, 0.0])
+    assert model._guess((0,), 4, bias)[1] == [1, 2, 3]
+    model._set_counts({b"\0": 1, b"\2": 2, b"\1": 3}, [(), (2, 4), (1, 4), (3, 4)])
+    rows, got = model._guess((0,), 4, bias)
+    want_rows, want = LanguageModel._guess(model, (0,), 4, bias)
+    assert got == want == [2, 1, 3] and same_bits(rows, want_rows)
 
 
 @pytest.mark.parametrize("bad", [-1, 117, 256])
