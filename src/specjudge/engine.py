@@ -135,15 +135,16 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     """Verify a drafted window in one target pass, left to right.
 
     Returns the tokens the cycle emits and its stats.  The pass has W+1
-    logits rows, indexed from the window start: row i holds the target's
-    logits for `context + tokens[:i]`.  Rows 0..W-1 are chosen in
-    one vectorized step, sampled ones with the Gumbel rows the draft drew at
-    the same prefixes.  The first upheld rejection truncates the window and
-    emits the target's own choice.  A fully accepted window also emits the
-    target's bonus choice from row W, unless it ends the sequence or leaves
-    no room in the `budget` of tokens the response may still take.  Only
-    the judge reads hidden rows: `hidden_rows` of the models its features
-    read, per position it scores.
+    rows, indexed from the window start: row i is the target's choice at
+    `context + tokens[:i]`.  Greedy, it is one `greedy_choices` pass, and
+    top-K ranks a mismatch in one 1-row `forward_logits`; sampled, rows 0..W-1
+    are chosen in one vectorized step over one `forward_logits` pass, with
+    the Gumbel rows the draft drew at the same prefixes.  The first upheld
+    rejection truncates the window and emits the target's own choice.  A fully
+    accepted window also emits the target's bonus choice from row W, unless it
+    ends the sequence or leaves no room in the `budget` of tokens the response
+    may still take.  Only the judge reads hidden rows: `hidden_rows` of the
+    models its features read, per position it scores.
     """
     context = tuple(context)
     if not context:
@@ -152,22 +153,23 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
         raise DataError("empty draft window")
     full = context + tuple(window.tokens)
     n, c = len(window.tokens), len(context)
-    logits = target.forward_logits(full, start=c - 1)
     temp = config.temperature
     if temp == 0:
-        choices = logits[:n].argmax(axis=1)
+        choices = target.greedy_choices(full, start=c - 1)
     else:
+        logits = target.forward_logits(full, start=c - 1)
         if window.noise is None or len(window.noise) != n:
             raise DataError("a sampled window needs one noise row per drafted token")
-        choices = gumbel_max(logits[:n], window.noise, temp)
+        choices = gumbel_max(logits[:n], window.noise, temp).tolist()
 
     overrides = 0
-    for j, (drafted, choice) in enumerate(zip(window.tokens, choices.tolist())):
+    for j, (drafted, choice) in enumerate(zip(window.tokens, choices)):
         if drafted == choice:
             continue
         keep = False
         if isinstance(policy, TopKPolicy):
-            keep = _in_top_k(logits[j], drafted, policy.k)
+            row = logits[j] if temp else target.forward_logits(full[:c + j], c + j - 1)[0]
+            keep = _in_top_k(row, drafted, policy.k)
         elif isinstance(policy, JudgePolicy) and j < n - 1:
             feats = decode_features(policy.judge.feature_config, draft, target,
                                     full[:c + j], drafted)
@@ -181,7 +183,8 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     emitted = list(window.tokens)
     bonus = window.tokens[-1] != target.vocab.eos_id and n < budget
     if bonus:
-        emitted.append(seeded_choice(logits[-1], full, config.state, temp))
+        emitted.append(seeded_choice(logits[-1], full, config.state, temp) if temp
+                       else choices[n])
     return emitted, CycleStats(drafted=n, accepted_draft=n, judge_overrides=overrides,
                                correction_emitted=False, bonus_emitted=bonus)
 

@@ -5,9 +5,10 @@ path is the abstract per-step primitive `next_logits_hidden`, which yields
 the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
 paths: `next_logits` per step, `sample` for the runs of choices of drafting
-and rollouts, and `forward_logits` for the many rows of verification and
-mining, which backends may vectorize in the hooks `_sample`, `_guess` and
-`_logit_rows`.  Tests hold each bit-equal to the primitive.
+and rollouts, `forward_logits` for the many rows of sampled verification and
+mining, and `greedy_choices` for their argmaxes at temperature 0, which
+backends may vectorize in the hooks `_sample`, `_guess`, `_logit_rows` and
+`_greedy_choices`.  Tests hold each bit-equal to the primitive.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ class LanguageModel:
     token prefix, return the logits over the next token and the hidden
     state encoding the prefix.  Both must be finite and deterministic.
     Backends with a cheaper logits-only step override `next_logits`, with
-    batched runs of choices `_sample` and `_guess`, and with a vectorized pass
-    `_logit_rows`.  The steps and hooks check no ids: they take contexts that
-    `sample`, `forward_parallel` or `forward_logits` checked.
+    batched runs of choices `_sample` and `_guess`, and with vectorized passes
+    `_logit_rows` and `_greedy_choices`.  The steps and hooks check no ids: they
+    take contexts that `sample`, `forward_parallel`, `forward_logits` or
+    `greedy_choices` checked.
     """
 
     name: str = "model"
@@ -262,6 +264,14 @@ class LanguageModel:
     def _logit_rows(self, tokens: tuple[int, ...], start: int) -> np.ndarray:
         """Logits rows start..len-1 of validated `tokens`, one `next_logits` per row."""
         return np.array([self.next_logits(tokens[:i + 1]) for i in range(start, len(tokens))])
+
+    def greedy_choices(self, tokens, start: int = 0) -> list[int]:
+        """The argmax of each row of `forward_logits(tokens, start)`, lowest id on ties."""
+        return self._greedy_choices(self._checked_rows(tokens, start), start)
+
+    def _greedy_choices(self, tokens: tuple[int, ...], start: int) -> list[int]:
+        """`greedy_choices` of validated `tokens`: each `_logit_rows` row's argmax."""
+        return self._logit_rows(tokens, start).argmax(axis=1).tolist()
 
 
 # Bound here, at the end, not at the top: sampling imports names from this module.

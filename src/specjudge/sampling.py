@@ -216,8 +216,9 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     """The model's choice at positions start..len-1 of `tokens`.
 
     Entry j is what the model would emit after tokens[0..start+j-1], from
-    one forward over those rows of tokens[:-1] and, when sampled, one noise
-    draw keyed by one running hash.  Position 0 has no context: its choice is -1.
+    one `greedy_choices` pass over those rows of tokens[:-1] or, sampled, one
+    forward and one noise draw keyed by one running hash.  Position 0 has no
+    context: its choice is -1.
     """
     check_sampling(temperature, state)
     tokens = tuple(tokens)
@@ -225,10 +226,9 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     if first >= len(tokens):
         model._check_tokens(tokens)
         return [-1] * (first - start)
-    logits = model.forward_logits(tokens[:-1], start=first - 1)
     if temperature == 0:
-        choices = logits.argmax(axis=1)
-    else:
-        keys = _running_keys(gumbel_key(state, tokens[:first]), tokens[first:-1])
-        choices = gumbel_max(logits, gumbel_noise(keys, model.vocab.size), temperature)
+        return [-1] * (first - start) + model.greedy_choices(tokens[:-1], start=first - 1)
+    logits = model.forward_logits(tokens[:-1], start=first - 1)
+    keys = _running_keys(gumbel_key(state, tokens[:first]), tokens[first:-1])
+    choices = gumbel_max(logits, gumbel_noise(keys, model.vocab.size), temperature)
     return [-1] * (first - start) + choices.tolist()

@@ -35,8 +35,10 @@ class NGramModel(LanguageModel):
     `distributions`, the distinct (token, count) item tuples in first-seen order;
     index 0 is the empty one of every unseen context.  Each has one read-only
     logits row, with its entropy and top-1, and an argmax table per guessed bias
-    (`_top` at zero).  Packed keys are a third the size of tuples: on the order-16
-    fixture the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
+    (`_top` at zero, read by state in greedy passes), found by identity for the
+    last read-only bias guessed, else by its bytes; walks append each choice's
+    packed bytes from a per-id list.  Packed keys are a third the size of tuples:
+    on the order-16 fixture the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
     """
 
     def __init__(self, vocab: Vocab, order: int, smoothing: float, seed: int = 0,
@@ -57,6 +59,7 @@ class NGramModel(LanguageModel):
         self._width = width = _ids_and_width(vocab.size)[1]  # bytes per packed id
         self._pack = bytes if width == 1 else (
             lambda ids: b"".join(t.to_bytes(width, "little") for t in ids))
+        self._packed = [self._pack((t,)) for t in range(vocab.size)]
         self._set_counts({}, [()])
 
     def _set_counts(self, counts: dict[bytes, int], states: list[tuple]) -> None:
@@ -81,6 +84,7 @@ class NGramModel(LanguageModel):
         self._logits.flags.writeable = False
         self._top = self._logits.argmax(axis=1).tolist()  # lowest id on ties, as argmax_token
         self._tops = {np.zeros(size).tobytes(): self._top}  # per bias: new rows drop them
+        self._last = (None, None)  # the last bias guessed and its table, reused while read-only
 
     def next_logits(self, context):
         w = self.order - 1
@@ -96,13 +100,13 @@ class NGramModel(LanguageModel):
     def _walk(self, context, n: int, top: list[int]):
         """(row ids, choices): up to `n` choices top[row id] after `context`, to EOS."""
         w, get, eos = self.order - 1, self.counts.get, self.vocab.eos_id
-        pack, span = self._pack, w * self._width
-        window = pack(context[-w:] if w > 0 else ())
+        packed, span = self._packed, w * self._width
+        window = self._pack(context[-w:] if w > 0 else ())
         states, out, t = [], [], None
         while len(out) < n and t != eos:
             states.append(s := get(window[-span:] if span else b"", 0))
             out.append(t := top[s])
-            window += pack((t,))
+            window += packed[t]
         return states, out
 
     def _sample(self, context, n, temperature, key):
@@ -113,16 +117,25 @@ class NGramModel(LanguageModel):
 
     def _guess(self, context, n, bias):
         """The walk of each row's argmax(row + bias), built once per bias, and one gather."""
-        if (top := self._tops.get(key := bias.tobytes())) is None:
-            top = self._tops[key] = (self._logits + bias).argmax(axis=1).tolist()
+        last, top = self._last  # a read-only bias that owns its data keeps its values
+        if bias is not last or bias.flags.writeable or bias.base is not None:
+            if (top := self._tops.get(key := bias.tobytes())) is None:
+                top = self._tops[key] = (self._logits + bias).argmax(axis=1).tolist()
+            self._last = (bias, top)
         states, out = self._walk(context, n, top)
         return self._logits[states], out
 
-    def _logit_rows(self, tokens, start):
+    def _states(self, tokens, start):  # of rows start..len-1, as `_logit_rows` reads them
         get, width, packed = self.counts.get, self._width, self._pack(tokens)
         span = (self.order - 1) * width  # row i's key: the last span bytes through token i
         ends = range((start + 1) * width, (len(tokens) + 1) * width, width)
-        return self._logits[[get(packed[max(0, end - span):end], 0) for end in ends]]
+        return [get(packed[max(0, end - span):end], 0) for end in ends]
+
+    def _logit_rows(self, tokens, start):
+        return self._logits[self._states(tokens, start)]
+
+    def _greedy_choices(self, tokens, start):
+        return list(map(self._top.__getitem__, self._states(tokens, start)))
 
 
 def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,
@@ -209,6 +222,7 @@ class PerturbedModel(LanguageModel):
             if not 0 <= tok < self.vocab.size:
                 raise DataError(f"bias token id {tok} outside 0..{self.vocab.size - 1}")
             self._bias[tok] += off
+        self._bias.flags.writeable = False  # the base's `_guess` may keep its argmax table
         self._ids, self._id_bytes = _ids_and_width(self.vocab.size)
         self._streams = np.arange(2, dtype=np.uint64)[:, None]  # one per Box-Muller stream
         self._sigma = np.array(float(spec.noise_scale))
@@ -252,23 +266,26 @@ class PerturbedModel(LanguageModel):
         while len(out) < n and out[-1:] != [eos]:
             limit = min(run, spare + 1, n - len(out))
             rows, guess = self.base._guess((*context, *out), limit, self._bias)
-            pkeys = _running_keys(pkey, guess[:-1])
+            pkeys, keys = [pkey], [key]  # both key chains, fed each guessed prefix at once
+            for t in guess[:-1]:
+                pkeys.append(_fnv_feed(pkeys[-1], t))
+                keys.append(key if key is None else _fnv_feed(keys[-1], t))
             scores = rows + (delta := self._noise(pkeys))
             if key is None:
                 choices = scores.argmax(axis=1).tolist()
             else:  # gumbel_noise is looked up at call time, where tracing wraps it
-                keys = _running_keys(key, guess[:-1])
                 gumbel = sampling.gumbel_noise(keys, self.vocab.size)
                 choices = gumbel_max(scores, gumbel, temperature).tolist()
-            j = next((j for j, (c, g) in enumerate(zip(choices, guess)) if c != g), len(guess) - 1)
+            j = len(guess) - 1 if choices == guess else next(
+                j for j, (c, g) in enumerate(zip(choices, guess)) if c != g)
             out += choices[:j + 1]
             if delta.ndim == 2:  # σ = 0 draws no rows
                 kept.append(delta[:j + 1])
-            pkey = _fnv_feed(int(pkeys[j]), choices[j])
+            pkey = _fnv_feed(pkeys[j], choices[j])
             spare -= len(rows) - j - 1
             if key is not None:
                 noise.append(gumbel[:j + 1])
-                key, run = _fnv_feed(int(keys[j]), choices[j]), 2 * (j + 1)
+                key, run = _fnv_feed(keys[j], choices[j]), 2 * (j + 1)
         self._window = (context, tuple(out), kept)
         return out, None if key is None else np.concatenate(
             noise or [np.empty((0, self.vocab.size))])

@@ -80,6 +80,8 @@ def test_non_data_error_ends_the_run(pipeline, eval_tasks, bench_config):
         def _logit_rows(self, tokens, start):
             raise RuntimeError("backend bug")
 
+        _greedy_choices = _logit_rows  # greedy verification reads no logits rows
+
     broken = Broken(pipeline.vocab, order=2, smoothing=1.0)
     with pytest.raises(RuntimeError, match="backend bug"):
         run_policy(eval_tasks[:2], pipeline.draft, broken, LosslessPolicy(),
@@ -106,6 +108,7 @@ class Untouchable(LanguageModel):
         raise AssertionError("a model was called")
 
     next_logits_hidden = next_logits = sample = _logit_rows = forward_parallel = _called
+    greedy_choices = _greedy_choices = _called
 
 
 @pytest.mark.parametrize("policy", ["judge", None, LosslessPolicy],

@@ -262,6 +262,40 @@ def test_the_draft_guesses_each_run_in_one_base_call(pipeline, eval_tasks, monke
     assert guessed == counts["perturb"]  # each run's noise rows sit at its guessed prefixes
 
 
+@pytest.mark.parametrize("config", [EngineConfig(window=8),
+                                    EngineConfig(temperature=0.2, state=RandomState(1))],
+                         ids=["greedy", "sampled"])
+def test_greedy_verification_reads_the_targets_argmax_table(pipeline, judged, eval_tasks,
+                                                            monkeypatch, config):
+    """Greedy W=8 decodes of four held-out tasks with the conftest pair: lossless and
+    judge verification take no logits row of the n-gram target, and top-K one 1-row
+    `_logit_rows` call per mismatch it ranks.  Sampled W=64 verification still makes
+    one `forward_logits` pass of W+1 rows per cycle, and top-K ranks from it."""
+    target, rows, ranked = pipeline.target, [], []
+    logit_rows, in_top_k = toymodels.NGramModel._logit_rows, engine._in_top_k
+
+    def counting_rows(self, tokens, start):  # the rows of each call on the target
+        out = logit_rows(self, tokens, start)
+        if self is target:
+            rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(toymodels.NGramModel, "_logit_rows", counting_rows)
+    monkeypatch.setattr(engine, "_in_top_k", lambda *a: ranked.append(a) or in_top_k(*a))
+    for policy in (LosslessPolicy(), TopKPolicy(2), JudgePolicy(judged.judge)):
+        rows.clear()
+        ranked.clear()
+        results = [spec_decode(task.prompt.tokens, pipeline.draft, target, policy, config)
+                   for task in eval_tasks[:4]]
+        if config.temperature:
+            windows = [c.drafted + 1 for r in results for c in r.cycles]
+            assert rows == windows, policy
+        elif isinstance(policy, TopKPolicy):
+            assert len(ranked) > 0 and rows == [1] * len(ranked)
+        else:
+            assert rows == [] and ranked == [], policy
+
+
 def test_sampled_runs_double_while_guesses_hold(chain_vocab, monkeypatch):
     """A sampled run guesses 4 rows at first, then up to twice as many rows as
     the last run kept; here every guess holds, so the runs double until the

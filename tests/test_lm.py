@@ -62,6 +62,8 @@ def _assert_rows_match_steps(model, tokens, starts):
     for start in starts:
         out = model.forward_parallel(tokens, start)
         assert np.array_equal(model.forward_logits(tokens, start), out.logits), (model.name, start)
+        assert model.greedy_choices(tokens, start) == out.logits.argmax(axis=1).tolist(), \
+            (model.name, start)
         assert out.logits.shape == (len(tokens) - start, model.vocab.size)
         assert out.hidden.shape == (len(tokens) - start, model.hidden_dim)
         for i in range(start, len(tokens)):
@@ -109,9 +111,14 @@ contract_cases = given(**contract_args)
 def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
     """Every row from every start equals the per-step primitive, bit for bit,
     and so do the logits-only forward's rows and the logits-only step's
-    logits at every prefix."""
+    logits at every prefix; `greedy_choices` is each row's argmax.  A replay's
+    unrecorded row, below prompt_len - 1, is one DataError from either entry."""
     for model, first in _contract_models(tokens, order, prompt_len):
         _assert_rows_match_steps(model, tokens, range(first, len(tokens)))
+        for start in range(first):
+            refused = _outcome(model.forward_logits, tokens, start)
+            assert refused.startswith("DataError: context length"), (model.name, start)
+            assert _outcome(model.greedy_choices, tokens, start) == refused, (model.name, start)
 
 
 def _stepwise_greedy(model, context, n):
@@ -280,7 +287,7 @@ def test_token_range_checked():
     model = tiny_model()
     draft = PerturbedModel(model, PerturbSpec(noise_scale=0.5, bias_tokens={1: 0.4}, seed=2))
     for m in (model, draft):
-        for forward in (m.forward_parallel, m.forward_logits):
+        for forward in (m.forward_parallel, m.forward_logits, m.greedy_choices):
             for bad in ((0, 9), (0, -1), ()):
                 with pytest.raises(DataError):
                     forward(bad)

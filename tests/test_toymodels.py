@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from specjudge.lm import DataError, LanguageModel, Vocab
 from specjudge.sampling import RandomState, gumbel_key, positionwise_choices, rollout
-from specjudge.toymodels import (EMBED_DIM, NGramModel, PerturbSpec,
+from specjudge.toymodels import (EMBED_DIM, NGramModel, PerturbedModel, PerturbSpec,
                                  ScriptedModel, make_draft, train_ngram)
 
 
@@ -115,6 +115,7 @@ def test_ngram_rows_match_add_k_reference_bit_for_bit(corpus, order, data):
     want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
                      for i in range(start, len(tokens))])
     assert same_bits(model.forward_logits(tokens, start), want)
+    assert model.greedy_choices(tokens, start) == want.argmax(axis=1).tolist()
 
 
 @settings(deadline=None, max_examples=60)
@@ -192,7 +193,8 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
     """318 ids, as `build_vocab(300)`, pack two bytes each: the keys read back as the
     reference contexts in order, and every row (seen, unseen as ids 2 and 316 never
     occur, and past the window), pass, greedy run and guessed run with a bias match
-    the add-k reference bit for bit."""
+    the add-k reference bit for bit; `greedy_choices` from every start is the argmax
+    of each `forward_logits` row."""
     vocab = Vocab(tuple(f"w{i}" for i in range(317)) + ("</s>",), eos_id=317)
     model = train_ngram(vocab, corpus, order=order, smoothing=0.3, seed=2)
     counts = reference_counts(corpus, order)
@@ -211,6 +213,10 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
     want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
                      for i in range(start, len(tokens))])
     assert same_bits(model.forward_logits(tokens, start), want)
+    assert model.greedy_choices(tokens, start) == want.argmax(axis=1).tolist()
+    for first in range(len(tokens)):
+        assert model.greedy_choices(tokens, first) \
+            == model.forward_logits(tokens, first).argmax(axis=1).tolist(), first
     context, greedy = tokens[:start + 1], []
     while len(greedy) < 8 and greedy[-1:] != [317]:
         greedy.append(int(reference_row(model, counts, context + tuple(greedy))[0].argmax()))
@@ -228,14 +234,41 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
 
 def test_new_counts_drop_the_guessed_argmax_tables():
     """A bias's argmax table is derived from the rows, so new counts drop it: after
-    `_set_counts` the cached bias guesses along the new rows, as the default loop does."""
+    `_set_counts` the cached bias, read-only as a draft's is, guesses along the new
+    rows, as the default loop does."""
     model = train_ngram(small_vocab(), [[0, 1, 1, 3], [0, 1, 2, 3]], order=2, smoothing=0.5)
     bias = np.array([0.0, 0.0, 0.2, 0.0])
+    bias.flags.writeable = False
     assert model._guess((0,), 4, bias)[1] == [1, 2, 3]
     model._set_counts({b"\0": 1, b"\2": 2, b"\1": 3}, [(), (2, 4), (1, 4), (3, 4)])
     rows, got = model._guess((0,), 4, bias)
     want_rows, want = LanguageModel._guess(model, (0,), 4, bias)
     assert got == want == [2, 1, 3] and same_bits(rows, want_rows)
+
+
+def test_a_bias_mutated_in_place_is_guessed_by_its_new_values():
+    """`_guess` keeps the table of the last read-only bias it saw, a draft's bias is
+    read-only, and a writeable bias, or a read-only view of one, mutated in place
+    between two calls gets the table of its new values."""
+    model = train_ngram(small_vocab(), [[0, 1, 1, 3], [0, 1, 2, 3]], order=2, smoothing=0.5)
+    draft = PerturbedModel(model, PerturbSpec(bias_tokens={2: 0.2}))
+    assert not draft._bias.flags.writeable
+    with pytest.raises(ValueError):
+        draft._bias[2] = 0.0
+    draft.sample((0,), 4)
+    assert model._last[0] is draft._bias
+    bias = np.zeros(4)
+    view = bias.view()
+    view.flags.writeable = False
+    for b in (bias, view):
+        seen = []
+        for offset in (0.0, 0.2, -5.0, 0.0):
+            bias[2] = offset
+            rows, got = model._guess((0,), 4, b)
+            want_rows, want = LanguageModel._guess(model, (0,), 4, b)
+            assert got == want and same_bits(rows, want_rows), offset
+            seen.append(got)
+        assert seen == [[1, 1, 1, 1], [1, 2, 3], [1, 1, 1, 1], [1, 1, 1, 1]]
 
 
 @pytest.mark.parametrize("bad", [-1, 117, 256])
@@ -244,7 +277,9 @@ def test_new_counts_drop_the_guessed_argmax_tables():
     lambda model, tokens: model.sample(tokens, 4, 0.7, RandomState(1)),
     lambda model, tokens: model.forward_logits(tokens),
     lambda model, tokens: model.forward_parallel(tokens),
-], ids=["sample-greedy", "sample-sampled", "forward_logits", "forward_parallel"])
+    lambda model, tokens: model.greedy_choices(tokens),
+], ids=["sample-greedy", "sample-sampled", "forward_logits", "forward_parallel",
+        "greedy_choices"])
 @pytest.mark.parametrize("side", ["target", "draft"])
 def test_ids_outside_the_fixture_vocab_stay_data_errors(pipeline, side, call, bad):
     """Ids that one byte cannot hold (-1, 256) or the vocab does not (117) are refused
