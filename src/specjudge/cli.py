@@ -1,11 +1,11 @@
 """Command-line interface for the full pipeline.
 
-Subcommands: gen-tasks, gen-corpus, mine, train-judge, decode, bench,
-record-trace.  Every command takes --seed and resolves models from spec
-strings or JSON files (a `*.json` spec with no `=` is always a file).  Each
-`cmd_*` writes its --out and returns the summary it prints; `main` then
-writes the manifest, OUT.manifest.json, of the command and every parsed
-option, and prints that summary.  The list flags (--num-steps, --topk,
+Subcommands: gen-tasks, gen-corpus, mine, train-judge, decode, bench.
+Every command takes --seed and resolves models from spec strings or JSON
+files (a `*.json` spec with no `=` is always a file).  Each `cmd_*` writes
+its --out and returns the summary it prints; `main` then writes the
+manifest, OUT.manifest.json, of the command and every parsed option, and
+prints that summary.  The list flags (--num-steps, --topk,
 --threshold, --policy) take non-empty comma lists.  Exit codes: 0
 success, 1 usage (a malformed list included), 2 data error (an unwritable
 --out or a --temperature too small to sample included), 3 remote error.
@@ -24,16 +24,15 @@ from . import bench as bench_mod
 from .engine import EngineConfig, JudgePolicy, LosslessPolicy, TopKPolicy
 from .judge import (FeatureConfig, calibrate_threshold, check_judge_compatible,
                     grid_search_C, build_examples, load_judge, save_judge)
-from .lm import DataError, TokenSequence, reading, write_json, write_json_lines
+from .lm import DataError, reading, write_json, write_json_lines
 from .mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                      dataset_fingerprint, export_dataset, load_dataset,
                      mine_important, mine_naive)
 from .remote import RemoteEndpoint, RemoteError, remote_generator
-from .sampling import RandomState, ScoreError, rollout
+from .sampling import RandomState, ScoreError
 from .tasks import (build_vocab, gen_corpus, gen_arithmetic_task, load_tasks,
                     save_tasks)
 from .toymodels import PerturbSpec, make_draft, train_ngram
-from .trace import SIDES, ReplayModel, load_trace, record_trace, save_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +75,7 @@ def _spec_value(spec: dict, key: str, cast=str, default=None):
         raise DataError(f"bad model spec value {key}={spec[key]!r}: {e}") from e
 
 
-def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | None = None,
+def resolve_model(spec_text: str, vocab, ngrams: dict | None = None,
                   chain: tuple[str, ...] = (), root: str = ""):
     """Build a model from a JSON spec file or an inline kind:k=v,... string; an n-gram
     spec already in `ngrams`, keyed by its resolved values, is not trained again.
@@ -109,7 +108,7 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
             ngrams[key] = train_ngram(vocab, _load_corpus_lines(path, vocab), *key[1:])
         return ngrams[key]
     if kind == "perturb":
-        base = resolve_model(_spec_value(spec, "base"), vocab, side, ngrams, chain, root)
+        base = resolve_model(_spec_value(spec, "base"), vocab, ngrams, chain, root)
         bias_raw = spec.get("bias", {})
         if isinstance(bias_raw, str):
             bias_raw = dict(p.partition(":")[::2] for p in bias_raw.split(";") if p)
@@ -125,13 +124,6 @@ def resolve_model(spec_text: str, vocab, side: str = "target", ngrams: dict | No
                             bias_tokens=bias,
                             seed=_spec_value(spec, "seed", int, 0))
         return make_draft(base, pspec, name=_spec_value(spec, "name", str, "draft"))
-    if kind == "trace":
-        path = _spec_value(spec, "path")
-        side = _spec_value(spec, "side", str, side)
-        if side not in SIDES:
-            raise DataError(f"trace model spec side must be draft or target, "
-                            f"got {side!r}")
-        return ReplayModel(load_trace(os.path.join(root, path)), vocab, side)
     raise DataError(f"unknown model kind {kind!r}")
 
 
@@ -163,8 +155,8 @@ def policy(name: str) -> str:
 def _models_and_tasks(args):
     """Vocab, target, draft and tasks named by the shared model flags, in that order."""
     vocab, ngrams = build_vocab(args.max_value), {}
-    target = resolve_model(args.target_model, vocab, "target", ngrams)
-    draft = resolve_model(args.draft_model, vocab, "draft", ngrams)
+    target = resolve_model(args.target_model, vocab, ngrams)
+    draft = resolve_model(args.draft_model, vocab, ngrams)
     return vocab, target, draft, load_tasks(args.tasks, vocab)
 
 
@@ -309,18 +301,6 @@ def cmd_bench(args) -> str:
     return report
 
 
-def cmd_record_trace(args) -> str:
-    _, target, draft, tasks = _models_and_tasks(args)
-    if not 0 <= args.task_index < len(tasks):
-        raise DataError(f"task index {args.task_index} out of range")
-    task = tasks[args.task_index]
-    response = rollout(target, task.prompt.tokens, task.max_response_len,
-                       args.temperature, _random_state(args))
-    seq = TokenSequence(task.prompt.tokens + tuple(response), len(task.prompt.tokens))
-    save_trace(args.out, record_trace(draft, target, seq))
-    return f"recorded {len(seq.response)} positions to {args.out}\n"
-
-
 def _add_common(p, model_flags=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-value", type=int, default=99,
@@ -396,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("record-trace", help="record both models along one task")
-    _add_common(p)
-    p.add_argument("--task-index", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_record_trace)
     return parser
 
 

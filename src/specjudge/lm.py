@@ -165,7 +165,9 @@ class LanguageModel:
 
     Subclasses implement `next_logits_hidden(context)`: given a non-empty
     token prefix, return the logits over the next token and the hidden
-    state encoding the prefix.  Both must be finite and deterministic.
+    state encoding the prefix.  Both must be finite and deterministic, for
+    any context of in-vocabulary ids; a DataError a step raises anyway
+    propagates out of every entry unchanged.
     Backends with a cheaper logits-only step override `next_logits`, with
     batched runs of choices `_sample` and `_guess`, and with vectorized passes
     `_logit_rows` and `_greedy_choices`.  The steps and hooks check no ids: they
@@ -214,16 +216,10 @@ class LanguageModel:
 
     def _guess(self, context: tuple[int, ...], n: int, bias: np.ndarray):
         """(rows, choices): up to `n` choices argmax(row + bias) after `context` to EOS,
-        and their (len, V) unbiased `next_logits` rows, row i at context + choices[:i].
-        A DataError (a replay refusing a prefix) raises on the first row, else ends the run."""
+        and their (len, V) unbiased `next_logits` rows, row i at context + choices[:i]."""
         rows, out = [], []
         while len(out) < n and out[-1:] != [self.vocab.eos_id]:
-            try:
-                rows.append(self.next_logits((*context, *out)))
-            except DataError:
-                if not rows:
-                    raise
-                break
+            rows.append(self.next_logits((*context, *out)))
             out.append(int((rows[-1] + bias).argmax()))
         return np.array(rows).reshape(len(out), self.vocab.size), out
 

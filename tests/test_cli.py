@@ -1,11 +1,13 @@
 """End-to-end command-line workflows against temporary files."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,9 +24,8 @@ from specjudge.lm import DataError
 from specjudge.mining import (MiningBudgetError, MiningConfig, TaskSkippedError,
                               export_dataset, load_dataset, mine_important,
                               mine_naive)
-from specjudge.sampling import RandomState, rollout
+from specjudge.sampling import rollout
 from specjudge.tasks import build_vocab, load_tasks
-from specjudge.trace import load_trace
 
 
 @pytest.fixture(scope="module")
@@ -225,31 +226,40 @@ def test_decode_on_a_vocabulary_past_one_byte_per_id(tmp_path):
     assert [json.loads(line)["response"] for line in out.read_text().splitlines()] == want
 
 
-def one_trace_three_tasks(workdir, tmp_path):
-    """Model args over tasks 1..3 whose target replays a trace of task 1 and
-    whose draft is the traced target, so task 1 decodes and the others fail."""
-    trace = tmp_path / "task1.trace"
-    assert main(["record-trace", *model_args(workdir), "--task-index", "1",
-                 "--out", str(trace)]) == 0
+FAILED_DECODE = "a decode that fails on purpose"
+
+
+def three_tasks_failing_after_the_first(workdir, tmp_path, monkeypatch):
+    """Model args over tasks 1..3, and the list of `bench.spec_decode` calls, which
+    decode the first of them and raise one fixed DataError on the other two."""
     three = tmp_path / "three.jsonl"
     three.write_text("".join((workdir / "tasks.jsonl").read_text()
                              .splitlines(keepends=True)[1:4]))
+    first, *others = (t.prompt.tokens for t in load_tasks(str(three), build_vocab(9)))
+    assert first not in others
+    calls, real = [], bench.spec_decode
+
+    def failing(prompt, *a, **k):
+        calls.append(prompt)
+        if prompt != first:
+            raise DataError(FAILED_DECODE)
+        return real(prompt, *a, **k)
+
+    monkeypatch.setattr(bench, "spec_decode", failing)
     args = model_args(workdir)
-    args[args.index("--draft-model") + 1] = str(workdir / "target.json")
-    args[args.index("--target-model") + 1] = f"trace:path={trace}"
     args[args.index("--tasks") + 1] = str(three)
-    return args
+    return args, calls
 
 
-def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
-    """A trace covers one task; decoding three from it fails on the first
-    other one, and the tasks decoded before it are not written either."""
-    args = one_trace_three_tasks(workdir, tmp_path)
+def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys, monkeypatch):
+    """Decoding three tasks stops at the first that fails, the second, and the
+    task decoded before it is not written either."""
+    args, calls = three_tasks_failing_after_the_first(workdir, tmp_path, monkeypatch)
     out = tmp_path / "never.jsonl"
     capsys.readouterr()
     assert main(["decode", *args, "--out", str(out)]) == 2
-    (err,) = capsys.readouterr().err.splitlines()
-    assert err.startswith("data error: context") and "recorded" in err
+    assert capsys.readouterr().err.splitlines() == [f"data error: {FAILED_DECODE}"]
+    assert len(calls) == 2
     assert not out.exists()
     assert not (tmp_path / "never.jsonl.manifest.json").exists()
 
@@ -257,15 +267,7 @@ def test_decode_writes_nothing_when_a_task_fails(workdir, tmp_path, capsys):
 def test_decode_and_bench_share_one_failure_rule(workdir, tmp_path, capsys, monkeypatch):
     """bench counts each failed task and goes on; decode stops at the first,
     with the same message, and decodes nothing after it."""
-    args = one_trace_three_tasks(workdir, tmp_path)
-    calls = []
-    real = bench.spec_decode
-
-    def counting(*a, **k):
-        calls.append(1)
-        return real(*a, **k)
-
-    monkeypatch.setattr(bench, "spec_decode", counting)
+    args, calls = three_tasks_failing_after_the_first(workdir, tmp_path, monkeypatch)
     capsys.readouterr()
     report = tmp_path / "report.jsonl"
     assert main(["bench", *args, "--format", "jsonl", "--out", str(report)]) == 0
@@ -348,7 +350,7 @@ def test_incompatible_judge_is_one_data_error(workdir, tmp_path, capsys, command
     (["--seed", "-1", "--temperature", "0.5"], "seed must fit in 64 bits"),
     (["--temperature", "1e-310"], "sampling scores are not finite at temperature 1e-310"),
 ], ids=["inf", "1e309", "nan", "negative-seed", "1e-310"])
-@pytest.mark.parametrize("command", ["bench", "decode", "mine", "record-trace"])
+@pytest.mark.parametrize("command", ["bench", "decode", "mine"])
 @pytest.mark.filterwarnings("error")  # a warning would be one more line on stderr
 def test_bad_sampling_settings_are_one_data_error(workdir, tmp_path, capsys, command,
                                                   settings, message):
@@ -388,50 +390,6 @@ def test_bench_emits_sorted_report(workdir, capsys):
                "--window", "8", "--format", "jsonl", "--out", str(jsonl_out)])
     assert rc == 0
     assert json.loads(jsonl_out.read_text().splitlines()[0])["policy"] == "lossless"
-
-
-def test_record_trace_round_trips(workdir):
-    out = workdir / "task1.trace"
-    rc = main(["record-trace", *model_args(workdir), "--task-index", "1",
-               "--out", str(out)])
-    assert rc == 0
-    trace = load_trace(str(out))
-    vocab = build_vocab(9)
-    tasks = load_tasks(str(workdir / "tasks.jsonl"), vocab)
-    assert trace.tokens[:trace.prompt_len] == tasks[1].prompt.tokens
-    for side in ("draft", "target"):
-        rows = trace.rows[side]
-        assert rows.logits.shape == (len(trace.tokens) - trace.prompt_len + 1, vocab.size)
-        assert len(rows.hidden) == len(rows.logits)
-    # replaying the target's rows on both sides decodes the recorded response
-    one_task = workdir / "task1.jsonl"
-    one_task.write_text((workdir / "tasks.jsonl").read_text().splitlines()[1] + "\n")
-    replayed = workdir / "replayed.jsonl"
-    args = model_args(workdir)
-    args[args.index("--target-model") + 1] = f"trace:path={out}"
-    args[args.index("--draft-model") + 1] = f"trace:path={out},side=target"
-    args[args.index("--tasks") + 1] = str(one_task)
-    assert main(["decode", *args, "--window", "4", "--out", str(replayed)]) == 0
-    response = json.loads(replayed.read_text())["response"]
-    assert response == vocab.decode(trace.tokens[trace.prompt_len:])
-    rc = main(["record-trace", *model_args(workdir), "--task-index", "99",
-               "--out", str(workdir / "never3.trace")])
-    assert rc == 2
-
-
-def test_record_trace_samples_at_the_given_temperature(workdir, tmp_path):
-    out = tmp_path / "sampled.trace"
-    assert main(["record-trace", *model_args(workdir), "--temperature", "0.7",
-                 "--seed", "5", "--out", str(out)]) == 0
-    vocab = build_vocab(9)
-    target = resolve_model(str(workdir / "target.json"), vocab)
-    task = load_tasks(str(workdir / "tasks.jsonl"), vocab)[0]
-    prompt = task.prompt.tokens
-    sampled = rollout(target, prompt, task.max_response_len, 0.7, RandomState(5))
-    assert load_trace(str(out)).tokens == prompt + tuple(sampled)
-    assert sampled != rollout(target, prompt, task.max_response_len)
-    manifest = json.loads((tmp_path / "sampled.trace.manifest.json").read_text())
-    assert manifest["options"]["temperature"] == 0.7
 
 
 def test_train_judge_from_exported_dataset(tmp_path, mined, capsys):
@@ -483,10 +441,8 @@ def test_train_judge_max_iters_is_a_usage_error(tmp_path, mined, capsys):
      "a7a2906d9a365a52716fd393e61dc805eda9b79c99f06ad93e3fa1110cc6f86c"),
     ("bench", ["--policy", "lossless", "--format", "jsonl"], None,
      "35cceea35abfa2725ad90956b5b5e3cf35b212b6149334d8298c025cf294378b"),
-    ("record-trace", ["--task-index", "2"], "recorded 14 positions to {out}\n",
-     "d4b953c2831d3a1a3f09372a971cf83a14242bc94e66b4daf4fd1205c0afbb2d"),
 ], ids=["gen-tasks", "gen-corpus", "mine", "train-judge", "decode", "bench-csv",
-        "bench-jsonl", "record-trace"])
+        "bench-jsonl"])
 def test_each_command_writes_its_output_then_manifest_and_summary(
         workdir, tmp_path, capsys, mined, command, extra, summary, digest):
     """Exit 0; stdout is the command's summary (bench's: its report, byte for byte); the
@@ -513,12 +469,12 @@ UNDECODABLE = b"\xff\xfe\x80 not UTF-8\n"
 
 
 @pytest.mark.parametrize("loader, content", [
-    ("dataset", None), ("judge", None), ("tasks", None), ("trace", None),
+    ("dataset", None), ("judge", None), ("tasks", None),
     ("corpus", None), ("model spec", None), ("model spec", "directory"),
     ("dataset", b""), ("tasks", b"\n  \n"), ("model spec", b"{not JSON\n"),
     ("judge", b"[" * 10 ** 5), ("tasks", UNDECODABLE), ("corpus", UNDECODABLE),
     ("model spec", UNDECODABLE), ("corpus", b"\n  \n"),
-], ids=["dataset", "judge", "tasks", "trace", "corpus", "spec", "spec-directory",
+], ids=["dataset", "judge", "tasks", "corpus", "spec", "spec-directory",
         "dataset-empty", "tasks-blank", "spec-not-json", "judge-nested-too-deep",
         "tasks-undecodable", "corpus-undecodable", "spec-undecodable", "corpus-blank"])
 def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader, content):
@@ -536,8 +492,6 @@ def test_unreadable_input_file_is_a_data_error(workdir, tmp_path, capsys, loader
         "judge": ["decode", *model_args(workdir), "--policy", "judge",
                   "--judge", path, "--out", out],
         "tasks": ["decode", *model_args(workdir)[:-1], path, "--out", out],
-        "trace": ["decode", *model_args(workdir), "--target-model",
-                  f"trace:path={path}", "--out", out],
         "corpus": ["decode", *model_args(workdir), "--target-model",
                    f"ngram:corpus={path}", "--out", out],
         "model spec": ["decode", *model_args(workdir), "--draft-model", path,
@@ -570,19 +524,6 @@ def _set_feature_config(key, value):
     return edit
 
 
-def _set_side(key, value):
-    """Set `key` of a trace's draft line, the line after its head."""
-    edit = _set(key, value)
-    edit.line = 1
-    return edit
-
-
-def _set_first_token(value):
-    def edit(row):
-        row["tokens"][0] = value
-    return edit
-
-
 @pytest.mark.parametrize("loader, edit, message", [
     ("dataset", _set("important", "false"), "important must be true or false"),
     ("dataset", _set("position", 9.7), "position must be an integer, got 9.7"),
@@ -598,8 +539,6 @@ def _set_first_token(value):
     ("judge", _set_feature_config("token_source", "draft_token"),
      "trained for another feature layout"),
     ("judge", _set("feature_config", {}), "retrain it with train-judge"),
-    ("trace", _set_first_token(1.9), "token must be an integer, got 1.9"),
-    ("trace", _set("prompt_len", 2.6), "prompt_len must be an integer, got 2.6"),
     # a string field holding another type would fail far from the file, or not at all
     ("tasks", _set("prompt", 5), "prompt must be a string, got 5"),
     ("tasks", _set("task_id", 7), "task_id must be a string, got 7"),
@@ -620,9 +559,6 @@ def _set_first_token(value):
      "weights must be a list of numbers"),
     ("dataset", _set("draft_hidden", ["0.5", 1.0]), "draft_hidden must be a list of numbers"),
     ("dataset", _set("target_hidden", [True, 0.5]), "target_hidden must be a list of numbers"),
-    ("trace", _set_side("logits", [["1", 2.0]]), "logits row must be a list of numbers"),
-    ("trace", _set_side("hidden", [[True]]), "hidden row must be a list of numbers"),
-    ("trace", _set_side("name", 5), "name must be a string, got 5"),
     ("judge", _set("C", float("inf")), "C must be a finite number, got inf"),
     ("dataset", _set("draft_hidden", [float("nan")]),
      "draft_hidden must be a list of numbers, all finite"),
@@ -631,12 +567,11 @@ def _set_first_token(value):
     ("judge", _set("feature_dim", 5), "weight vector does not match feature_dim"),
 ], ids=["important-string", "position-float", "token-bool", "hidden-scalar",
         "hidden-2d", "feature-dim-float", "seed-float", "layout-key-prev",
-        "layout-key-draft-token", "layout-empty", "trace-token-float", "prompt-len-float",
-        "prompt-int", "task-id-int", "task-id-list", "task-id-null", "context-hash-int",
+        "layout-key-draft-token", "layout-empty", "prompt-int", "task-id-int", "task-id-list", "task-id-null", "context-hash-int",
         "dataset-hash-bool", "bias-past-float", "prompt-unknown-token",
         "max-response-len-zero", "threshold-one", "threshold-string", "bias-bool",
         "c-string", "weights-strings-and-bool", "hidden-string", "hidden-bool",
-        "trace-logits-string", "trace-hidden-bool", "trace-name-int", "c-inf", "hidden-nan",
+        "c-inf", "hidden-nan",
         "tokens-equal", "feature-dim-off"])
 def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys, mined,
                                                       loader, edit, message):
@@ -649,22 +584,17 @@ def test_bad_value_in_an_input_file_is_one_data_error(workdir, tmp_path, capsys,
     elif loader == "tasks":
         shutil.copy(workdir / "tasks.jsonl", path)
         argv = ["decode", *model_args(workdir)[:-1], str(path), "--out", str(out)]
-    elif loader == "judge":
+    else:
         save_judge(str(path), JudgeModel(weights=np.zeros(37), bias=0.0,
                                          feature_config=FeatureConfig(), C=1.0))
         argv = ["decode", *model_args(workdir), "--policy", "judge",
                 "--judge", str(path), "--out", str(out)]
-    else:
-        assert main(["record-trace", *model_args(workdir), "--out", str(path)]) == 0
-        argv = ["decode", *model_args(workdir), "--target-model",
-                f"trace:path={path}", "--out", str(out)]
     lines = path.read_text().splitlines(keepends=True)
     if loader == "judge":  # one indented JSON object, not JSON lines
         lines = [path.read_text()]
-    line = getattr(edit, "line", 0)
-    row = json.loads(lines[line])
+    row = json.loads(lines[0])
     edit(row)
-    lines[line] = json.dumps(row) + "\n"
+    lines[0] = json.dumps(row) + "\n"
     path.write_text("".join(lines))
     capsys.readouterr()
     assert main(argv) == 2
@@ -685,8 +615,8 @@ def valid_inputs(workdir, tmp_path_factory, mined):
     """A valid file for each reader with the command that reads it, which runs; one
     task keeps each run short."""
     root = tmp_path_factory.mktemp("valid")
-    tasks, dataset, judge, trace = (root / name for name in (
-        "tasks.jsonl", "dataset.jsonl", "judge.json", "task.trace"))
+    tasks, dataset, judge = (root / name for name in (
+        "tasks.jsonl", "dataset.jsonl", "judge.json"))
     tasks.write_text((workdir / "tasks.jsonl").read_text().splitlines(keepends=True)[0])
     for name in ("draft.json", "target.json"):
         shutil.copy(workdir / name, root / name)
@@ -695,15 +625,11 @@ def valid_inputs(workdir, tmp_path_factory, mined):
     export_dataset(str(dataset), mined.records)
     save_judge(str(judge), JudgeModel(weights=np.zeros(37), bias=0.0,
                                       feature_config=FeatureConfig(), C=1.0))
-    assert main(["record-trace", *models, "--out", str(trace)]) == 0
     out = str(root / "out")
     inputs = {
         "tasks": (tasks, ["decode", *models, "--out", out]),
         "dataset": (dataset, ["train-judge", "--dataset", str(dataset), "--out", out]),
         "judge": (judge, ["decode", *models, "--policy", "judge", "--judge", str(judge),
-                          "--out", out]),
-        "trace": (trace, ["decode", *models, "--target-model", f"trace:path={trace}",
-                          "--draft-model", f"trace:path={trace},side=target",
                           "--out", out]),
         "target spec": (root / "target.json", ["decode", *models, "--out", out]),
         "draft spec": (root / "draft.json", ["decode", *models, "--out", out]),
@@ -714,7 +640,7 @@ def valid_inputs(workdir, tmp_path_factory, mined):
     return inputs
 
 
-@pytest.mark.parametrize("reader", ["tasks", "dataset", "judge", "trace", "target spec",
+@pytest.mark.parametrize("reader", ["tasks", "dataset", "judge", "target spec",
                                     "draft spec"])
 @settings(deadline=None, max_examples=15)
 @given(data=st.data())
@@ -744,41 +670,34 @@ def test_any_value_in_an_input_field_runs_or_is_one_data_error(valid_inputs, rea
     out.unlink(missing_ok=True)
 
 
-def test_old_format_trace_is_a_data_error(workdir, tmp_path, capsys):
-    path = tmp_path / "old.trace"
-    path.write_text(json.dumps({
-        "tokens": [1, 2, 3], "prompt_len": 2, "vocab_size": 4, "top_m": 4,
-        "draft_name": "draft", "target_name": "target",
-        "prompt_last_hidden": {"draft": [0.0], "target": [0.0]},
-        "final_top": {"draft": {"top": [[0, 1.0]], "tail_mass": 0.0},
-                      "target": {"top": [[0, 1.0]], "tail_mass": 0.0}}}) + "\n")
-    out = tmp_path / "never.jsonl"
-    args = model_args(workdir)
-    args[args.index("--target-model") + 1] = f"trace:path={path}"
-    assert main(["decode", *args, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: bad trace file")
-    assert not out.exists()
-
-
-def test_trace_replayed_under_another_vocab_is_a_data_error(workdir, tmp_path, capsys):
-    trace = tmp_path / "task.trace"
-    assert main(["record-trace", *model_args(workdir), "--out", str(trace)]) == 0
-    out = tmp_path / "never.jsonl"
-    args = model_args(workdir)
-    args[args.index("--max-value") + 1] = "12"
-    args[args.index("--target-model") + 1] = f"trace:path={trace}"
-    capsys.readouterr()
-    assert main(["decode", *args, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "data error: vocab size does not match trace"]
-    assert not out.exists()
-
-
 def test_missing_required_argument_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["gen-tasks", "--count", "2"])  # no --out
     assert exc.value.code == 1
+
+
+def test_record_trace_is_a_usage_error(workdir, tmp_path, capsys):
+    """Trace record and replay were removed: the old command is an unknown one."""
+    out = tmp_path / "never.trace"
+    with pytest.raises(SystemExit) as exc:
+        main(["record-trace", *model_args(workdir), "--out", str(out)])
+    assert exc.value.code == 1
+    assert "invalid choice: 'record-trace'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_docs_name_the_parser_subcommands():
+    """The subcommands in `cli`'s docstring, the `specjudge <cmd>` lines of the
+    README's command block and the parser's choices are one set."""
+    (listed,) = re.findall(r"Subcommands: ([^.]+)\.", cli.__doc__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = set(sub.choices)
+    assert len(parsed) == 6
+    assert {name.strip() for name in listed.split(",")} == parsed
+    assert set(re.findall(r"^specjudge (\S+)", block, re.M)) == parsed
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -791,8 +710,7 @@ def test_missing_required_argument_exits_one():
     ("perturb:base={target},bias=Then:up", "bad model spec value Then='up'"),
     ("perturb:base={target},seed=-1", "seed must be in 0..2**64-1"),
     ("perturb:base={target},bias=zed:1", "bias token 'zed' not in vocab"),
-    ("trace:side=draft", "trace model spec needs path="),
-    ("trace:path={corpus},side=bogus", "side must be draft or target, got 'bogus'"),
+    ("trace:path=x", "unknown model kind 'trace'"),
 ])
 def test_bad_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec, message):
     spec = spec.format(corpus=workdir / "corpus.txt", target=workdir / "target.json")
@@ -838,6 +756,7 @@ def test_non_finite_model_parameter_is_one_data_error(workdir, tmp_path, capsys,
     ({"kind": "perturb", "base": "target.json", "seed": 1e20},
      "bad model spec value seed=1e+20"),
     ({"kind": "ngram", "corpus": "corpus\0.txt"}, "embedded null byte"),
+    ({"kind": "trace", "path": "x.trace"}, "unknown model kind 'trace'"),
 ])
 def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
                                              message):
@@ -855,7 +774,7 @@ def test_bad_json_model_spec_is_a_data_error(workdir, tmp_path, capsys, spec,
     {"d.json": "d.json"},
     {"d.json": "e.json", "e.json": "d.json"},
 ], ids=["self", "two-files"])
-@pytest.mark.parametrize("command", ["bench", "decode", "mine", "record-trace"])
+@pytest.mark.parametrize("command", ["bench", "decode", "mine"])
 def test_model_spec_cycle_is_one_data_error(workdir, tmp_path, monkeypatch, capsys,
                                             command, specs):
     """A perturb spec whose bases lead back to itself is a data error naming the chain
@@ -873,7 +792,7 @@ def test_model_spec_cycle_is_one_data_error(workdir, tmp_path, monkeypatch, caps
 
 
 def test_spec_file_paths_resolve_against_the_file(workdir, tmp_path, monkeypatch):
-    """Relative corpus, base and trace paths inside a spec file name files beside it,
+    """Relative corpus and base paths inside a spec file name files beside it,
     for every command run from another directory; the shared n-gram is trained once."""
     monkeypatch.chdir(tmp_path)
     specs = Path("specs")
@@ -882,20 +801,18 @@ def test_spec_file_paths_resolve_against_the_file(workdir, tmp_path, monkeypatch
     (specs / "target.json").write_text('{"kind": "ngram", "corpus": "corpus.txt"}')
     (specs / "draft.json").write_text('{"kind": "perturb", "base": "target.json", '
                                       '"sigma": 0.3, "seed": 7}')
-    (specs / "replay.json").write_text('{"kind": "trace", "path": "task0.trace"}')
     trained, cli_train = [], cli.train_ngram
     monkeypatch.setattr(cli, "train_ngram",
                         lambda *a, **k: trained.append(cli_train(*a, **k)) or trained[-1])
     models = ["--max-value", "9", "--draft-model", "specs/draft.json",
               "--target-model", "specs/target.json", "--tasks", str(workdir / "tasks.jsonl")]
     for command, out in (("mine", "mined.jsonl"), ("decode", "decoded.jsonl"),
-                         ("bench", "report.csv"), ("record-trace", "specs/task0.trace")):
+                         ("bench", "report.csv")):
         assert main([command, *models, "--out", out]) == 0
-    assert len(trained) == 4  # one per command
+    assert len(trained) == 3  # one per command
     vocab, ngrams = build_vocab(9), {}
     draft = resolve_model("specs/draft.json", vocab, ngrams=ngrams)
     assert draft.base is resolve_model("specs/target.json", vocab, ngrams=ngrams)
-    assert resolve_model("specs/replay.json", vocab).name == "replay-ngram"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
 from specjudge.sampling import RandomState, _fnv_feed, gumbel_key, gumbel_max, gumbel_noise
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
-from specjudge.trace import SIDES, ReplayModel, record_trace
 
 
 def small_vocab():
@@ -73,12 +72,10 @@ def _assert_rows_match_steps(model, tokens, starts):
             assert np.array_equal(out.hidden[i - start], hidden), (model.name, start, i)
 
 
-def _contract_models(tokens, order, prompt_len):
-    """(model, first row) pairs: an n-gram, its drafts without noise, with
-    σ=0.6 noise and with σ=3 noise (whose noise-free guesses mostly miss, so
-    its runs shrink to one row once a window's waste is spent), a scripted
-    model and, when there is a response, both replays and each noisy
-    draft's perturbation of each.
+def _contract_models(tokens, order):
+    """An n-gram, its drafts without noise, with σ=0.6 noise and with σ=3 noise
+    (whose noise-free guesses mostly miss, so its runs shrink to one row once a
+    window's waste is spent), and a scripted model.
 
     The n-gram is also trained on the drawn tokens, so their contexts have
     counts at every order; at order 16 most rows see a context shorter
@@ -89,36 +86,23 @@ def _contract_models(tokens, order, prompt_len):
                        smoothing=0.3, seed=order)
     noisy = PerturbedModel(base, PerturbSpec(noise_scale=0.6, bias_tokens={2: 1.1}, seed=5))
     missing = PerturbedModel(base, PerturbSpec(noise_scale=3.0, seed=6))
-    models = [base, PerturbedModel(base, PerturbSpec()), noisy, missing,
-              ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))})]
-    pairs = [(model, 0) for model in models]
-    if prompt_len < len(tokens):
-        trace = record_trace(noisy, base, TokenSequence(tokens, prompt_len))
-        replays = tuple(ReplayModel(trace, v, side) for side in SIDES)
-        replays += tuple(PerturbedModel(replay, draft.spec)
-                         for draft in (noisy, missing) for replay in replays)
-        pairs += [(replay, prompt_len - 1) for replay in replays]
-    return pairs
+    return [base, PerturbedModel(base, PerturbSpec()), noisy, missing,
+            ScriptedModel(v, {tokens[:i]: tokens[i] for i in range(1, len(tokens))})]
 
 
 contract_args = dict(tokens=st.lists(st.integers(0, 7), min_size=1, max_size=24).map(tuple),
-                     order=st.sampled_from([1, 3, 16]), prompt_len=st.integers(1, 6))
+                     order=st.sampled_from([1, 3, 16]))
 contract_cases = given(**contract_args)
 
 
 @settings(max_examples=40, deadline=None)
 @contract_cases
-def test_forward_parallel_matches_sequential(tokens, order, prompt_len):
+def test_forward_parallel_matches_sequential(tokens, order):
     """Every row from every start equals the per-step primitive, bit for bit,
     and so do the logits-only forward's rows and the logits-only step's
-    logits at every prefix; `greedy_choices` is each row's argmax.  A replay's
-    unrecorded row, below prompt_len - 1, is one DataError from either entry."""
-    for model, first in _contract_models(tokens, order, prompt_len):
-        _assert_rows_match_steps(model, tokens, range(first, len(tokens)))
-        for start in range(first):
-            refused = _outcome(model.forward_logits, tokens, start)
-            assert refused.startswith("DataError: context length"), (model.name, start)
-            assert _outcome(model.greedy_choices, tokens, start) == refused, (model.name, start)
+    logits at every prefix; `greedy_choices` is each row's argmax."""
+    for model in _contract_models(tokens, order):
+        _assert_rows_match_steps(model, tokens, range(len(tokens)))
 
 
 def _stepwise_greedy(model, context, n):
@@ -139,11 +123,11 @@ def _outcome(fn, *args):
 
 @settings(max_examples=40, deadline=None)
 @contract_cases
-def test_greedy_matches_stepwise_argmax(tokens, order, prompt_len):
+def test_greedy_matches_stepwise_argmax(tokens, order):
     """Greedy `sample` from every prefix, for every budget, equals a stepwise argmax
-    loop over `next_logits`; a replay that leaves its trace fails the same way."""
-    for model, first in _contract_models(tokens, order, prompt_len):
-        for k in range(first + 1, len(tokens) + 1):
+    loop over `next_logits`."""
+    for model in _contract_models(tokens, order):
+        for k in range(1, len(tokens) + 1):
             for n in range(len(tokens) + 3):
                 expect = _outcome(_stepwise_greedy, model, tokens[:k], n)
                 assert _outcome(lambda *a: model.sample(*a)[0], tokens[:k], n) == expect, \
@@ -171,13 +155,13 @@ def _sampled(model, context, n, temperature, key):
 @settings(max_examples=40, deadline=None)
 @given(**contract_args, temperature=st.sampled_from([0.3, 1.0, 5.0]),
        seed=st.integers(0, 2**64 - 1))
-def test_sampled_matches_stepwise_gumbel_max(tokens, order, prompt_len, temperature, seed):
+def test_sampled_matches_stepwise_gumbel_max(tokens, order, temperature, seed):
     """Sampled `sample` from every prefix, for every budget, equals a stepwise
     Gumbel-max loop over `next_logits`: the same choices and the same Gumbel-row
-    bytes; a replay that leaves its trace fails the same way."""
+    bytes."""
     state = RandomState(seed)
-    for model, first in _contract_models(tokens, order, prompt_len):
-        for k in range(first + 1, len(tokens) + 1):
+    for model in _contract_models(tokens, order):
+        for k in range(1, len(tokens) + 1):
             key = gumbel_key(state, tokens[:k])
             for n in range(len(tokens) + 3):
                 expect = _outcome(_stepwise_sampled, model, tokens[:k], n, temperature, key)
@@ -186,12 +170,27 @@ def test_sampled_matches_stepwise_gumbel_max(tokens, order, prompt_len, temperat
 
 
 class _Refusing(ScriptedModel):
-    """Rejects every context that holds token 5, as a replay rejects one off its trace."""
+    """Rejects every context that holds token 5: a step that raises a DataError."""
 
     def next_logits_hidden(self, context):
         if 5 in context:
             raise DataError("refused context")
         return super().next_logits_hidden(context)
+
+
+def test_a_refused_step_fails_every_entry_alike():
+    """A refused row is the same DataError out of every checked entry, at the first
+    row asked for and at a later one: the script steers (0, 1) into token 5."""
+    v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
+    model = _Refusing(v, {(0,): 1, (0, 1): 5}, default_token=0)
+    for tokens, start in (((0, 5), 1), ((0, 1, 5, 2), 0)):
+        for entry in (model.forward_parallel, model.forward_logits, model.greedy_choices):
+            with pytest.raises(DataError, match="^refused context$"):
+                entry(tokens, start)
+    for temperature, state in ((0.0, None), (0.5, RandomState(0))):
+        for context in ((0, 5), (0, 1)):
+            with pytest.raises(DataError, match="^refused context$"):
+                model.sample(context, 3, temperature, state)
 
 
 def test_a_rejected_one_row_run_fails_as_stepping_does():
@@ -215,15 +214,10 @@ def test_a_rejected_one_row_run_fails_as_stepping_does():
 
 def _stepwise_guess(model, context, n, bias):
     """Up to n choices argmax(row + bias), one `next_logits` row each, stopping after
-    EOS or before a refused row past the first, and the bytes of their unbiased rows."""
+    EOS, and the bytes of their unbiased rows."""
     out, rows = [], []
     while len(out) < n and out[-1:] != [model.vocab.eos_id]:
-        try:
-            rows.append(model.next_logits(context + tuple(out)))
-        except DataError:
-            if not rows:
-                raise
-            break
+        rows.append(model.next_logits(context + tuple(out)))
         out.append(argmax_token(rows[-1] + bias))
     return out, np.array(rows).tobytes()
 
@@ -237,25 +231,24 @@ def _guessed(model, context, n, bias):
 @settings(max_examples=40, deadline=None)
 @given(**contract_args, drawn=st.lists(st.sampled_from([0.0, 0.7, -0.3, 40.0]),
                                        min_size=8, max_size=8))
-def test_guess_matches_stepwise_biased_argmax(tokens, order, prompt_len, drawn):
+def test_guess_matches_stepwise_biased_argmax(tokens, order, drawn):
     """`_guess` from every prefix, for every budget, at zero bias and at a drawn one,
     equals a stepwise argmax(row + bias) loop over `next_logits`: the same choices and
     the same row bytes.  Equal offsets keep the exact ties of the n-gram's unseen
-    tokens, and an offset of 40 ties a scripted row's -40 with its 0.  A replay's
-    refused first row fails as stepping does."""
-    models = _contract_models(tokens, order, prompt_len)
+    tokens, and an offset of 40 ties a scripted row's -40 with its 0."""
+    models = _contract_models(tokens, order)
     for bias in (np.zeros(8), np.array(drawn)):
-        for model, first in models:
-            for k in range(first + 1, len(tokens) + 1):
+        for model in models:
+            for k in range(1, len(tokens) + 1):
                 for n in range(len(tokens) + 3):
                     expect = _outcome(_stepwise_guess, model, tokens[:k], n, bias)
                     assert _outcome(_guessed, model, tokens[:k], n, bias) == expect, \
                         (model.name, k, n)
 
 
-def test_a_refused_row_ends_a_guessed_run_past_its_first():
-    """The default `_guess` raises the DataError of a refused first row and ends a run
-    before a refused later row; an offset of 40 on token 5 ties it with each scripted
+def test_a_refused_row_raises_from_a_guessed_run_where_it_falls():
+    """The default `_guess` raises the DataError of a refused row, first or later, as
+    the stepwise reference does; an offset of 40 on token 5 ties it with each scripted
     choice (the lower id wins), and one of 41 steers every run into the refusal."""
     v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
     model = _Refusing(v, {(0,): 1, (0, 1): 5, (0, 1, 5): 2, (0, 3): 6}, default_token=0)
@@ -266,10 +259,12 @@ def test_a_refused_row_ends_a_guessed_run_past_its_first():
             for n in range(6):
                 expect = _outcome(_stepwise_guess, model, context, n, bias)
                 assert _outcome(_guessed, model, context, n, bias) == expect, (offset, context, n)
-    assert model._guess((0,), 5, np.zeros(8))[1] == [1, 5]
-    assert model._guess((0,), 5, bias)[1] == [5]
-    with pytest.raises(DataError, match="refused context"):
-        model._guess((0, 1, 5), 1, np.zeros(8))
+    assert model._guess((0,), 2, np.zeros(8))[1] == [1, 5]
+    for context, bias_5 in (((0, 1, 5), 0.0), ((0,), 0.0), ((0,), 41.0)):
+        bias = np.zeros(8)
+        bias[5] = bias_5
+        with pytest.raises(DataError, match="^refused context$"):
+            model._guess(context, 5, bias)
 
 
 def test_forward_rows_ignore_later_tokens():

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from specjudge import sampling
 from specjudge.engine import EngineConfig, LosslessPolicy, spec_decode
-from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
+from specjudge.lm import DataError, Vocab, argmax_token
 from specjudge.mining import MiningConfig, mine_important
 from specjudge.sampling import (TAG_PERTURB, RandomState, _fnv_feed,
                                 _fnv_feed_vec, _prefix_hash, _running_keys,
@@ -18,7 +18,6 @@ from specjudge.sampling import (TAG_PERTURB, RandomState, _fnv_feed,
                                 positionwise_choices, rollout, seeded_choice)
 from specjudge.tasks import gen_arithmetic_task
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, make_draft
-from specjudge.trace import ReplayModel, record_trace
 
 CTX = (3, 1, 4)
 MASK64 = 2**64 - 1
@@ -368,8 +367,6 @@ def sampling_entries(pipeline):
         "ngram": target, "draft": draft,
         "draft-sigma0": make_draft(target, PerturbSpec(bias_tokens=then)),
         "scripted": ScriptedModel(vocab, {prompt: 5}),
-        "replay": ReplayModel(record_trace(draft, target, TokenSequence(seq, len(prompt))),
-                              vocab, "target"),
     }
     entries = {f"sample:{name}": (lambda t, s, model=model: model.sample(prompt, n, t, s)[0],
                                   stepwise_greedy(model, prompt, n))
