@@ -14,10 +14,11 @@ below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .lm import DataError, LanguageModel, TokenSequence
+from .lm import DataError, LanguageModel, TokenSequence, check_top_k
 from .judge import JudgeModel, check_judge_compatible, decode_features, predict_importance
 from .sampling import RandomState, check_sampling, gumbel_max, seeded_choice
 
@@ -34,8 +35,7 @@ class TopKPolicy:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DataError("top-K needs k >= 1")
+        check_top_k(self.k)
 
 
 @dataclass(eq=False)
@@ -136,10 +136,11 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
 
     Returns the tokens the cycle emits and its stats.  The pass has W+1
     rows, indexed from the window start: row i is the target's choice at
-    `context + tokens[:i]`.  Greedy, it is one `greedy_choices` pass, and
-    top-K ranks a mismatch in one 1-row `forward_logits`; sampled, rows 0..W-1
-    are chosen in one vectorized step over one `forward_logits` pass, with
-    the Gumbel rows the draft drew at the same prefixes.  The first upheld
+    `context + tokens[:i]`.  Greedy, it is one `top_choices` pass for every
+    policy, at top-K's k (else 1): row[0] is the choice, and top-K keeps a
+    mismatch that is in its row.  Sampled, rows 0..W-1 are chosen in one
+    vectorized step over one `forward_logits` pass, with the Gumbel rows the
+    draft drew at the same prefixes, and top-K ranks from them.  The first upheld
     rejection truncates the window and emits the target's own choice.  A fully
     accepted window also emits the target's bonus choice from row W, unless it
     ends the sequence or leaves no room in the `budget` of tokens the response
@@ -155,7 +156,9 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     n, c = len(window.tokens), len(context)
     temp = config.temperature
     if temp == 0:
-        choices = target.greedy_choices(full, start=c - 1)
+        ranked = target.top_choices(full, c - 1,
+                                    policy.k if isinstance(policy, TopKPolicy) else 1)
+        choices = map(itemgetter(0), ranked)  # read up to the first upheld rejection
     else:
         logits = target.forward_logits(full, start=c - 1)
         if window.noise is None or len(window.noise) != n:
@@ -168,8 +171,7 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
             continue
         keep = False
         if isinstance(policy, TopKPolicy):
-            row = logits[j] if temp else target.forward_logits(full[:c + j], c + j - 1)[0]
-            keep = _in_top_k(row, drafted, policy.k)
+            keep = _in_top_k(logits[j], drafted, policy.k) if temp else drafted in ranked[j]
         elif isinstance(policy, JudgePolicy) and j < n - 1:
             feats = decode_features(policy.judge.feature_config, draft, target,
                                     full[:c + j], drafted)
@@ -184,7 +186,7 @@ def verify_window(draft: LanguageModel, target: LanguageModel, context,
     bonus = window.tokens[-1] != target.vocab.eos_id and n < budget
     if bonus:
         emitted.append(seeded_choice(logits[-1], full, config.state, temp) if temp
-                       else choices[n])
+                       else ranked[n][0])
     return emitted, CycleStats(drafted=n, accepted_draft=n, judge_overrides=overrides,
                                correction_emitted=False, bonus_emitted=bonus)
 

@@ -6,9 +6,9 @@ the next-token logits and the hidden state encoding the consumed prefix;
 `forward_parallel` makes one such call per row.  Logits alone have cheaper
 paths: `next_logits` per step, `sample` for the runs of choices of drafting
 and rollouts, `forward_logits` for the many rows of sampled verification and
-mining, and `greedy_choices` for their argmaxes at temperature 0, which
-backends may vectorize in the hooks `_sample`, `_guess`, `_logit_rows` and
-`_greedy_choices`.  Tests hold each bit-equal to the primitive.
+mining, and `top_choices` for each row's first k ids at temperature 0 (its
+argmax at k=1), which backends may vectorize in the hooks `_sample`, `_guess`,
+`_logit_rows` and `_top_choices`.  Tests hold each bit-equal to the primitive.
 """
 
 from __future__ import annotations
@@ -155,6 +155,14 @@ class LmOutput:
     hidden: np.ndarray  # (len, hidden_dim)
 
 
+def check_top_k(k) -> None:
+    """A top-K rank is an int >= 1: a float or bool would rank as some other K."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DataError(f"top-K needs an integer k, got {k!r}")
+    if k < 1:
+        raise DataError("top-K needs k >= 1")
+
+
 def argmax_token(logits) -> int:
     """Argmax with ties broken toward the lowest token id."""
     return int(np.asarray(logits).argmax())  # the method skips np.argmax's dispatch
@@ -170,9 +178,9 @@ class LanguageModel:
     propagates out of every entry unchanged.
     Backends with a cheaper logits-only step override `next_logits`, with
     batched runs of choices `_sample` and `_guess`, and with vectorized passes
-    `_logit_rows` and `_greedy_choices`.  The steps and hooks check no ids: they
+    `_logit_rows` and `_top_choices`.  The steps and hooks check no ids: they
     take contexts that `sample`, `forward_parallel`, `forward_logits` or
-    `greedy_choices` checked.
+    `top_choices` checked.
     """
 
     name: str = "model"
@@ -261,13 +269,19 @@ class LanguageModel:
         """Logits rows start..len-1 of validated `tokens`, one `next_logits` per row."""
         return np.array([self.next_logits(tokens[:i + 1]) for i in range(start, len(tokens))])
 
-    def greedy_choices(self, tokens, start: int = 0) -> list[int]:
-        """The argmax of each row of `forward_logits(tokens, start)`, lowest id on ties."""
-        return self._greedy_choices(self._checked_rows(tokens, start), start)
+    def top_choices(self, tokens, start: int = 0, k: int = 1) -> list[tuple[int, ...]]:
+        """The first `k` ids of each row of `forward_logits(tokens, start)` sorted by
+        (-logit, id), as a tuple: row[0] is the argmax, lowest id on ties."""
+        check_top_k(k)
+        return self._top_choices(self._checked_rows(tokens, start), start, k)
 
-    def _greedy_choices(self, tokens: tuple[int, ...], start: int) -> list[int]:
-        """`greedy_choices` of validated `tokens`: each `_logit_rows` row's argmax."""
-        return self._logit_rows(tokens, start).argmax(axis=1).tolist()
+    def _top_choices(self, tokens: tuple[int, ...], start: int, k: int) -> list[tuple[int, ...]]:
+        """`top_choices` of validated `tokens`: each `_logit_rows` row's argmax at k=1,
+        else the head of its stable argsort."""
+        rows = self._logit_rows(tokens, start)
+        if k == 1:
+            return [(t,) for t in rows.argmax(axis=1).tolist()]
+        return list(map(tuple, np.argsort(-rows, axis=1, kind="stable")[:, :k].tolist()))
 
 
 # Bound here, at the end, not at the top: sampling imports names from this module.

@@ -216,7 +216,7 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
     """The model's choice at positions start..len-1 of `tokens`.
 
     Entry j is what the model would emit after tokens[0..start+j-1], from
-    one `greedy_choices` pass over those rows of tokens[:-1] or, sampled, one
+    one `top_choices` pass over those rows of tokens[:-1] or, sampled, one
     forward and one noise draw keyed by one running hash.  Position 0 has no
     context: its choice is -1.
     """
@@ -227,7 +227,8 @@ def positionwise_choices(model, tokens, temperature: float = 0.0,
         model._check_tokens(tokens)
         return [-1] * (first - start)
     if temperature == 0:
-        return [-1] * (first - start) + model.greedy_choices(tokens[:-1], start=first - 1)
+        ranked = model.top_choices(tokens[:-1], start=first - 1)
+        return [-1] * (first - start) + [row[0] for row in ranked]
     logits = model.forward_logits(tokens[:-1], start=first - 1)
     keys = _running_keys(gumbel_key(state, tokens[:first]), tokens[first:-1])
     choices = gumbel_max(logits, gumbel_noise(keys, model.vocab.size), temperature)

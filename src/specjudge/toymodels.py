@@ -34,10 +34,10 @@ class NGramModel(LanguageModel):
     bytes (one byte each up to 256 ids, else the fewest that fit), to its index in
     `distributions`, the distinct (token, count) item tuples in first-seen order;
     index 0 is the empty one of every unseen context.  Each has one read-only
-    logits row, with its entropy and top-1, and an argmax table per guessed bias
-    (`_top` at zero, read by state in greedy passes), found by identity for the
-    last read-only bias guessed, else by its bytes; walks append each choice's
-    packed bytes from a per-id list.  Packed keys are a third the size of tuples:
+    logits row, with its entropy and top-1, an argmax table per guessed bias
+    (`_top` at zero), found by identity for the last read-only bias guessed, else
+    by its bytes, and a table of first-k tuples per ranked k, read by state in
+    greedy passes; walks append each choice's packed bytes from a per-id list.  Packed keys are a third the size of tuples:
     on the order-16 fixture the model keeps 10.9 MB, and `train_ngram` peaks at 1.45x that.
     """
 
@@ -84,6 +84,7 @@ class NGramModel(LanguageModel):
         self._logits.flags.writeable = False
         self._top = self._logits.argmax(axis=1).tolist()  # lowest id on ties, as argmax_token
         self._tops = {np.zeros(size).tobytes(): self._top}  # per bias: new rows drop them
+        self._ranks = {}  # per k, each state's first k ids by (-logit, id); dropped alike
         self._last = (None, None)  # the last bias guessed and its table, reused while read-only
 
     def next_logits(self, context):
@@ -134,8 +135,12 @@ class NGramModel(LanguageModel):
     def _logit_rows(self, tokens, start):
         return self._logits[self._states(tokens, start)]
 
-    def _greedy_choices(self, tokens, start):
-        return list(map(self._top.__getitem__, self._states(tokens, start)))
+    def _top_choices(self, tokens, start, k):
+        """Each row's first-k tuple, from a table of every state's, built once per k."""
+        if (ranks := self._ranks.get(k)) is None:
+            order = np.argsort(-self._logits, axis=1, kind="stable")[:, :k]
+            ranks = self._ranks[k] = list(map(tuple, order.tolist()))
+        return list(map(ranks.__getitem__, self._states(tokens, start)))
 
 
 def train_ngram(vocab: Vocab, corpus, order: int, smoothing: float, seed: int = 0,

@@ -77,10 +77,10 @@ def test_failed_task_is_counted_and_reported(pipeline, eval_tasks, bench_config,
 
 def test_non_data_error_ends_the_run(pipeline, eval_tasks, bench_config):
     class Broken(type(pipeline.target)):
-        def _logit_rows(self, tokens, start):
+        def _logit_rows(self, *args):
             raise RuntimeError("backend bug")
 
-        _greedy_choices = _logit_rows  # greedy verification reads no logits rows
+        _top_choices = _logit_rows  # greedy verification reads no logits rows
 
     broken = Broken(pipeline.vocab, order=2, smoothing=1.0)
     with pytest.raises(RuntimeError, match="backend bug"):
@@ -108,7 +108,7 @@ class Untouchable(LanguageModel):
         raise AssertionError("a model was called")
 
     next_logits_hidden = next_logits = sample = _logit_rows = forward_parallel = _called
-    greedy_choices = _greedy_choices = _called
+    top_choices = _top_choices = _called
 
 
 @pytest.mark.parametrize("policy", ["judge", None, LosslessPolicy],

@@ -267,12 +267,14 @@ def test_the_draft_guesses_each_run_in_one_base_call(pipeline, eval_tasks, monke
                          ids=["greedy", "sampled"])
 def test_greedy_verification_reads_the_targets_argmax_table(pipeline, judged, eval_tasks,
                                                             monkeypatch, config):
-    """Greedy W=8 decodes of four held-out tasks with the conftest pair: lossless and
-    judge verification take no logits row of the n-gram target, and top-K one 1-row
-    `_logit_rows` call per mismatch it ranks.  Sampled W=64 verification still makes
-    one `forward_logits` pass of W+1 rows per cycle, and top-K ranks from it."""
-    target, rows, ranked = pipeline.target, [], []
+    """Greedy W=8 decodes of four held-out tasks with the conftest pair: every policy
+    makes one `top_choices` call of W+1 rows per cycle on the n-gram target, at k=2
+    for top-K (which keeps some mismatch) and 1 otherwise, and takes no logits row of
+    it and no `_in_top_k` rank.  Sampled W=64 verification still makes one
+    `forward_logits` pass of W+1 rows per cycle, and top-K ranks from it."""
+    target, rows, ranked, tops = pipeline.target, [], [], []
     logit_rows, in_top_k = toymodels.NGramModel._logit_rows, engine._in_top_k
+    top_choices = toymodels.NGramModel.top_choices
 
     def counting_rows(self, tokens, start):  # the rows of each call on the target
         out = logit_rows(self, tokens, start)
@@ -280,20 +282,29 @@ def test_greedy_verification_reads_the_targets_argmax_table(pipeline, judged, ev
             rows.append(len(out))
         return out
 
+    def counting_tops(self, tokens, start=0, k=1):  # (rows, k) of each call on the target
+        out = top_choices(self, tokens, start, k)
+        if self is target:
+            tops.append((len(out), k))
+        return out
+
     monkeypatch.setattr(toymodels.NGramModel, "_logit_rows", counting_rows)
+    monkeypatch.setattr(toymodels.NGramModel, "top_choices", counting_tops)
     monkeypatch.setattr(engine, "_in_top_k", lambda *a: ranked.append(a) or in_top_k(*a))
     for policy in (LosslessPolicy(), TopKPolicy(2), JudgePolicy(judged.judge)):
         rows.clear()
         ranked.clear()
+        tops.clear()
         results = [spec_decode(task.prompt.tokens, pipeline.draft, target, policy, config)
                    for task in eval_tasks[:4]]
+        windows = [c.drafted + 1 for r in results for c in r.cycles]
         if config.temperature:
-            windows = [c.drafted + 1 for r in results for c in r.cycles]
             assert rows == windows, policy
-        elif isinstance(policy, TopKPolicy):
-            assert len(ranked) > 0 and rows == [1] * len(ranked)
         else:
-            assert rows == [] and ranked == [], policy
+            k = policy.k if isinstance(policy, TopKPolicy) else 1
+            assert rows == [] and ranked == [] and tops == [(w, k) for w in windows], policy
+            if k > 1:
+                assert sum(c.judge_overrides for r in results for c in r.cycles) > 0
 
 
 def test_sampled_runs_double_while_guesses_hold(chain_vocab, monkeypatch):
@@ -644,6 +655,16 @@ def random_sampled_pair(seed: int, agree: float, sigma: float, perturb_target: b
     return draft, target
 
 
+@pytest.mark.parametrize("k", [0, -2, True, 1.5, np.float64(2), "2", None])
+def test_top_k_needs_an_integer_k_of_at_least_one(chain_model, k):
+    """A k that is not an int >= 1 is refused by `TopKPolicy` and by `top_choices`:
+    `TopKPolicy(1.5)` would rank as top-2, and a table lookup would fail otherwise."""
+    with pytest.raises(DataError, match="^top-K needs "):
+        TopKPolicy(k)
+    with pytest.raises(DataError, match="^top-K needs "):
+        chain_model.top_choices((0, 1), 0, k)
+
+
 def reference_verify(target, context, window, policy, config, budget):
     """verify_window from one next_logits_hidden and seeded_choice per row."""
     n, emitted, overrides = len(window.tokens), [], 0
@@ -697,6 +718,24 @@ def test_sampled_window_reuses_the_noise_of_each_drafted_prefix(
     for policy, budget in product((LosslessPolicy(), TopKPolicy(2)), (n, n + 1)):
         assert verify_window(draft, target, context, drafted, policy, config, budget) \
             == reference_verify(target, context, drafted, policy, config, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), agree=st.sampled_from([0.0, 0.5, 0.9]),
+       context=st.lists(st.integers(0, 2), max_size=6), window=st.integers(1, 12))
+def test_greedy_window_matches_the_reference_verifier(seed, agree, context, window):
+    """Greedy verification of a scripted pair's window, whose target rows tie at -40,
+    equals the per-row reference in emitted tokens and stats, for lossless and for
+    top-K at every k up to V+1, with and without room for a bonus."""
+    draft, target = random_scripted_pair(seed, agree)
+    config = EngineConfig(window=window)
+    context = (0,) + tuple(context)
+    drafted = draft_window(draft, context, window, config)
+    n = len(drafted.tokens)
+    policies = (LosslessPolicy(), *(TopKPolicy(k) for k in range(1, PROPERTY_VOCAB.size + 2)))
+    for policy, budget in product(policies, (n, n + 1)):
+        assert verify_window(draft, target, context, drafted, policy, config, budget) \
+            == reference_verify(target, context, drafted, policy, config, budget), policy
 
 
 @settings(max_examples=60, deadline=None)

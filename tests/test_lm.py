@@ -1,10 +1,15 @@
 """Vocabulary, token sequences, and the forward-pass contract."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specjudge.lm import DataError, TokenSequence, Vocab, argmax_token
+from specjudge import engine
+from specjudge.lm import DataError, LanguageModel, TokenSequence, Vocab, argmax_token
 from specjudge.sampling import RandomState, _fnv_feed, gumbel_key, gumbel_max, gumbel_noise
 from specjudge.toymodels import PerturbedModel, PerturbSpec, ScriptedModel, train_ngram
 
@@ -57,12 +62,25 @@ def test_argmax_breaks_ties_toward_lowest_id():
     assert argmax_token([2.0, 2.0]) == 0
 
 
+def _sorted_ids(row):
+    """Every id of a logits row, sorted by (-logit, id)."""
+    return sorted(range(len(row)), key=lambda i: (-row[i], i))
+
+
 def _assert_rows_match_steps(model, tokens, starts):
+    size = model.vocab.size
     for start in starts:
         out = model.forward_parallel(tokens, start)
         assert np.array_equal(model.forward_logits(tokens, start), out.logits), (model.name, start)
-        assert model.greedy_choices(tokens, start) == out.logits.argmax(axis=1).tolist(), \
-            (model.name, start)
+        order = [_sorted_ids(row) for row in out.logits]
+        for k in range(1, size + 2):
+            assert model.top_choices(tokens, start, k) == [tuple(o[:k]) for o in order], \
+                (model.name, start, k)
+        if start == 0:  # membership in every row agrees with the engine's sampled rank
+            for k in range(1, size + 2):
+                for row, ids in zip(out.logits, model.top_choices(tokens, 0, k)):
+                    assert [t in ids for t in range(size)] \
+                        == [engine._in_top_k(row, t, k) for t in range(size)], (model.name, k)
         assert out.logits.shape == (len(tokens) - start, model.vocab.size)
         assert out.hidden.shape == (len(tokens) - start, model.hidden_dim)
         for i in range(start, len(tokens)):
@@ -100,7 +118,8 @@ contract_cases = given(**contract_args)
 def test_forward_parallel_matches_sequential(tokens, order):
     """Every row from every start equals the per-step primitive, bit for bit,
     and so do the logits-only forward's rows and the logits-only step's
-    logits at every prefix; `greedy_choices` is each row's argmax."""
+    logits at every prefix; `top_choices` at every k up to V+1 is the head of each
+    row's ids sorted by (-logit, id), and membership in it is `engine._in_top_k`."""
     for model in _contract_models(tokens, order):
         _assert_rows_match_steps(model, tokens, range(len(tokens)))
 
@@ -184,7 +203,7 @@ def test_a_refused_step_fails_every_entry_alike():
     v = Vocab(tuple("abcdefg") + ("</s>",), eos_id=7)
     model = _Refusing(v, {(0,): 1, (0, 1): 5}, default_token=0)
     for tokens, start in (((0, 5), 1), ((0, 1, 5, 2), 0)):
-        for entry in (model.forward_parallel, model.forward_logits, model.greedy_choices):
+        for entry in (model.forward_parallel, model.forward_logits, model.top_choices):
             with pytest.raises(DataError, match="^refused context$"):
                 entry(tokens, start)
     for temperature, state in ((0.0, None), (0.5, RandomState(0))):
@@ -282,7 +301,7 @@ def test_token_range_checked():
     model = tiny_model()
     draft = PerturbedModel(model, PerturbSpec(noise_scale=0.5, bias_tokens={1: 0.4}, seed=2))
     for m in (model, draft):
-        for forward in (m.forward_parallel, m.forward_logits, m.greedy_choices):
+        for forward in (m.forward_parallel, m.forward_logits, m.top_choices):
             for bad in ((0, 9), (0, -1), ()):
                 with pytest.raises(DataError):
                     forward(bad)
@@ -293,3 +312,24 @@ def test_token_range_checked():
             for bad in ((0, 9), (-1, 0), ()):
                 with pytest.raises(DataError):
                     m.sample(bad, 3, temperature, state)
+
+
+def test_docs_name_the_checked_entries():
+    """The checked entries the `LanguageModel` docstring and README's model-contract
+    paragraph name are exactly the public methods that refuse an out-of-vocab id; a
+    scripted model's steps take any id."""
+    model, checked = ScriptedModel(small_vocab(), {}), set()
+    for name, fn in vars(LanguageModel).items():
+        if name.startswith("_") or not callable(fn):
+            continue
+        params = list(inspect.signature(fn).parameters.values())[2:]  # after self, tokens
+        try:
+            getattr(model, name)((0, 9), *[1] * sum(p.default is p.empty for p in params))
+        except DataError:
+            checked.add(name)
+    assert checked == {"sample", "forward_parallel", "forward_logits", "top_choices"}
+    (docstring,) = re.findall(r"contexts that ([^.]+) checked\.", LanguageModel.__doc__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (paragraph,) = re.findall(r"a checked entry \(([^)]+)\)", readme)
+    for listed in (docstring, paragraph):
+        assert set(re.findall(r"`(\w+)`", listed)) == checked

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specjudge import engine
 from specjudge.lm import DataError, LanguageModel, Vocab
 from specjudge.sampling import RandomState, gumbel_key, positionwise_choices, rollout
 from specjudge.toymodels import (EMBED_DIM, NGramModel, PerturbedModel, PerturbSpec,
@@ -115,7 +116,7 @@ def test_ngram_rows_match_add_k_reference_bit_for_bit(corpus, order, data):
     want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
                      for i in range(start, len(tokens))])
     assert same_bits(model.forward_logits(tokens, start), want)
-    assert model.greedy_choices(tokens, start) == want.argmax(axis=1).tolist()
+    assert model.top_choices(tokens, start) == [(t,) for t in want.argmax(axis=1).tolist()]
 
 
 @settings(deadline=None, max_examples=60)
@@ -193,8 +194,9 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
     """318 ids, as `build_vocab(300)`, pack two bytes each: the keys read back as the
     reference contexts in order, and every row (seen, unseen as ids 2 and 316 never
     occur, and past the window), pass, greedy run and guessed run with a bias match
-    the add-k reference bit for bit; `greedy_choices` from every start is the argmax
-    of each `forward_logits` row."""
+    the add-k reference bit for bit; `top_choices` at the drawn start for every k up
+    to V+1, and from every start at k = 1, 2, V and V+1, is the head of each row's ids
+    sorted by (-logit, id), and membership in it is `engine._in_top_k`."""
     vocab = Vocab(tuple(f"w{i}" for i in range(317)) + ("</s>",), eos_id=317)
     model = train_ngram(vocab, corpus, order=order, smoothing=0.3, seed=2)
     counts = reference_counts(corpus, order)
@@ -213,10 +215,19 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
     want = np.array([reference_row(model, counts, tokens[:i + 1])[0]
                      for i in range(start, len(tokens))])
     assert same_bits(model.forward_logits(tokens, start), want)
-    assert model.greedy_choices(tokens, start) == want.argmax(axis=1).tolist()
+    order = [sorted(range(318), key=lambda i: (-row[i], i)) for row in want]
+    for k in range(1, 320):
+        assert model.top_choices(tokens, start, k) == [tuple(o[:k]) for o in order], k
+    order = [sorted(range(318), key=lambda i: (-row[i], i))
+             for row in model.forward_logits(tokens, 0)]
     for first in range(len(tokens)):
-        assert model.greedy_choices(tokens, first) \
-            == model.forward_logits(tokens, first).argmax(axis=1).tolist(), first
+        for k in (1, 2, 318, 319):
+            assert model.top_choices(tokens, first, k) \
+                == [tuple(o[:k]) for o in order[first:]], (first, k)
+    drawn = (0, 1, 2, 255, 256, 316, 317)  # every id the corpus draws, and two unseen
+    for k in (1, 2, 5, 319):
+        for row, ids in zip(want, model.top_choices(tokens, start, k)):
+            assert [t in ids for t in drawn] == [engine._in_top_k(row, t, k) for t in drawn], k
     context, greedy = tokens[:start + 1], []
     while len(greedy) < 8 and greedy[-1:] != [317]:
         greedy.append(int(reference_row(model, counts, context + tuple(greedy))[0].argmax()))
@@ -233,17 +244,27 @@ def test_vocabulary_past_one_byte_per_id_matches_the_reference(corpus, order, da
 
 
 def test_new_counts_drop_the_guessed_argmax_tables():
-    """A bias's argmax table is derived from the rows, so new counts drop it: after
-    `_set_counts` the cached bias, read-only as a draft's is, guesses along the new
-    rows, as the default loop does."""
+    """A bias's argmax table and a k's top-K table are derived from the rows, so new
+    counts drop them: after `_set_counts` the cached bias, read-only as a draft's is,
+    guesses along the new rows, and each cached k ranks them, as the defaults do.  The
+    k=1 table is `_top`'s."""
     model = train_ngram(small_vocab(), [[0, 1, 1, 3], [0, 1, 2, 3]], order=2, smoothing=0.5)
     bias = np.array([0.0, 0.0, 0.2, 0.0])
     bias.flags.writeable = False
     assert model._guess((0,), 4, bias)[1] == [1, 2, 3]
+    tokens = (0, 1, 2, 1)
+    assert model.top_choices(tokens, 0, 2) == [(1, 0), (1, 2), (3, 0), (1, 2)]
+    for k in range(1, 6):
+        model.top_choices(tokens, 0, k)
     model._set_counts({b"\0": 1, b"\2": 2, b"\1": 3}, [(), (2, 4), (1, 4), (3, 4)])
     rows, got = model._guess((0,), 4, bias)
     want_rows, want = LanguageModel._guess(model, (0,), 4, bias)
     assert got == want == [2, 1, 3] and same_bits(rows, want_rows)
+    assert model.top_choices(tokens, 0, 2) == [(2, 0), (3, 0), (1, 0), (3, 0)]
+    for k in range(1, 6):
+        assert model.top_choices(tokens, 0, k) \
+            == LanguageModel._top_choices(model, tokens, 0, k), k
+    assert model._ranks[1] == [(t,) for t in model._top]
 
 
 def test_a_bias_mutated_in_place_is_guessed_by_its_new_values():
@@ -277,9 +298,9 @@ def test_a_bias_mutated_in_place_is_guessed_by_its_new_values():
     lambda model, tokens: model.sample(tokens, 4, 0.7, RandomState(1)),
     lambda model, tokens: model.forward_logits(tokens),
     lambda model, tokens: model.forward_parallel(tokens),
-    lambda model, tokens: model.greedy_choices(tokens),
+    lambda model, tokens: model.top_choices(tokens),
 ], ids=["sample-greedy", "sample-sampled", "forward_logits", "forward_parallel",
-        "greedy_choices"])
+        "top_choices"])
 @pytest.mark.parametrize("side", ["target", "draft"])
 def test_ids_outside_the_fixture_vocab_stay_data_errors(pipeline, side, call, bad):
     """Ids that one byte cannot hold (-1, 256) or the vocab does not (117) are refused
